@@ -8,7 +8,6 @@ from .consensus import (
     ConsensusResult,
     MassMessage,
     init_consensus,
-    merge_masses,
     minmax_window_round,
     run_faqua,
     split_mass,

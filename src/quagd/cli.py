@@ -30,8 +30,9 @@ from .graph import (
     write_edge_list,
 )
 from .harness import (
-    default_theory,
     delta_sweep,
+    reference_draws,
+    reference_graph,
     write_sweep_csv,
     write_trace_csv,
 )
@@ -46,17 +47,12 @@ from .optimizer import (
     compute_theta_and_floor,
 )
 from .quantizer import QuantizationLevel
-from .rng import mix64
 from .svgplot import write_line_plot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 EXIT_NONTERMINATION = 4
-
-_GRAPH_TAG = 1
-_COST_TAG = 2
-_INIT_TAG = 3
 
 _DEFAULTS = {
     "nodes": 20,
@@ -166,17 +162,14 @@ class EffectiveConfig:
             self.graph = read_edge_list(self.graph_file)
             self.nodes = self.graph.n
         else:
-            self.graph = generate_random_strongly_connected(
-                self.nodes, self.edge_prob, mix64(self.seed, _GRAPH_TAG)
-            )
+            self.graph = reference_graph(self.nodes, self.edge_prob, self.seed)
         pair = find_unreachable_pair(self.graph)
         if pair is not None:
             raise NotStronglyConnectedError(pair)
 
-        # costs: explicit entries win; otherwise unit quadratics with
-        # seeded random centers in [0, 10]
-        import random
-
+        # costs and initial estimates: explicit entries win; otherwise the
+        # reference instance's seeded draws
+        centers, x0 = reference_draws(self.nodes, self.seed)
         if ini.has_section("costs") and ini.options("costs"):
             entries = {}
             for key in ini.options("costs"):
@@ -186,14 +179,11 @@ class EffectiveConfig:
                 raise ConfigError(f"[costs] missing entries for nodes {missing}")
             self.cost_specs = [entries[j] for j in range(self.nodes)]
         else:
-            rng = random.Random(mix64(self.seed, _COST_TAG))
             self.cost_specs = [
-                {"type": "quadratic", "beta": 1.0, "center": rng.uniform(0.0, 10.0)}
-                for _ in range(self.nodes)
+                {"type": "quadratic", "beta": 1.0, "center": c} for c in centers
             ]
         self.costs = [build_cost(spec) for spec in self.cost_specs]
 
-        # initial estimates
         x0_str = pick(None, "optimizer", "x0", None, str)
         if x0_str:
             try:
@@ -201,8 +191,7 @@ class EffectiveConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad x0 list: {exc}") from None
         else:
-            rng = random.Random(mix64(self.seed, _INIT_TAG))
-            self.x0 = [rng.uniform(0.0, 10.0) for _ in range(self.nodes)]
+            self.x0 = x0
 
     def to_opt_config(self) -> OptRunConfig:
         cfg = OptRunConfig(

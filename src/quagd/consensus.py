@@ -9,19 +9,20 @@ out-neighbors.  A diameter-windowed max/min flood over the node ratios
 detects when all ratios agree to within one unit; every node then outputs
 the common minimum times delta and stops.
 
-All mass arithmetic is exact integer arithmetic; rounds are a strict
-superstep barrier (messages sent in round lam are merged at the end of
-round lam, before the stopping check).
+A round floods, splits, delivers and audits.  All mass arithmetic is exact
+integer arithmetic; rounds are a strict superstep barrier (messages sent in
+round lam are summed into their receivers at the end of round lam, before
+the conservation audit and the stopping check).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .graph import Digraph, NotStronglyConnectedError, diameter, find_unreachable_pair
+from .graph import Digraph, diameter
 from .quantizer import QuantizationLevel, quantize_floor
 
 
@@ -33,10 +34,8 @@ class ConsensusNodeState:
     z: int  # nonnegative mass unit count
     y_s: int  # state variable: mass at last refresh
     z_s: int  # state variable: unit count at last refresh (>= 1)
-    q_s: int  # floor(y_s / z_s)
     M: int = 0  # running max of ratios seen this window
     m: int = 0  # running min of ratios seen this window
-    out_probs: dict[int, Fraction] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -51,7 +50,8 @@ class MassMessage:
 
 @dataclass(slots=True)
 class RoundAudit:
-    """Integer conservation check for one round (with and without in-flight mass)."""
+    """Integer conservation check for one round, on the network totals after
+    every message has been summed into its receiver."""
 
     round_index: int
     y_conserved: bool
@@ -83,45 +83,29 @@ class ConsensusNonterminationError(RuntimeError):
 
     The protocol terminates with probability 1 but has no deterministic
     round bound; the budget converts pathological seeds into a diagnosable
-    error.  Carries the full state snapshot for inspection.
+    error.  Carries the full state snapshot as .states; the message shows
+    the first few nodes only, so it stays short on large graphs.
     """
 
     def __init__(self, rounds: int, states: list[ConsensusNodeState]):
         self.rounds = rounds
         self.states = states
+        more = f" and {len(states) - 8} more nodes" if len(states) > 8 else ""
         super().__init__(
             f"consensus did not terminate within {rounds} rounds; "
-            f"ratios at exit: {[(st.y, st.z) for st in states]}"
+            f"ratios at exit: {[(st.y, st.z) for st in states[:8]]}{more}"
         )
 
 
 def init_consensus(
     x_half: Sequence[float], g: Digraph, q: QuantizationLevel
 ) -> list[ConsensusNodeState]:
-    """Initialize per-node state: doubled quantized mass and uniform out-edge
-    probabilities 1/(1 + out-degree)."""
+    """Initialize per-node state: mass 2*floor(x/delta) over two units, with
+    the state snapshot equal to the mass."""
     if len(x_half) != g.n:
         raise ValueError(f"expected {g.n} inputs, got {len(x_half)}")
-    states = []
-    for j, x in enumerate(x_half):
-        y = 2 * quantize_floor(x, q)
-        z = 2
-        prob = Fraction(1, 1 + g.out_degree(j))
-        out_probs = {dest: prob for dest in [j, *g.out_neighbors(j)]}
-        states.append(
-            ConsensusNodeState(
-                y=y, z=z, y_s=y, z_s=z, q_s=_floor_div(y, z), out_probs=out_probs
-            )
-        )
-    return states
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b  # Python // floors toward -inf
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+    masses = [2 * quantize_floor(x, q) for x in x_half]
+    return [ConsensusNodeState(y, 2, y, 2) for y in masses]
 
 
 def split_mass(
@@ -140,7 +124,7 @@ def split_mass(
     """
     if z < 2:
         raise ValueError(f"split requires at least 2 mass units, got z={z}")
-    base = _floor_div(y, z)
+    base = y // z  # floors toward -inf, also for negative mass
     r = y - base * z
     acc: dict[int, list[int]] = {self_id: [base, 1]}  # the kept minimum piece
     for value, count in ((base + 1, r), (base, z - 1 - r)):
@@ -150,17 +134,6 @@ def split_mass(
             bucket[0] += value
             bucket[1] += 1
     return {dest: (cy, cz) for dest, (cy, cz) in acc.items()}
-
-
-def merge_masses(
-    own_kept: tuple[int, int], inbox: Sequence[MassMessage]
-) -> tuple[int, int]:
-    """Sum the kept piece with all arrived messages."""
-    y, z = own_kept
-    for msg in inbox:
-        y += msg.c_y
-        z += msg.c_z
-    return y, z
 
 
 def minmax_window_round(
@@ -176,8 +149,8 @@ def minmax_window_round(
         raise ValueError(f"round index must be >= 1, got {lam}")
     if (lam - 1) % d_bound == 0:
         for st in states:
-            st.M = _ceil_div(st.y_s, st.z_s)
-            st.m = _floor_div(st.y_s, st.z_s)
+            st.M = -(-st.y_s // st.z_s)
+            st.m = st.y_s // st.z_s
     new_M = []
     new_m = []
     for j, st in enumerate(states):
@@ -190,6 +163,14 @@ def minmax_window_round(
 
 
 TamperHook = Callable[[int, list[MassMessage]], list[MassMessage]]
+
+
+def _deliver(states: list[ConsensusNodeState], outbox: list[MassMessage]) -> None:
+    """Sum every in-flight message into its receiver's mass."""
+    for msg in outbox:
+        st = states[msg.receiver]
+        st.y += msg.c_y
+        st.z += msg.c_z
 
 
 def run_faqua(
@@ -212,10 +193,7 @@ def run_faqua(
     round's in-flight messages before delivery.
     """
     n = g.n
-    pair = find_unreachable_pair(g)
-    if pair is not None:
-        raise NotStronglyConnectedError(pair)
-    d_actual = diameter(g)
+    d_actual = diameter(g)  # raises NotStronglyConnectedError on a witness pair
     if d_bound < d_actual:
         raise ValueError(
             f"d_bound={d_bound} is below the graph diameter {d_actual}"
@@ -237,57 +215,35 @@ def run_faqua(
     total_z = 2 * n
     targets = [[j, *g.out_neighbors(j)] for j in range(n)]
 
-    # Init send: each node transmits its whole (y, z) to one random target;
-    # these arrivals are merged at the start of round 1, before the first
-    # window reseed.
-    init_inbox: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for j, st in enumerate(states):
-        dest = streams[j].choice(targets[j])
-        init_inbox[dest].append((st.y, st.z))
-        st.y = 0
-        st.z = 0
+    # Init send: each node transmits its whole (y, z) to one random target.
+    # Nothing runs between the send and round 1, so it is delivered at once.
+    outbox = [
+        MassMessage(st.y, st.z, j, streams[j].choice(targets[j]))
+        for j, st in enumerate(states)
+    ]
+    for st in states:
+        st.y = st.z = 0
+    _deliver(states, outbox)
 
     audits: list[RoundAudit] = []
     for lam in range(1, max_rounds + 1):
-        if lam == 1:
-            for j, st in enumerate(states):
-                for cy, cz in init_inbox[j]:
-                    st.y += cy
-                    st.z += cz
-
         minmax_window_round(states, g, lam, d_bound)
 
-        kept: list[tuple[int, int]] = [None] * n  # type: ignore[list-item]
-        outbox: list[MassMessage] = []
+        outbox = []
         for j, st in enumerate(states):
             if st.z > 1:
-                st.y_s = st.y
-                st.z_s = st.z
-                st.q_s = _floor_div(st.y_s, st.z_s)
+                st.y_s, st.z_s = st.y, st.z
                 alloc = split_mass(st.y, st.z, streams[j], j, targets[j])
-                kept[j] = alloc.pop(j, (0, 0))
+                st.y, st.z = alloc.pop(j)
                 for dest, (cy, cz) in sorted(alloc.items()):
                     outbox.append(MassMessage(cy, cz, j, dest))
-            else:
-                kept[j] = (st.y, st.z)
-
         if tamper is not None:
             outbox = tamper(lam, outbox)
+        _deliver(states, outbox)
 
-        inflight_ok_y = sum(k[0] for k in kept) + sum(msg.c_y for msg in outbox) == total_y
-        inflight_ok_z = sum(k[1] for k in kept) + sum(msg.c_z for msg in outbox) == total_z
-
-        inboxes: list[list[MassMessage]] = [[] for _ in range(n)]
-        for msg in outbox:
-            inboxes[msg.receiver].append(msg)
-        for j, st in enumerate(states):
-            st.y, st.z = merge_masses(kept[j], inboxes[j])
-
-        merged_ok_y = sum(st.y for st in states) == total_y
-        merged_ok_z = sum(st.z for st in states) == total_z
-        audits.append(
-            RoundAudit(lam, inflight_ok_y and merged_ok_y, inflight_ok_z and merged_ok_z)
-        )
+        merged_y = sum(st.y for st in states)
+        merged_z = sum(st.z for st in states)
+        audits.append(RoundAudit(lam, merged_y == total_y, merged_z == total_z))
 
         if trace is not None:
             for j, st in enumerate(states):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graph import generate_random_strongly_connected
+from .graph import Digraph, generate_random_strongly_connected
 from .optimizer import (
     ConfigError,
     OptRunConfig,
@@ -38,6 +38,20 @@ _COST_TAG = 2
 _INIT_TAG = 3
 
 
+def reference_graph(n: int, edge_prob: float, seed: int) -> Digraph:
+    """The reference instance's random strongly connected digraph."""
+    return generate_random_strongly_connected(n, edge_prob, mix64(seed, _GRAPH_TAG))
+
+
+def reference_draws(n: int, seed: int) -> tuple[list[float], list[float]]:
+    """The reference instance's unit-quadratic centers and initial estimates,
+    each uniform in [0, 10] from its own sub-seed."""
+    cost_rng = random.Random(mix64(seed, _COST_TAG))
+    init_rng = random.Random(mix64(seed, _INIT_TAG))
+    centers = [cost_rng.uniform(0.0, 10.0) for _ in range(n)]
+    return centers, [init_rng.uniform(0.0, 10.0) for _ in range(n)]
+
+
 def reference_instance(
     n: int = 20,
     edge_prob: float = 0.2,
@@ -50,14 +64,10 @@ def reference_instance(
     """The documented desk-scale reference configuration: a random strongly
     connected digraph, unit quadratics with centers uniform in [0, 10], and
     initial estimates uniform in [0, 10]."""
-    graph = generate_random_strongly_connected(n, edge_prob, mix64(seed, _GRAPH_TAG))
-    cost_rng = random.Random(mix64(seed, _COST_TAG))
-    costs = [quadratic_cost(1.0, cost_rng.uniform(0.0, 10.0)) for _ in range(n)]
-    init_rng = random.Random(mix64(seed, _INIT_TAG))
-    x0 = [init_rng.uniform(0.0, 10.0) for _ in range(n)]
+    centers, x0 = reference_draws(n, seed)
     return OptRunConfig(
-        graph=graph,
-        costs=costs,
+        graph=reference_graph(n, edge_prob, seed),
+        costs=[quadratic_cost(1.0, c) for c in centers],
         delta=QuantizationLevel(delta),
         x0=x0,
         max_outer=max_outer,

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from quagd.cli import main
+from quagd.cli import EffectiveConfig, build_parser, main
 from quagd.graph import read_edge_list
+from quagd.harness import reference_instance
 
 
 def run_cli(*argv):
@@ -95,6 +96,16 @@ class TestRun:
             monkey.undo()
         assert code == 4
         assert "nontermination" in capsys.readouterr().err
+
+
+class TestEffectiveConfig:
+    def test_flag_only_config_is_reference_instance(self):
+        args = build_parser().parse_args(["run", "--nodes", "7", "--seed", "5"])
+        cfg = EffectiveConfig(args).to_opt_config()
+        ref = reference_instance(n=7, seed=5)
+        assert cfg.graph == ref.graph
+        assert [c.center for c in cfg.costs] == [c.center for c in ref.costs]
+        assert cfg.x0 == ref.x0
 
 
 class TestSweep:

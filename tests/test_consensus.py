@@ -1,18 +1,22 @@
 import io
 import random
-from fractions import Fraction
 
 import pytest
 
 from quagd.consensus import (
     ConsensusNonterminationError,
     init_consensus,
-    merge_masses,
     minmax_window_round,
     run_faqua,
     split_mass,
 )
-from quagd.graph import Digraph, NotStronglyConnectedError, diameter, generate_random_strongly_connected
+from quagd.graph import (
+    Digraph,
+    NotStronglyConnectedError,
+    diameter,
+    find_unreachable_pair,
+    generate_random_strongly_connected,
+)
 from quagd.quantizer import QuantizationLevel
 from quagd.rng import node_streams
 
@@ -28,24 +32,19 @@ def complete(n):
 class TestInit:
     def test_positive_input(self):
         states = init_consensus([3.7, 0.0], cycle(2), QuantizationLevel("1"))
-        assert (states[0].y, states[0].z, states[0].q_s) == (6, 2, 3)
+        st = states[0]
+        assert (st.y, st.z, st.y_s, st.z_s) == (6, 2, 6, 2)
 
     def test_zero_input(self):
         states = init_consensus([0.0, 1.0], cycle(2), QuantizationLevel("0.5"))
-        assert (states[0].y, states[0].z, states[0].q_s) == (0, 2, 0)
+        st = states[0]
+        assert (st.y, st.z, st.y_s, st.z_s) == (0, 2, 0, 2)
 
     def test_negative_input_floor_oracle(self):
         # 2 * floor(-1.3 / 0.5) = 2 * floor(-2.6) = -6
         states = init_consensus([-1.3, 0.0], cycle(2), QuantizationLevel("0.5"))
-        assert (states[0].y, states[0].z, states[0].q_s) == (-6, 2, -3)
-
-    def test_out_probs_uniform_and_sum_to_one(self):
-        g = complete(4)
-        states = init_consensus([1.0] * 4, g, QuantizationLevel("1"))
-        for j, st in enumerate(states):
-            assert set(st.out_probs) == {j, *g.out_neighbors(j)}
-            assert all(p == Fraction(1, 4) for p in st.out_probs.values())
-            assert sum(st.out_probs.values()) == 1
+        st = states[0]
+        assert (st.y, st.z, st.y_s, st.z_s) == (-6, 2, -6, 2)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -106,22 +105,6 @@ class TestSplitMass:
     def test_rejects_small_z(self):
         with pytest.raises(ValueError):
             split_mass(5, 1, random.Random(0), 0, [0])
-
-
-class TestMerge:
-    def test_sums(self):
-        from quagd.consensus import MassMessage
-
-        inbox = [MassMessage(3, 1, 1, 0), MassMessage(3, 1, 2, 0)]
-        assert merge_masses((2, 1), inbox) == (8, 3)
-
-    def test_empty(self):
-        assert merge_masses((0, 0), []) == (0, 0)
-
-    def test_negative(self):
-        from quagd.consensus import MassMessage
-
-        assert merge_masses((-3, 1), [MassMessage(-3, 1, 1, 0)]) == (-6, 2)
 
 
 class TestMinMaxWindow:
@@ -228,6 +211,14 @@ class TestRunFaqua:
             run_faqua([0.0, 0.0, 0.0, 100.0], g, 3, QuantizationLevel("1"), 1, max_rounds=3)
         assert err.value.rounds == 3
         assert len(err.value.states) == 4
+        # the message shows a bounded prefix; the snapshot stays complete
+        g = cycle(200)
+        x = [float(j % 7) for j in range(200)]
+        with pytest.raises(ConsensusNonterminationError) as err:
+            run_faqua(x, g, diameter(g), QuantizationLevel("1"), 1, max_rounds=2)
+        assert len(str(err.value)) < 300
+        assert "192 more nodes" in str(err.value)
+        assert len(err.value.states) == 200
 
     def test_rejects_underestimated_diameter(self):
         g = cycle(4)
@@ -236,8 +227,24 @@ class TestRunFaqua:
 
     def test_rejects_disconnected_graph(self):
         g = Digraph(3, [(1, 0), (2, 1)])
-        with pytest.raises(NotStronglyConnectedError):
+        with pytest.raises(NotStronglyConnectedError) as err:
             run_faqua([1.0] * 3, g, 2, QuantizationLevel("1"), 0)
+        assert err.value.pair == find_unreachable_pair(g)
+
+    def test_messages_go_to_out_neighbors(self):
+        g = generate_random_strongly_connected(6, 0.3, 5)
+        xh = [0.3, 5.1, -2.0, 7.7, 4.4, 1.0]
+        hit = set()
+
+        def record(lam, msgs):
+            for msg in msgs:
+                assert msg.receiver in g.out_neighbors(msg.sender)
+                hit.add((msg.sender, msg.receiver))
+            return msgs
+
+        for seed in range(30):
+            run_faqua(xh, g, diameter(g), QuantizationLevel("0.25"), seed, tamper=record)
+        assert hit == {(j, dest) for j in range(g.n) for dest in g.out_neighbors(j)}
 
     def test_tamper_hook_localizes_conservation_violation(self):
         g = complete(4)
