@@ -38,6 +38,7 @@ from .harness import (
 from .optimizer import (
     ConfigError,
     CostFunction,
+    DivergenceError,
     OptRunConfig,
     ParameterViolationError,
     StepSizeInterval,

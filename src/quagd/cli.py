@@ -4,8 +4,13 @@ Subcommands: run (one optimization run), sweep (several quantization
 levels), theory (step-size interval / contraction constants), graph-gen
 (random strongly connected digraph to an edge-list file).
 
-Exit codes: 0 success, 2 configuration error, 3 assumption violation
-(e.g. graph not strongly connected), 4 consensus nontermination.
+Every run/sweep/theory option is resolved from its flag, else its INI
+entry, else its default; effective_config.ini lists every option.
+
+Exit codes: 0 success, 2 configuration error (including an unreadable or
+unwritable path), 3 assumption violation (e.g. graph not strongly
+connected), 4 consensus nontermination, 5 divergence (a stepped value or
+the residual stopped being finite).
 """
 
 from __future__ import annotations
@@ -16,11 +21,9 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from .consensus import ConsensusNonterminationError
 from .graph import (
-    Digraph,
     GraphError,
     NotStronglyConnectedError,
     diameter,
@@ -38,6 +41,7 @@ from .harness import (
 )
 from .optimizer import (
     ConfigError,
+    DivergenceError,
     OptRunConfig,
     build_cost,
     quadratic_optimum,
@@ -53,16 +57,49 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 EXIT_NONTERMINATION = 4
+EXIT_DIVERGENCE = 5
 
-_DEFAULTS = {
-    "nodes": 20,
-    "edge_prob": 0.2,
-    "delta": "0.01",
-    "max_iters": 60,
-    "seed": 0,
-    "output_dir": "out",
-    "trace": False,
-}
+
+def _flag(text: str) -> bool:
+    return text.strip().lower() in ("1", "true", "yes", "on")
+
+
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _levels(text: str) -> list[QuantizationLevel]:
+    levels = [QuantizationLevel(tok) for tok in text.split(",") if tok.strip()]
+    if len({lv.delta for lv in levels}) != len(levels):
+        raise ValueError(f"levels must be distinct, got {text!r}")
+    return levels
+
+
+# (INI section, key, parser, default), in echo order; each key is also the
+# argparse dest of its flag.  Text (from a string flag, the INI or a
+# default) goes through the parser; flags argparse has typed do not.
+_OPTIONS = [
+    ("graph", "graph_file", str, None),
+    ("graph", "nodes", int, 20),
+    ("graph", "edge_prob", float, 0.2),
+    ("graph", "d_bound", int, None),
+    ("optimizer", "alpha", float, None),
+    ("optimizer", "delta", QuantizationLevel, "0.01"),
+    ("optimizer", "deltas", _levels, None),
+    ("optimizer", "max_iters", int, 60),
+    ("optimizer", "x0", _floats, None),
+    ("run", "seed", int, 0),
+    ("run", "output_dir", str, "out"),
+    ("run", "trace", _flag, False),
+]
+
+
+def _echo(value) -> str:
+    if isinstance(value, list):
+        return ",".join(_echo(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _parse_cost_line(node: int, text: str):
@@ -82,14 +119,13 @@ def _parse_cost_line(node: int, text: str):
 
 
 def _load_ini(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    try:
-        with open(path) as fh:
+    # no interpolation: values are read, and echoed, verbatim
+    parser = configparser.ConfigParser(interpolation=None)
+    with open(path) as fh:
+        try:
             parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return parser
 
 
@@ -98,69 +134,21 @@ class EffectiveConfig:
 
     def __init__(self, args):
         ini = _load_ini(args.config) if args.config else configparser.ConfigParser()
-
-        def pick(flag_value, section, key, default, convert):
-            if flag_value is not None:
-                return flag_value
-            if ini.has_option(section, key):
+        for section, key, parse, default in _OPTIONS:
+            flag = getattr(args, key, None)
+            for value in (flag, ini.get(section, key, fallback=None), default):
+                if value not in (None, ""):  # an empty value counts as unset
+                    break
+            if isinstance(value, str):
                 try:
-                    return convert(ini.get(section, key))
+                    value = parse(value)
                 except ValueError as exc:
                     raise ConfigError(f"[{section}] {key}: {exc}") from None
-            return default
+            setattr(self, key, value)
 
-        self.seed = pick(args.seed, "run", "seed", _DEFAULTS["seed"], int)
-        self.output_dir = pick(
-            getattr(args, "output_dir", None), "run", "output_dir",
-            _DEFAULTS["output_dir"], str,
-        )
-        trace_flag = True if getattr(args, "trace", False) else None
-        self.trace = pick(
-            trace_flag, "run", "trace", _DEFAULTS["trace"],
-            lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-        )
-        self.nodes = pick(args.nodes, "graph", "nodes", _DEFAULTS["nodes"], int)
-        self.edge_prob = pick(
-            args.edge_prob, "graph", "edge_prob", _DEFAULTS["edge_prob"], float
-        )
-        self.graph_file = pick(
-            getattr(args, "graph_file", None), "graph", "graph_file", None, str
-        )
-        self.d_bound = pick(args.d_bound, "graph", "d_bound", None, int)
-        self.alpha = pick(args.alpha, "optimizer", "alpha", None, float)
-        self.max_iters = pick(
-            args.max_iters, "optimizer", "max_iters", _DEFAULTS["max_iters"], int
-        )
-        delta_str = pick(
-            getattr(args, "delta", None), "optimizer", "delta", _DEFAULTS["delta"], str
-        )
-        try:
-            self.delta = QuantizationLevel(delta_str)
-        except (ValueError, ArithmeticError) as exc:
-            raise ConfigError(f"bad quantization level {delta_str!r}: {exc}") from None
-        self.delta_str = str(delta_str)
-
-        deltas_str = pick(
-            getattr(args, "deltas", None), "optimizer", "deltas", None, str
-        )
-        self.deltas: Optional[list[QuantizationLevel]] = None
-        self.deltas_str = deltas_str
-        if deltas_str:
-            try:
-                self.deltas = [
-                    QuantizationLevel(tok.strip())
-                    for tok in deltas_str.split(",")
-                    if tok.strip()
-                ]
-            except (ValueError, ArithmeticError) as exc:
-                raise ConfigError(f"bad deltas {deltas_str!r}: {exc}") from None
-            if len({lv.delta for lv in self.deltas}) != len(self.deltas):
-                raise ConfigError(f"deltas must be distinct, got {deltas_str!r}")
-
-        # graph
         if self.graph_file:
             self.graph = read_edge_list(self.graph_file)
-            self.nodes = self.graph.n
+            self.nodes = self.edge_prob = None  # fixed by the file, not echoed
         else:
             self.graph = reference_graph(self.nodes, self.edge_prob, self.seed)
         pair = find_unreachable_pair(self.graph)
@@ -169,28 +157,22 @@ class EffectiveConfig:
 
         # costs and initial estimates: explicit entries win; otherwise the
         # reference instance's seeded draws
-        centers, x0 = reference_draws(self.nodes, self.seed)
+        n = self.graph.n
+        centers, x0 = reference_draws(n, self.seed)
         if ini.has_section("costs") and ini.options("costs"):
             entries = {}
             for key in ini.options("costs"):
                 entries[int(key)] = _parse_cost_line(int(key), ini.get("costs", key))
-            missing = [j for j in range(self.nodes) if j not in entries]
+            missing = [j for j in range(n) if j not in entries]
             if missing:
                 raise ConfigError(f"[costs] missing entries for nodes {missing}")
-            self.cost_specs = [entries[j] for j in range(self.nodes)]
+            self.cost_specs = [entries[j] for j in range(n)]
         else:
             self.cost_specs = [
                 {"type": "quadratic", "beta": 1.0, "center": c} for c in centers
             ]
         self.costs = [build_cost(spec) for spec in self.cost_specs]
-
-        x0_str = pick(None, "optimizer", "x0", None, str)
-        if x0_str:
-            try:
-                self.x0 = [float(tok) for tok in x0_str.split(",") if tok.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"bad x0 list: {exc}") from None
-        else:
+        if self.x0 is None:
             self.x0 = x0
 
     def to_opt_config(self) -> OptRunConfig:
@@ -210,36 +192,19 @@ class EffectiveConfig:
     def echo_text(self) -> str:
         """Resolved configuration as an ini document; rerunning from this
         reproduces byte-identical outputs."""
-        lines = ["[graph]"]
-        if self.graph_file:
-            lines.append(f"graph_file = {self.graph_file}")
-        else:
-            lines.append(f"nodes = {self.nodes}")
-            lines.append(f"edge_prob = {self.edge_prob!r}")
-        if self.d_bound is not None:
-            lines.append(f"d_bound = {self.d_bound}")
-        lines.append("")
-        lines.append("[optimizer]")
-        if self.alpha is not None:
-            lines.append(f"alpha = {self.alpha!r}")
-        lines.append(f"delta = {self.delta_str}")
-        if self.deltas_str:
-            lines.append(f"deltas = {self.deltas_str}")
-        lines.append(f"max_iters = {self.max_iters}")
-        lines.append("x0 = " + ",".join(repr(x) for x in self.x0))
-        lines.append("")
-        lines.append("[costs]")
-        for j, spec in enumerate(self.cost_specs):
-            extras = " ".join(
-                f"{k}={v!r}" for k, v in spec.items() if k != "type"
-            )
-            lines.append(f"{j} = {spec['type']} {extras}".rstrip())
-        lines.append("")
-        lines.append("[run]")
-        lines.append(f"seed = {self.seed}")
-        lines.append(f"output_dir = {self.output_dir}")
-        lines.append(f"trace = {str(self.trace).lower()}")
-        return "\n".join(lines) + "\n"
+        costs = [  # "type" is each spec's first key
+            f"{j} = "
+            + " ".join(v if k == "type" else f"{k}={v!r}" for k, v in spec.items())
+            for j, spec in enumerate(self.cost_specs)
+        ]
+        sections = {"graph": [], "optimizer": [], "costs": costs, "run": []}
+        for section, key, _, _ in _OPTIONS:
+            value = getattr(self, key)
+            if value is not None:
+                sections[section].append(f"{key} = {_echo(value)}")
+        return "\n\n".join(
+            "\n".join([f"[{name}]", *lines]) for name, lines in sections.items()
+        ) + "\n"
 
     def write_echo(self) -> str:
         path = os.path.join(self.output_dir, "effective_config.ini")
@@ -345,7 +310,7 @@ def cmd_theory(args) -> int:
         mu = Fraction(cfg.mu)
         big_l = Fraction(cfg.L)
         delta = cfg.delta.delta
-        alpha = Fraction(args.alpha) if args.alpha is not None else None
+        alpha = Fraction(eff.alpha) if eff.alpha is not None else None
     else:
         if args.nodes is None:
             raise ConfigError("theory needs --nodes with explicit --mu/--lipschitz")
@@ -409,10 +374,7 @@ def cmd_theory(args) -> int:
 
 
 def cmd_graph_gen(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    nodes = args.nodes if args.nodes is not None else _DEFAULTS["nodes"]
-    prob = args.edge_prob if args.edge_prob is not None else _DEFAULTS["edge_prob"]
-    g = generate_random_strongly_connected(nodes, prob, seed)
+    g = generate_random_strongly_connected(args.nodes, args.edge_prob, args.seed)
     write_edge_list(g, args.output)
     print(f"wrote {args.output}: n={g.n} edges={len(g.edges)} diameter={diameter(g)}")
     return EXIT_OK
@@ -441,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
     p_run.add_argument("--delta", help="quantization level (decimal string)")
     p_run.add_argument("--graph-file", dest="graph_file")
-    p_run.add_argument("--trace", action="store_true", help="write inner-round trace")
+    p_run.add_argument(
+        "--trace", action="store_true", default=None, help="write inner-round trace"
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run several quantization levels")
@@ -463,7 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--edge-prob", type=float, dest="edge_prob")
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--output", required=True)
-    p_gen.set_defaults(func=cmd_graph_gen)
+    p_gen.set_defaults(
+        func=cmd_graph_gen,
+        **{key: default for _, key, _, default in _OPTIONS
+           if key in ("nodes", "edge_prob", "seed")},
+    )
     return parser
 
 
@@ -480,7 +448,10 @@ def main(argv=None) -> int:
         where = f" at outer step {step}" if step is not None else ""
         print(f"consensus nontermination{where}: {exc}", file=sys.stderr)
         return EXIT_NONTERMINATION
-    except (ConfigError, GraphError, ValueError) as exc:
+    except DivergenceError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_DIVERGENCE
+    except (ConfigError, GraphError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,9 +16,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .consensus import ConsensusNonterminationError
 from .graph import Digraph, generate_random_strongly_connected
 from .optimizer import (
     ConfigError,
+    DivergenceError,
     OptRunConfig,
     TheoryConstants,
     compute_theta_and_floor,
@@ -156,7 +158,8 @@ def iterations_to_plateau(residuals: Sequence[float], plateau: float) -> int:
 
 def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
     """Run the outer loop once per quantization level with a shared master
-    seed; per-level failures are recorded without aborting the sweep."""
+    seed; per-level failures (invalid parameters, consensus nontermination,
+    divergence) are recorded without aborting the sweep."""
     levels = [QuantizationLevel(d) for d in deltas]
     if len({lv.delta for lv in levels}) != len(levels):
         raise ConfigError("quantization levels must be distinct")
@@ -176,7 +179,7 @@ def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
             entry.plateau = plateau_level(residuals)
             entry.iters_to_plateau = iterations_to_plateau(residuals, entry.plateau)
             entry.theory_floor = float(default_theory(cfg_d).asymptotic_bound)
-        except Exception as exc:  # recorded, not raised
+        except (ValueError, ConsensusNonterminationError, DivergenceError) as exc:
             entry.error = f"{type(exc).__name__}: {exc}"
         report.entries.append(entry)
     return report

@@ -10,6 +10,8 @@ error floor, all in exact rational arithmetic.
 
 from __future__ import annotations
 
+import inspect
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +30,15 @@ class ParameterViolationError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
+
+
+class DivergenceError(RuntimeError):
+    """The iterates left the floating-point range: a stepped value or the
+    residual is no longer finite.  Carries the outer step as .outer_step."""
+
+    def __init__(self, outer_step: int, detail: str):
+        self.outer_step = outer_step
+        super().__init__(f"divergence at outer step {outer_step}: {detail}")
 
 
 @dataclass
@@ -56,8 +67,11 @@ class CostFunction:
 
 def quadratic_cost(beta: float, center: float) -> CostFunction:
     """f(x) = beta/2 * (x - center)^2 with gradient beta*(x - center)."""
-    if beta <= 0:
-        raise ConfigError(f"quadratic beta must be positive, got {beta}")
+    if not (0 < beta < math.inf and math.isfinite(center)):
+        raise ConfigError(
+            f"quadratic needs a finite positive beta and a finite center, "
+            f"got beta={beta}, center={center}"
+        )
     return CostFunction(
         evaluate=lambda x: 0.5 * beta * (x - center) ** 2,
         gradient=lambda x: beta * (x - center),
@@ -87,6 +101,10 @@ def build_cost(spec: dict) -> CostFunction:
         builder = _COST_TYPES[kind]
     except KeyError:
         raise ConfigError(f"unknown cost type {kind!r}") from None
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise ConfigError(f"cost type {kind!r}: {exc}") from None
     return builder(**params)
 
 
@@ -237,12 +255,15 @@ class OptRunConfig:
         if len(self.x0) != n:
             raise ConfigError(f"expected {n} initial estimates, got {len(self.x0)}")
         for j, x in enumerate(self.x0):
-            if x < 0:
+            if not 0 <= x < math.inf:
                 raise ConfigError(
-                    f"initial estimates must be nonnegative, node {j} has {x}"
+                    f"initial estimates must be finite and nonnegative, "
+                    f"node {j} has {x}"
                 )
         if self.max_outer < 0:
             raise ConfigError(f"max_outer must be >= 0, got {self.max_outer}")
+        if self.alpha is not None and not math.isfinite(self.alpha):
+            raise ConfigError(f"step size must be finite, got {self.alpha}")
 
     @property
     def L(self) -> float:
@@ -272,7 +293,8 @@ def quagd_run(
     """Run the full outer loop; returns the per-iteration trace.
 
     Residuals are filled when x_star is known.  Consensus nontermination
-    propagates with the offending outer step attached as .outer_step.
+    propagates with the offending outer step attached as .outer_step; a
+    stepped value or residual that is not finite raises DivergenceError.
     inner_trace, if given, receives the per-round consensus debug trace,
     with an `OUTER <k>` marker line before each outer step.
     """
@@ -289,14 +311,24 @@ def quagd_run(
         )
     d_bound = cfg.effective_d_bound()
 
-    def _residual(x):
-        return residual_error(x, cfg.x0, x_star) if x_star is not None else None
+    def _residual(x, k):
+        if x_star is None:
+            return None
+        try:
+            r = residual_error(x, cfg.x0, x_star)
+        except OverflowError:
+            r = math.inf
+        if not math.isfinite(r):
+            raise DivergenceError(k, "the residual overflowed")
+        return r
 
     x = list(cfg.x0)
     trace = RunTrace(x0=list(cfg.x0), delta=cfg.delta.delta, x_star=x_star)
-    trace.steps.append(StepRecord(k=0, estimates=list(x), residual=_residual(x)))
+    trace.steps.append(StepRecord(k=0, estimates=list(x), residual=_residual(x, 0)))
     for k in range(cfg.max_outer):
         x_half = [gradient_step(x[i], alpha, cfg.costs[i]) for i in range(n)]
+        if not all(map(math.isfinite, x_half)):
+            raise DivergenceError(k, "a stepped value is not finite")
         streams = node_streams(cfg.master_seed, n, k)
         if inner_trace is not None:
             inner_trace.write(f"OUTER\t{k}\n")
@@ -320,7 +352,7 @@ def quagd_run(
             StepRecord(
                 k=k + 1,
                 estimates=list(x),
-                residual=_residual(x),
+                residual=_residual(x, k),
                 inner_rounds=result.rounds_used,
                 centroid_err=abs(x_hat - z_hat),
                 max_node_dev=max(abs(xi - x_hat) for xi in x),

@@ -18,24 +18,31 @@ class QuantizationLevel:
 
     Strings and Decimals are parsed exactly (so CLI values like "0.01"
     mean the decimal 1/100); floats are interpreted through their shortest
-    decimal repr for the same reason.
+    decimal repr for the same reason.  str() gives back the text the level
+    was written as, so a config echo reproduces it verbatim.
     """
 
     def __init__(self, delta):
+        self._text = str(delta)
         if isinstance(delta, QuantizationLevel):
             delta = delta.delta
         if isinstance(delta, float):
             delta = Decimal(repr(delta))
-        if isinstance(delta, (str, Decimal)):
-            delta = Fraction(Decimal(delta))
-        else:
-            delta = Fraction(delta)
+        try:
+            delta = Fraction(Decimal(delta) if isinstance(delta, str) else delta)
+        except ArithmeticError:  # not a decimal number, or infinite
+            raise ValueError(
+                f"quantization level must be a finite decimal, got {self._text!r}"
+            ) from None
         if delta <= 0:
             raise ValueError(f"quantization level must be positive, got {delta}")
         self.delta: Fraction = delta
 
     def __float__(self):
         return float(self.delta)
+
+    def __str__(self):
+        return self._text
 
     def __eq__(self, other):
         return isinstance(other, QuantizationLevel) and self.delta == other.delta

@@ -72,6 +72,15 @@ class TestRun:
         assert text.startswith("OUTER\t0\n")
         assert "RESULT\t" in text
 
+    @pytest.mark.filterwarnings("ignore:alpha=50.0 outside")
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "--nodes", "10", "--alpha", "50", "--max-iters", "200",
+            "--output-dir", str(tmp_path / "o"),
+        )
+        assert code == 5
+        assert "divergence at outer step 91" in capsys.readouterr().err
+
     def test_nontermination_exit_code(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.ini"
         cfgfile.write_text(
@@ -96,6 +105,34 @@ class TestRun:
             monkey.undo()
         assert code == 4
         assert "nontermination" in capsys.readouterr().err
+
+
+TWO_COSTS = (
+    "[graph]\nnodes = 2\n[costs]\n"
+    "0 = quadratic {}\n1 = quadratic beta=1.0 center=2.0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, ini",
+    [
+        (["run", "--graph-file", "missing.txt"], None),
+        (["graph-gen", "--output", "nodir/g.txt"], None),
+        (["run", "--config", "cfg.ini"], TWO_COSTS.format("beta=1.0 center=1.0 foo=2")),
+        (["run", "--alpha", "inf"], None),
+        (["run", "--config", "cfg.ini"], "[optimizer]\nalpha = 5%\n"),
+        (["run", "--config", "cfg.ini"], TWO_COSTS.format("beta=inf center=1.0")),
+        (["run", "--config", "cfg.ini"], TWO_COSTS.format("beta=1.0 center=nan")),
+    ],
+    ids=["missing-graph-file", "unwritable-output", "bad-cost-key", "inf-alpha",
+         "percent-sign", "inf-beta", "nan-center"],
+)
+def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if ini is not None:
+        (tmp_path / "cfg.ini").write_text(ini)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestEffectiveConfig:
@@ -157,6 +194,16 @@ class TestTheory:
         assert code != 0
         out = capsys.readouterr().out
         assert "EMPTY" in out
+
+    def test_config_alpha_is_used(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[graph]\nnodes = 20\n[optimizer]\nalpha = 0.6\n")
+        records = []
+        for extra in ([], ["--alpha", "0.6"]):
+            assert run_cli("theory", "--config", str(cfgfile), *extra) == 0
+            records.append(json.loads(capsys.readouterr().out.splitlines()[-1]))
+        assert records[0] == records[1]
+        assert (records[0]["alpha"], records[0]["theta"]) == (0.6, 0.9)
 
     def test_zero_quantization_gives_zero_floor(self, capsys):
         code = run_cli(

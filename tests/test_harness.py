@@ -136,6 +136,19 @@ class TestDeltaSweep:
         assert all(e.error is not None for e in report.entries)
         assert report.all_failed
 
+    @pytest.mark.filterwarnings("ignore:alpha=50.0 outside")
+    def test_divergence_recorded_programming_error_raised(self, monkeypatch):
+        cfg = reference_instance(n=10, alpha=50.0, max_outer=200)
+        entry = delta_sweep(cfg, ["0.1"]).entries[0]
+        assert entry.error.startswith("DivergenceError: divergence at outer step")
+
+        def broken(cfg, x_star=None):
+            raise TypeError("bug in a level")
+
+        monkeypatch.setattr("quagd.harness.quagd_run", broken)
+        with pytest.raises(TypeError, match="bug in a level"):
+            delta_sweep(cfg, ["0.1"])
+
     def test_bit_reproducible(self, tmp_path):
         paths = []
         for i in range(2):

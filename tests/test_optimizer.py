@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from quagd.graph import Digraph, generate_random_strongly_connected
 from quagd.optimizer import (
     ConfigError,
+    DivergenceError,
     OptRunConfig,
     ParameterViolationError,
     build_cost,
@@ -54,6 +56,20 @@ class TestCostFunctions:
             build_cost({"type": "cubic"})
         with pytest.raises(ConfigError):
             build_cost({"beta": 1.0})
+
+    def test_unexpected_parameters_rejected(self):
+        with pytest.raises(ConfigError, match="foo"):
+            build_cost({"type": "quadratic", "beta": 1.0, "center": 1.0, "foo": 2.0})
+        with pytest.raises(ConfigError, match="center"):
+            build_cost({"type": "quadratic", "beta": 1.0})
+
+    def test_type_error_inside_builder_propagates(self):
+        def broken(beta):
+            raise TypeError("bug in builder")
+
+        register_cost_type("broken", broken)
+        with pytest.raises(TypeError, match="bug in builder"):
+            build_cost({"type": "broken", "beta": 1.0})
 
     def test_quadratic_optimum_closed_form(self):
         costs = [quadratic_cost(1.0, 0.0), quadratic_cost(3.0, 4.0)]
@@ -233,6 +249,25 @@ class TestQuagdRun:
         with pytest.raises(ConsensusNonterminationError) as err:
             quagd_run(cfg)
         assert err.value.outer_step == 0
+
+    @pytest.mark.filterwarnings("ignore:alpha=50.0 outside")
+    def test_divergence_carries_outer_step(self):
+        from quagd.harness import reference_instance
+
+        cfg = reference_instance(n=10, alpha=50.0, max_outer=200)
+        # with the optimum known the residual overflows first; without it
+        # the stepped values themselves leave the floats
+        for x_star, step in ((quadratic_optimum(cfg.costs), 91), (None, 182)):
+            with pytest.raises(DivergenceError) as err:
+                quagd_run(cfg, x_star=x_star)
+            assert err.value.outer_step == step
+            assert str(err.value).startswith(f"divergence at outer step {step}: ")
+
+    def test_validation_rejects_non_finite_alpha_and_initials(self):
+        for bad in (math.inf, math.nan):
+            for overrides in (dict(alpha=bad), dict(x0=[1.0, bad, 2.0, 3.0])):
+                with pytest.raises(ConfigError):
+                    small_config(**overrides).validate()
 
     def test_validation_rejects_negative_initials(self):
         cfg = small_config(x0=[1.0, -0.5, 2.0, 3.0])

@@ -58,6 +58,16 @@ class TestQuantizationLevel:
     def test_float_uses_decimal_repr(self):
         assert QuantizationLevel(0.1).delta == Fraction(1, 10)
 
+    def test_str_is_the_source_text(self):
+        for text in ("1e-3", "0.010"):
+            assert str(QuantizationLevel(text)) == text
+        assert str(QuantizationLevel(QuantizationLevel("1e-3"))) == "1e-3"
+
+    def test_rejects_non_decimal_or_infinite_text(self):
+        for bad in ("abc", "inf", "nan", "", math.inf):
+            with pytest.raises(ValueError):
+                QuantizationLevel(bad)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             QuantizationLevel("0")
