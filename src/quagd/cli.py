@@ -10,7 +10,8 @@ entry, else its default; effective_config.ini lists every option.
 Exit codes: 0 success, 2 configuration error (including an unreadable or
 unwritable path), 3 assumption violation (e.g. graph not strongly
 connected), 4 consensus nontermination, 5 divergence (a stepped value or
-the residual stopped being finite).
+the residual stopped being finite); a sweep whose every level failed exits
+with its first level's code.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import configparser
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .consensus import ConsensusNonterminationError
 from .graph import (
@@ -47,7 +47,6 @@ from .optimizer import (
     quadratic_optimum,
     quagd_run,
     step_size_interval,
-    young_delta_interval,
     compute_theta_and_floor,
 )
 from .quantizer import QuantizationLevel
@@ -298,27 +297,20 @@ def cmd_sweep(args) -> int:
     print(f"wrote {echo_path}")
     if report.all_failed:
         print("all quantization levels failed", file=sys.stderr)
-        return EXIT_NONTERMINATION
+        raise report.entries[0].exception
     return EXIT_OK
 
 
 def cmd_theory(args) -> int:
+    # the same floats a run uses; the theory takes their exact values
     if args.config or args.mu is None or args.lipschitz is None:
-        eff = EffectiveConfig(args)
-        cfg = eff.to_opt_config()
-        n = cfg.graph.n
-        mu = Fraction(cfg.mu)
-        big_l = Fraction(cfg.L)
-        delta = cfg.delta.delta
-        alpha = Fraction(eff.alpha) if eff.alpha is not None else None
+        cfg = EffectiveConfig(args).to_opt_config()
+        n, mu, big_l, alpha, delta = cfg.graph.n, cfg.mu, cfg.L, cfg.alpha, cfg.delta
     else:
         if args.nodes is None:
             raise ConfigError("theory needs --nodes with explicit --mu/--lipschitz")
-        n = args.nodes
-        mu = Fraction(str(args.mu))
-        big_l = Fraction(str(args.lipschitz))
-        delta = QuantizationLevel(args.delta).delta if args.delta else Fraction(0)
-        alpha = Fraction(str(args.alpha)) if args.alpha is not None else None
+        n, mu, big_l, alpha = args.nodes, args.mu, args.lipschitz, args.alpha
+        delta = QuantizationLevel(args.delta) if args.delta else 0
 
     interval = step_size_interval(big_l, mu, n)
     print(f"n = {n}, mu = {float(mu)!r}, L = {float(big_l)!r}")
@@ -344,25 +336,19 @@ def cmd_theory(args) -> int:
         print("step-size interval is empty", file=sys.stderr)
         return EXIT_CONFIG
     if alpha is None:
-        alpha = interval.midpoint
-    _, young_upper = young_delta_interval(alpha, big_l, mu, n)
-    young = (
-        Fraction(str(args.young_delta))
-        if args.young_delta is not None
-        else young_upper / 2
-    )
-    consts = compute_theta_and_floor(alpha, young, big_l, mu, n, delta)
+        alpha = interval.default_alpha()
+    consts = compute_theta_and_floor(alpha, args.young_delta, big_l, mu, n, delta)
     print(f"alpha = {float(alpha)!r}")
-    print(f"young-parameter interval: (0, {float(young_upper)!r})")
-    print(f"young parameter = {float(young)!r}")
+    print(f"young-parameter interval: (0, {float(consts.young_upper)!r})")
+    print(f"young parameter = {float(consts.delta_young)!r}")
     print(f"theta = {float(consts.theta)!r}")
     print(f"error floor = {float(consts.error_floor)!r}")
     print(f"asymptotic bound = {float(consts.asymptotic_bound)!r}")
     record.update(
         {
             "alpha": float(alpha),
-            "young_upper": float(young_upper),
-            "young_delta": float(young),
+            "young_upper": float(consts.young_upper),
+            "young_delta": float(consts.delta_young),
             "theta": float(consts.theta),
             "error_floor": float(consts.error_floor),
             "asymptotic_bound": float(consts.asymptotic_bound),

@@ -1,10 +1,9 @@
 """Experiment orchestration: reference instance, unquantized baseline,
 quantization-level sweeps, invariant auditing, and CSV emission.
 
-The harness is the observer side of the simulator: it computes centroid
-and deviation diagnostics from global state for auditing only, keeping a
-deliberate separation between what nodes know and what the analyst
-measures.
+The harness is the analyst's side of the simulator: it audits the observer
+diagnostics (centroid error, node deviation) that `optimizer.quagd_run`
+computes from global state, which no node ever sees.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .optimizer import (
     quadratic_optimum,
     quagd_run,
     step_size_interval,
-    young_delta_interval,
 )
 from .quantizer import QuantizationLevel
 from .rng import mix64
@@ -79,15 +77,12 @@ def reference_instance(
     )
 
 
-def default_theory(cfg: OptRunConfig, delta=None) -> TheoryConstants:
+def default_theory(cfg: OptRunConfig) -> TheoryConstants:
     """Theory constants for a config at its effective step size, with the
-    auxiliary parameter at half its admissible upper bound."""
-    n = cfg.graph.n
-    alpha = Fraction(cfg.effective_alpha())
-    _, upper = young_delta_interval(alpha, cfg.L, cfg.mu, n)
-    if delta is None:
-        delta = cfg.delta
-    return compute_theta_and_floor(alpha, upper / 2, cfg.L, cfg.mu, n, delta)
+    auxiliary parameter at its default."""
+    return compute_theta_and_floor(
+        cfg.effective_alpha(), None, cfg.L, cfg.mu, cfg.graph.n, cfg.delta
+    )
 
 
 def centralized_baseline(cfg: OptRunConfig) -> RunTrace:
@@ -122,7 +117,12 @@ class SweepEntry:
     plateau: Optional[float] = None
     iters_to_plateau: Optional[int] = None
     theory_floor: Optional[float] = None
-    error: Optional[str] = None
+    exception: Optional[Exception] = None  # why the level's run failed
+
+    @property
+    def error(self) -> Optional[str]:
+        exc = self.exception
+        return None if exc is None else f"{type(exc).__name__}: {exc}"
 
     @property
     def quantization_dominated(self) -> bool:
@@ -134,7 +134,6 @@ class SweepEntry:
 @dataclass
 class SweepReport:
     entries: list[SweepEntry] = field(default_factory=list)
-    master_seed: int = 0
 
     @property
     def all_failed(self) -> bool:
@@ -159,7 +158,8 @@ def iterations_to_plateau(residuals: Sequence[float], plateau: float) -> int:
 def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
     """Run the outer loop once per quantization level with a shared master
     seed; per-level failures (invalid parameters, consensus nontermination,
-    divergence) are recorded without aborting the sweep."""
+    divergence) are recorded without aborting the sweep.  theory_floor is
+    left None when the step size is outside the open admissible interval."""
     levels = [QuantizationLevel(d) for d in deltas]
     if len({lv.delta for lv in levels}) != len(levels):
         raise ConfigError("quantization levels must be distinct")
@@ -168,19 +168,21 @@ def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
         raise ConfigError(
             "sweep needs the closed-form optimum; all costs must be quadratic"
         )
-    report = SweepReport(master_seed=cfg.master_seed)
+    interval = step_size_interval(cfg.L, cfg.mu, cfg.graph.n)
+    report = SweepReport()
     for level in levels:
         entry = SweepEntry(delta=level.delta)
+        cfg_d = replace(cfg, delta=level)
         try:
-            cfg_d = replace(cfg, delta=level)
-            trace = quagd_run(cfg_d, x_star=x_star)
-            residuals = [s.residual for s in trace.steps]
-            entry.trace = trace
+            entry.trace = quagd_run(cfg_d, x_star=x_star)
+        except (ValueError, ConsensusNonterminationError, DivergenceError) as exc:
+            entry.exception = exc
+        else:
+            residuals = entry.trace.residuals
             entry.plateau = plateau_level(residuals)
             entry.iters_to_plateau = iterations_to_plateau(residuals, entry.plateau)
-            entry.theory_floor = float(default_theory(cfg_d).asymptotic_bound)
-        except (ValueError, ConsensusNonterminationError, DivergenceError) as exc:
-            entry.error = f"{type(exc).__name__}: {exc}"
+            if interval.contains(cfg.effective_alpha()):
+                entry.theory_floor = float(default_theory(cfg_d).asymptotic_bound)
         report.entries.append(entry)
     return report
 

@@ -138,9 +138,13 @@ class StepSizeInterval:
         a = Fraction(alpha)
         return self.lower < a < self.upper
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
+    def default_alpha(self) -> float:
+        """The step size used when none is given: the float of the midpoint."""
+        if not self.nonempty:
+            raise ConfigError(
+                "admissible step-size interval is empty; pass alpha explicitly"
+            )
+        return float((self.lower + self.upper) / 2)
 
 
 def step_size_interval(L, mu, n: int) -> StepSizeInterval:
@@ -189,6 +193,7 @@ class TheoryConstants:
     alpha: Fraction
     alpha_hat: Fraction  # alpha / n
     delta_young: Fraction
+    young_upper: Fraction  # delta_young's admissible upper bound
     theta: Fraction
     error_floor: Fraction
     asymptotic_bound: Fraction
@@ -198,9 +203,11 @@ def compute_theta_and_floor(
     alpha, delta_young, L, mu, n: int, Delta
 ) -> TheoryConstants:
     """Evaluate theta = 2(1 + a d/n)(1 - 2 a mu L / (n(mu+L))) and the floor
-    (8 + 32 a_hat^2 L^2 + 32 a_hat L^2 / d) * Delta^2, exactly."""
+    (8 + 32 a_hat^2 L^2 + 32 a_hat L^2 / d) * Delta^2, exactly.
+
+    Every number is taken at its exact value (a float at its binary value);
+    a None delta_young means half its admissible upper bound."""
     a = Fraction(alpha)
-    d = Fraction(delta_young)
     L = Fraction(L)
     mu = Fraction(mu)
     if isinstance(Delta, QuantizationLevel):
@@ -209,6 +216,7 @@ def compute_theta_and_floor(
     if Delta < 0:
         raise ParameterViolationError(f"quantization level must be >= 0, got {Delta}")
     _, d_upper = young_delta_interval(a, L, mu, n)
+    d = d_upper / 2 if delta_young is None else Fraction(delta_young)
     if not (0 < d < d_upper):
         raise ParameterViolationError(
             f"delta_young={float(d)} outside (0, {float(d_upper)})"
@@ -224,6 +232,7 @@ def compute_theta_and_floor(
         alpha=a,
         alpha_hat=a_hat,
         delta_young=d,
+        young_upper=d_upper,
         theta=theta,
         error_floor=error_floor,
         asymptotic_bound=error_floor / (1 - theta),
@@ -276,12 +285,7 @@ class OptRunConfig:
     def effective_alpha(self) -> float:
         if self.alpha is not None:
             return self.alpha
-        interval = step_size_interval(self.L, self.mu, self.graph.n)
-        if not interval.nonempty:
-            raise ConfigError(
-                "admissible step-size interval is empty; pass alpha explicitly"
-            )
-        return float(interval.midpoint)
+        return step_size_interval(self.L, self.mu, self.graph.n).default_alpha()
 
     def effective_d_bound(self) -> int:
         return self.d_bound if self.d_bound is not None else diameter(self.graph)
@@ -311,20 +315,22 @@ def quagd_run(
         )
     d_bound = cfg.effective_d_bound()
 
-    def _residual(x, k):
+    def _residual(x, k):  # k is None for the initial estimates
         if x_star is None:
             return None
         try:
             r = residual_error(x, cfg.x0, x_star)
         except OverflowError:
             r = math.inf
-        if not math.isfinite(r):
-            raise DivergenceError(k, "the residual overflowed")
-        return r
+        if math.isfinite(r):
+            return r
+        if k is None:
+            raise ConfigError("the residual of the initial estimates is not finite")
+        raise DivergenceError(k, "the residual overflowed")
 
     x = list(cfg.x0)
     trace = RunTrace(x0=list(cfg.x0), delta=cfg.delta.delta, x_star=x_star)
-    trace.steps.append(StepRecord(k=0, estimates=list(x), residual=_residual(x, 0)))
+    trace.steps.append(StepRecord(k=0, estimates=list(x), residual=_residual(x, None)))
     for k in range(cfg.max_outer):
         x_half = [gradient_step(x[i], alpha, cfg.costs[i]) for i in range(n)]
         if not all(map(math.isfinite, x_half)):

@@ -35,7 +35,7 @@ class StepRecord:
 
     Observer values (centroid_err = |mean estimate - mean stepped value|,
     max_node_dev = max_i |x_i - mean estimate|) are computed from global
-    state by the harness, never by nodes; they are None at k = 0.
+    state by `optimizer.quagd_run`, never by nodes; they are None at k = 0.
     """
 
     k: int

@@ -123,9 +123,11 @@ TWO_COSTS = (
         (["run", "--config", "cfg.ini"], "[optimizer]\nalpha = 5%\n"),
         (["run", "--config", "cfg.ini"], TWO_COSTS.format("beta=inf center=1.0")),
         (["run", "--config", "cfg.ini"], TWO_COSTS.format("beta=1.0 center=nan")),
+        (["run", "--config", "cfg.ini"],
+         "[graph]\nnodes = 2\n[optimizer]\nx0 = 1e200,1.0\n"),
     ],
     ids=["missing-graph-file", "unwritable-output", "bad-cost-key", "inf-alpha",
-         "percent-sign", "inf-beta", "nan-center"],
+         "percent-sign", "inf-beta", "nan-center", "huge-x0"],
 )
 def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -175,6 +177,32 @@ class TestSweep:
     def test_missing_levels_rejected(self, tmp_path, capsys):
         assert run_cli("sweep", "--output-dir", str(tmp_path)) == 2
 
+    @pytest.mark.filterwarnings("ignore:alpha=0.5 outside")
+    def test_alpha_at_interval_end_runs_every_level(self, tmp_path, capsys):
+        # 0.5 is the closed lower end of (0.5, 1.0): no theory bound applies
+        out = tmp_path / "out"
+        assert run_cli(
+            "sweep", "--nodes", "10", "--deltas", "0.1,0.01", "--alpha", "0.5",
+            "--max-iters", "20", "--output-dir", str(out),
+        ) == 0
+        assert (out / "trace_delta_0p1.csv").exists()
+        assert (out / "trace_delta_0p01.csv").exists()
+        assert (out / "sweep.svg").read_text().count("<polyline") == 2
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["", ""]
+        assert all(row.split(",")[1] for row in rows)
+
+    @pytest.mark.filterwarnings("ignore:alpha=50.0 outside")
+    def test_all_failed_exits_with_the_failure_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(
+            "sweep", "--nodes", "10", "--deltas", "0.1", "--alpha", "50",
+            "--max-iters", "200", "--output-dir", str(out),
+        ) == 5
+        assert "divergence at outer step 91" in capsys.readouterr().err
+        assert (out / "sweep.csv").exists()
+        assert (out / "effective_config.ini").exists()
+
 
 class TestTheory:
     def test_reference_interval_printed(self, capsys):
@@ -204,6 +232,19 @@ class TestTheory:
             records.append(json.loads(capsys.readouterr().out.splitlines()[-1]))
         assert records[0] == records[1]
         assert (records[0]["alpha"], records[0]["theta"]) == (0.6, 0.9)
+
+    @pytest.mark.parametrize("alpha", ["0.55", "0.6", "0.7", "0.9"])
+    def test_flag_and_config_paths_agree(self, alpha, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text(f"[graph]\nnodes = 20\n[optimizer]\nalpha = {alpha}\n")
+        records = []
+        for argv in (
+            ["--mu", "20", "--lipschitz", "20", "--nodes", "20", "--alpha", alpha],
+            ["--config", str(cfgfile)],
+        ):
+            assert run_cli("theory", *argv, "--delta", "0.01") == 0
+            records.append(json.loads(capsys.readouterr().out.splitlines()[-1]))
+        assert records[0] == records[1]
 
     def test_zero_quantization_gives_zero_floor(self, capsys):
         code = run_cli(

@@ -8,6 +8,7 @@ from quagd.graph import Digraph
 from quagd.harness import (
     audit_invariants,
     centralized_baseline,
+    default_theory,
     delta_sweep,
     plateau_level,
     reference_instance,
@@ -16,6 +17,7 @@ from quagd.harness import (
 )
 from quagd.optimizer import (
     ConfigError,
+    DivergenceError,
     OptRunConfig,
     quadratic_cost,
     quadratic_optimum,
@@ -129,6 +131,19 @@ class TestDeltaSweep:
         with pytest.raises(ConfigError):
             delta_sweep(cfg, ["0.1", "0.1"])
 
+    @pytest.mark.filterwarnings("ignore:alpha=0.5 outside")
+    def test_theory_floor_only_inside_the_open_interval(self):
+        # the reference interval at n=10 is (0.5, 1.0)
+        for alpha, inside in ((0.5, False), (0.6, True)):
+            cfg = reference_instance(n=10, alpha=alpha, max_outer=10)
+            entry = delta_sweep(cfg, ["0.1"]).entries[0]
+            assert entry.error is None and entry.plateau is not None
+            if inside:
+                theory = default_theory(replace(cfg, delta=QuantizationLevel("0.1")))
+                assert entry.theory_floor == float(theory.asymptotic_bound)
+            else:
+                assert entry.theory_floor is None
+
     def test_per_level_failure_recorded_not_raised(self):
         cfg = reference_instance(seed=3, max_outer=5)
         cfg = replace(cfg, max_rounds=1)  # forces nontermination
@@ -140,6 +155,7 @@ class TestDeltaSweep:
     def test_divergence_recorded_programming_error_raised(self, monkeypatch):
         cfg = reference_instance(n=10, alpha=50.0, max_outer=200)
         entry = delta_sweep(cfg, ["0.1"]).entries[0]
+        assert isinstance(entry.exception, DivergenceError)
         assert entry.error.startswith("DivergenceError: divergence at outer step")
 
         def broken(cfg, x_star=None):

@@ -130,6 +130,16 @@ class TestStepSizeInterval:
             assert iv.nonempty
 
 
+class TestDefaultAlpha:
+    def test_float_of_the_midpoint(self):
+        assert step_size_interval(20, 20, 20).default_alpha() == 0.75
+        assert step_size_interval(3, 1, 2).default_alpha() == float(Fraction(5, 6))
+
+    def test_empty_interval_is_config_error(self):
+        with pytest.raises(ConfigError, match="empty"):
+            step_size_interval(6, 1, 1).default_alpha()
+
+
 class TestYoungDeltaInterval:
     def test_reference_value(self):
         lo, hi = young_delta_interval(Fraction(3, 4), 20, 20, 20)
@@ -175,6 +185,11 @@ class TestThetaAndFloor:
             compute_theta_and_floor(Fraction(3, 4), 100, 20, 20, 20, 1)  # young too big
         with pytest.raises(ParameterViolationError):
             compute_theta_and_floor(2, 1, 20, 20, 20, 1)  # alpha outside
+
+    def test_default_young_parameter_is_half_its_bound(self):
+        c = compute_theta_and_floor(Fraction(3, 4), None, 20, 20, 20, 0)
+        assert c.young_upper == young_delta_interval(Fraction(3, 4), 20, 20, 20)[1]
+        assert c.delta_young == c.young_upper / 2
 
     def test_theta_in_unit_interval_over_random_draws(self):
         rnd = random.Random(99)
@@ -262,6 +277,17 @@ class TestQuagdRun:
                 quagd_run(cfg, x_star=x_star)
             assert err.value.outer_step == step
             assert str(err.value).startswith(f"divergence at outer step {step}: ")
+
+    @pytest.mark.filterwarnings("ignore:alpha=1e\\+159 outside")
+    def test_non_finite_initial_residual_is_config_error(self):
+        cfg = small_config(x0=[1e200, 6.0, 7.0, 8.0])
+        with pytest.raises(ConfigError, match="initial estimates"):
+            quagd_run(cfg, x_star=quadratic_optimum(cfg.costs))
+        # a residual that overflows after the first step is still divergence
+        cfg = small_config(alpha=1e159)
+        with pytest.raises(DivergenceError) as err:
+            quagd_run(cfg, x_star=quadratic_optimum(cfg.costs))
+        assert err.value.outer_step == 0
 
     def test_validation_rejects_non_finite_alpha_and_initials(self):
         for bad in (math.inf, math.nan):
