@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 
@@ -311,6 +312,10 @@ def cmd_theory(args) -> int:
             raise ConfigError("theory needs --nodes with explicit --mu/--lipschitz")
         n, mu, big_l, alpha = args.nodes, args.mu, args.lipschitz, args.alpha
         delta = QuantizationLevel(args.delta) if args.delta else 0
+    for name, value in (("mu", mu), ("L", big_l), ("alpha", alpha),
+                        ("young-delta", args.young_delta)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
     interval = step_size_interval(big_l, mu, n)
     print(f"n = {n}, mu = {float(mu)!r}, L = {float(big_l)!r}")

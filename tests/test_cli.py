@@ -125,9 +125,18 @@ TWO_COSTS = (
         (["run", "--config", "cfg.ini"], TWO_COSTS.format("beta=1.0 center=nan")),
         (["run", "--config", "cfg.ini"],
          "[graph]\nnodes = 2\n[optimizer]\nx0 = 1e200,1.0\n"),
+        (["theory", "--mu", "inf", "--lipschitz", "20", "--nodes", "20"], None),
+        (["theory", "--mu", "20", "--lipschitz", "1e400", "--nodes", "20"], None),
+        (["theory", "--mu", "20", "--lipschitz", "20", "--nodes", "20",
+          "--alpha", "inf"], None),
+        (["theory", "--mu", "20", "--lipschitz", "20", "--nodes", "20",
+          "--young-delta", "inf"], None),
+        (["theory", "--nodes", "20", "--young-delta", "inf"], None),
     ],
     ids=["missing-graph-file", "unwritable-output", "bad-cost-key", "inf-alpha",
-         "percent-sign", "inf-beta", "nan-center", "huge-x0"],
+         "percent-sign", "inf-beta", "nan-center", "huge-x0", "theory-inf-mu",
+         "theory-overflowing-lipschitz", "theory-inf-alpha",
+         "theory-inf-young-delta", "theory-config-inf-young-delta"],
 )
 def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -60,7 +60,7 @@ def cli_inputs(draw):
     else:
         option("--delta", "optimizer", st.sampled_from(DELTAS))
     if command == "theory":
-        for flag in ("--mu", "--lipschitz"):
+        for flag in ("--mu", "--lipschitz", "--young-delta"):
             if draw(st.booleans()):
                 argv += [flag, draw(st.sampled_from(["4", "6", "-1", "inf"]))]
     else:
