@@ -304,16 +304,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_theory(args) -> int:
     # the same floats a run uses; the theory takes their exact values
-    if args.config or args.mu is None or args.lipschitz is None:
+    if args.mu is None and args.lipschitz is None:
         cfg = EffectiveConfig(args).to_opt_config()
         n, mu, big_l, alpha, delta = cfg.graph.n, cfg.mu, cfg.L, cfg.alpha, cfg.delta
     else:
+        if args.config or args.mu is None or args.lipschitz is None:
+            raise ConfigError(
+                "theory takes --mu and --lipschitz together, without --config"
+            )
         if args.nodes is None:
             raise ConfigError("theory needs --nodes with explicit --mu/--lipschitz")
         n, mu, big_l, alpha = args.nodes, args.mu, args.lipschitz, args.alpha
         delta = QuantizationLevel(args.delta) if args.delta else 0
-    for name, value in (("mu", mu), ("L", big_l), ("alpha", alpha),
-                        ("young-delta", args.young_delta)):
+    for name, value in (("alpha", alpha), ("young-delta", args.young_delta)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
 
@@ -343,23 +346,26 @@ def cmd_theory(args) -> int:
     if alpha is None:
         alpha = interval.default_alpha()
     consts = compute_theta_and_floor(alpha, args.young_delta, big_l, mu, n, delta)
-    print(f"alpha = {float(alpha)!r}")
-    print(f"young-parameter interval: (0, {float(consts.young_upper)!r})")
-    print(f"young parameter = {float(consts.delta_young)!r}")
-    print(f"theta = {float(consts.theta)!r}")
-    print(f"error floor = {float(consts.error_floor)!r}")
-    print(f"asymptotic bound = {float(consts.asymptotic_bound)!r}")
-    record.update(
-        {
-            "alpha": float(alpha),
-            "young_upper": float(consts.young_upper),
-            "young_delta": float(consts.delta_young),
-            "theta": float(consts.theta),
-            "error_floor": float(consts.error_floor),
-            "asymptotic_bound": float(consts.asymptotic_bound),
-            "delta": float(delta),
-        }
-    )
+    try:
+        record.update(
+            {
+                "alpha": float(alpha),
+                "young_upper": float(consts.young_upper),
+                "young_delta": float(consts.delta_young),
+                "theta": float(consts.theta),
+                "error_floor": float(consts.error_floor),
+                "asymptotic_bound": float(consts.asymptotic_bound),
+                "delta": float(delta),
+            }
+        )
+    except OverflowError:
+        raise ConfigError("a theory constant lies beyond the float range") from None
+    print(f"alpha = {record['alpha']!r}")
+    print(f"young-parameter interval: (0, {record['young_upper']!r})")
+    print(f"young parameter = {record['young_delta']!r}")
+    print(f"theta = {record['theta']!r}")
+    print(f"error floor = {record['error_floor']!r}")
+    print(f"asymptotic bound = {record['asymptotic_bound']!r}")
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 

@@ -9,7 +9,7 @@ distinct out-neighbors excluding self.
 from __future__ import annotations
 
 import random
-from collections import deque
+from functools import cached_property
 from typing import Iterable, Optional
 
 
@@ -52,6 +52,40 @@ class Digraph:
             self._out[send].append(recv)
             self._in[recv].append(send)
 
+    @cached_property
+    def _structure(self) -> tuple[Optional[int], Optional[tuple[int, int]]]:
+        """(diameter, None) if strongly connected, else (None, witness pair).
+
+        A synchronous BFS from every source at once, one bit per source:
+        reach[v] holds the sources with a path to v of at most `sweeps`
+        edges.  Each sweep ORs in the previous sweep's sets of v's
+        in-neighbours, so the sweeps that change something number the
+        diameter.  Computed on first use and kept, since the graph never
+        changes.
+        """
+        reach = [1 << v for v in range(self.n)]
+        sweeps = 0
+        while True:
+            new = []
+            for v, senders in enumerate(self._in):
+                bits = reach[v]
+                for u in senders:
+                    bits |= reach[u]
+                new.append(bits)
+            if new == reach:
+                break
+            reach = new
+            sweeps += 1
+        full = (1 << self.n) - 1
+        missing = 0
+        for bits in reach:
+            missing |= full ^ bits
+        if not missing:
+            return sweeps, None
+        source = (missing & -missing).bit_length() - 1
+        target = next(v for v, bits in enumerate(reach) if not bits >> source & 1)
+        return None, (source, target)
+
     def out_neighbors(self, j: int) -> list[int]:
         """Nodes that can receive from j (self excluded)."""
         return self._out[j]
@@ -74,34 +108,12 @@ class Digraph:
         return f"Digraph(n={self.n}, m={len(self.edges)})"
 
 
-def _bfs_dists(g: Digraph, source: int) -> list[int]:
-    """Shortest directed path lengths from source; -1 if unreachable."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in g.out_neighbors(u):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def find_unreachable_pair(g: Digraph) -> Optional[tuple[int, int]]:
-    """Return some ordered pair (i, j) with no directed path i -> j, or None."""
-    # Forward and backward reachability from node 0 suffice: every pair is
-    # connected through node 0 iff both sweeps cover the whole graph.
-    fwd = _bfs_dists(g, 0)
-    for j, d in enumerate(fwd):
-        if d < 0:
-            return (0, j)
-    rev = Digraph(g.n, ((s, r) for r, s in g.edges))
-    bwd = _bfs_dists(rev, 0)
-    for i, d in enumerate(bwd):
-        if d < 0:
-            return (i, 0)
-    return None
+    """Return an ordered pair (i, j) with no directed path i -> j, or None.
+
+    The pair is the first source in index order that misses some node, and
+    the first node it misses."""
+    return g._structure[1]
 
 
 def is_strongly_connected(g: Digraph) -> bool:
@@ -113,15 +125,11 @@ def diameter(g: Digraph) -> int:
     """Longest shortest directed path over all ordered node pairs.
 
     Self-edges do not shorten paths between distinct nodes.  Rejects
-    non-strongly-connected input.
+    non-strongly-connected input with find_unreachable_pair's witness.
     """
-    worst = 0
-    for source in range(g.n):
-        dist = _bfs_dists(g, source)
-        for target, d in enumerate(dist):
-            if d < 0:
-                raise NotStronglyConnectedError((source, target))
-            worst = max(worst, d)
+    worst, pair = g._structure
+    if pair is not None:
+        raise NotStronglyConnectedError(pair)
     return worst
 
 

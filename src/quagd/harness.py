@@ -182,7 +182,10 @@ def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
             entry.plateau = plateau_level(residuals)
             entry.iters_to_plateau = iterations_to_plateau(residuals, entry.plateau)
             if interval.contains(cfg.effective_alpha()):
-                entry.theory_floor = float(default_theory(cfg_d).asymptotic_bound)
+                try:
+                    entry.theory_floor = float(default_theory(cfg_d).asymptotic_bound)
+                except OverflowError:  # the bound exceeds every float
+                    entry.theory_floor = math.inf
         report.entries.append(entry)
     return report
 

@@ -148,13 +148,25 @@ class StepSizeInterval:
 
 
 def step_size_interval(L, mu, n: int) -> StepSizeInterval:
-    """Admissible open interval (n(mu+L)/(4 mu L), 2n/(mu+L)) for the step size."""
-    L = Fraction(L)
-    mu = Fraction(mu)
+    """Admissible open interval (n(mu+L)/(4 mu L), 2n/(mu+L)) for the step size.
+
+    Step sizes are floats, so constants that are not finite or put a bound
+    beyond the float range are a ConfigError."""
+    try:
+        L, mu = Fraction(L), Fraction(mu)
+    except (OverflowError, ValueError):
+        raise ConfigError(f"need finite constants, got mu={mu}, L={L}") from None
     if L <= 0 or mu <= 0:
         raise ParameterViolationError(f"need positive constants, got mu={mu}, L={L}")
     lower = n * (mu + L) / (4 * mu * L)
     upper = Fraction(2 * n) / (mu + L)
+    try:
+        float(lower), float(upper)
+    except OverflowError:
+        raise ConfigError(
+            f"the step-size interval for n={n} lies beyond the float range "
+            f"(mu or L is too small)"
+        ) from None
     return StepSizeInterval(
         lower=lower,
         upper=upper,

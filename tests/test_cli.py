@@ -113,6 +113,17 @@ TWO_COSTS = (
 )
 
 
+def two_betas(beta):
+    return (
+        f"[graph]\nnodes = 2\n[costs]\n0 = quadratic beta={beta} center=1.0\n"
+        f"1 = quadratic beta={beta} center=2.0\n"
+    )
+
+
+# 2n/(mu+L) and n(mu+L)/(4 mu L) exceed the largest float
+TINY_BETAS = two_betas("1e-320")
+
+
 @pytest.mark.parametrize(
     "argv, ini",
     [
@@ -132,11 +143,31 @@ TWO_COSTS = (
         (["theory", "--mu", "20", "--lipschitz", "20", "--nodes", "20",
           "--young-delta", "inf"], None),
         (["theory", "--nodes", "20", "--young-delta", "inf"], None),
+        (["theory", "--config", "cfg.ini", "--mu", "5", "--lipschitz", "5"],
+         "[graph]\nnodes = 20\n[optimizer]\nalpha = 0.6\n"),
+        (["theory", "--mu", "5", "--nodes", "20"], None),
+        (["theory", "--mu", "1e-320", "--lipschitz", "1e-320", "--nodes", "2"], None),
+        (["theory", "--mu", "1e-320", "--lipschitz", "1", "--nodes", "2"], None),
+        (["theory", "--config", "cfg.ini"], TINY_BETAS),
+        (["run", "--config", "cfg.ini"], TINY_BETAS),
+        (["run", "--config", "cfg.ini", "--alpha", "1.0"], TINY_BETAS),
+        (["sweep", "--config", "cfg.ini", "--deltas", "0.1"], TINY_BETAS),
+        (["run", "--config", "cfg.ini"], two_betas("1e308")),
+        (["theory", "--mu", "1e300", "--lipschitz", "1e300", "--nodes", "2",
+          "--alpha", "1.9999999999999998e-300"], None),
+        (["theory", "--mu", "1e300", "--lipschitz", "1e300", "--nodes", "2",
+          "--young-delta", "1e-300", "--delta", "0.01"], None),
     ],
     ids=["missing-graph-file", "unwritable-output", "bad-cost-key", "inf-alpha",
          "percent-sign", "inf-beta", "nan-center", "huge-x0", "theory-inf-mu",
          "theory-overflowing-lipschitz", "theory-inf-alpha",
-         "theory-inf-young-delta", "theory-config-inf-young-delta"],
+         "theory-inf-young-delta", "theory-config-inf-young-delta",
+         "theory-mu-lipschitz-with-config", "theory-mu-without-lipschitz",
+         "theory-interval-beyond-floats", "theory-lower-bound-beyond-floats",
+         "theory-config-interval-beyond-floats", "run-interval-beyond-floats",
+         "run-alpha-interval-beyond-floats", "sweep-interval-beyond-floats",
+         "run-infinite-sum-of-betas", "theory-young-upper-beyond-floats",
+         "theory-error-floor-beyond-floats"],
 )
 def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

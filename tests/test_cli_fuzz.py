@@ -2,7 +2,8 @@
 
 Whatever the argv and INI file, `main` returns a documented exit code
 (0, 2, 3, 4 or 5), and the only exception that escapes it is argparse's own
-SystemExit(2) for an unparsable command line.
+SystemExit(2) for an unparsable command line.  `theory` given only one of
+--mu/--lipschitz, or either of them with --config, is a config error.
 """
 
 import contextlib
@@ -23,6 +24,9 @@ from quagd.graph import (  # noqa: E402
 
 DELTAS = ["0", "-1", "abc", "inf", "1e-3", "0.1"]
 ALPHAS = ["-1", "0", "0.5", "50", "inf", "nan"]
+# theory's --mu/--lipschitz/--young-delta; 1e-320 puts the step-size
+# interval beyond the float range
+CONSTANTS = ["4", "6", "-1", "inf", "1e-320"]
 # a strongly connected graph, one that is not, and a file that does not exist
 GRAPH_FILES = ["g.txt", "path.txt", "missing.txt"]
 OUTPUT_DIRS = ["out", "out/nested", "g.txt/out"]  # the last is unwritable
@@ -62,7 +66,7 @@ def cli_inputs(draw):
     if command == "theory":
         for flag in ("--mu", "--lipschitz", "--young-delta"):
             if draw(st.booleans()):
-                argv += [flag, draw(st.sampled_from(["4", "6", "-1", "inf"]))]
+                argv += [flag, draw(st.sampled_from(CONSTANTS))]
     else:
         option("--graph-file", "graph", st.sampled_from(GRAPH_FILES))
         option("--output-dir", "run", st.sampled_from(OUTPUT_DIRS))
@@ -105,3 +109,8 @@ def test_exit_code_is_documented(case):
         finally:
             os.chdir(cwd)
     assert code in (0, 2, 3, 4, 5), (argv, ini, err.getvalue())
+    given_constants = {"--mu", "--lipschitz"} & set(argv)
+    if argv[0] == "theory" and given_constants and (
+        "--config" in argv or len(given_constants) == 1
+    ):
+        assert code == 2, (argv, ini)  # never silently ignored

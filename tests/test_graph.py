@@ -2,6 +2,11 @@ import random
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:
+    given = None
+
 from quagd.graph import (
     Digraph,
     GraphError,
@@ -24,8 +29,8 @@ def complete(n):
     return Digraph(n, [(r, s) for r in range(n) for s in range(n) if r != s])
 
 
-def floyd_warshall_diameter(g):
-    """Independent all-pairs shortest-path oracle."""
+def floyd_warshall_dists(g):
+    """Independent all-pairs shortest-path oracle: dist[source][target]."""
     inf = float("inf")
     dist = [[inf] * g.n for _ in range(g.n)]
     for i in range(g.n):
@@ -37,9 +42,23 @@ def floyd_warshall_diameter(g):
             for j in range(g.n):
                 if dist[i][k] + dist[k][j] < dist[i][j]:
                     dist[i][j] = dist[i][k] + dist[k][j]
-    worst = max(max(row) for row in dist)
-    assert worst < inf
+    return dist
+
+
+def floyd_warshall_diameter(g):
+    worst = max(max(row) for row in floyd_warshall_dists(g))
+    assert worst < float("inf")
     return int(worst)
+
+
+def floyd_warshall_pair(g):
+    """The first source in index order that misses a node, and the first
+    node it misses; None when every node reaches every node."""
+    for source, row in enumerate(floyd_warshall_dists(g)):
+        for target, d in enumerate(row):
+            if d == float("inf"):
+                return (source, target)
+    return None
 
 
 class TestStrongConnectivity:
@@ -101,6 +120,49 @@ class TestDiameter:
             n = rnd.randint(2, 15)
             g = generate_random_strongly_connected(n, rnd.random() * 0.3, rnd.randrange(2**32))
             assert diameter(g) <= n - 1
+
+
+    def test_witness_is_first_missing_source_and_target(self):
+        # 0 sends to every node, 2 and 4 send to 0, 1 and 3 send to no one
+        g = Digraph(5, [(1, 0), (2, 0), (3, 0), (4, 0), (0, 2), (0, 4)])
+        assert find_unreachable_pair(g) == floyd_warshall_pair(g) == (1, 0)
+        with pytest.raises(NotStronglyConnectedError) as err:
+            diameter(g)
+        assert err.value.pair == (1, 0)
+
+    def test_long_ring(self):
+        n = 300
+        assert diameter(Digraph(n, [((i + 1) % n, i) for i in range(n)])) == n - 1
+
+
+def _structure_outcome(g):
+    try:
+        return diameter(g), find_unreachable_pair(g), is_strongly_connected(g)
+    except NotStronglyConnectedError as exc:
+        return ("raised", exc.pair), find_unreachable_pair(g), is_strongly_connected(g)
+
+
+if given is not None:  # the property needs hypothesis
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(
+        n=st.integers(2, 12),
+        density=st.floats(0.0, 1.0),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_structural_query_matches_floyd_warshall(n, density, rnd):
+        edges = [
+            (r, s) for r in range(n) for s in range(n)
+            if r != s and rnd.random() < density
+        ]
+        g = Digraph(n, edges)
+        first = _structure_outcome(g)
+        pair = floyd_warshall_pair(g)
+        if pair is None:
+            assert first == (floyd_warshall_diameter(g), None, True)
+        else:
+            assert first == (("raised", pair), pair, False)
+        assert _structure_outcome(g) == first  # the stored answer
 
 
 class TestGenerator:

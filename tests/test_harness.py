@@ -126,6 +126,11 @@ class TestDeltaSweep:
         report = delta_sweep(cfg, ["100"])
         assert report.entries[0].quantization_dominated
 
+    def test_theory_floor_beyond_floats_is_infinite(self):
+        cfg = reference_instance(n=3, max_outer=1)
+        entry = delta_sweep(cfg, ["1e200"]).entries[0]  # the floor scales as delta^2
+        assert entry.error is None and entry.theory_floor == math.inf
+
     def test_duplicate_levels_rejected(self):
         cfg = reference_instance(seed=0, max_outer=5)
         with pytest.raises(ConfigError):

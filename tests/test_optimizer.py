@@ -130,6 +130,18 @@ class TestStepSizeInterval:
             assert iv.nonempty
 
 
+    @pytest.mark.parametrize(
+        "L, mu", [(1e-320, 1e-320), (1.0, 1e-320), (math.inf, 1.0), (1.0, math.nan)]
+    )
+    def test_bounds_beyond_floats_are_config_errors(self, L, mu):
+        with pytest.raises(ConfigError):
+            step_size_interval(L, mu, 2)
+
+    def test_bounds_at_the_edge_of_floats_are_kept(self):
+        iv = step_size_interval(1e-300, 1e-300, 2)
+        assert iv.default_alpha() == pytest.approx(1.5e300)
+
+
 class TestDefaultAlpha:
     def test_float_of_the_midpoint(self):
         assert step_size_interval(20, 20, 20).default_alpha() == 0.75
