@@ -9,10 +9,13 @@ out-neighbors.  A diameter-windowed max/min flood over the node ratios
 detects when all ratios agree to within one unit; every node then outputs
 the common minimum times delta and stops.
 
-A round floods, splits, delivers and audits.  All mass arithmetic is exact
-integer arithmetic; rounds are a strict superstep barrier (messages sent in
-round lam are summed into their receivers at the end of round lam, before
-the conservation audit and the stopping check).
+A round splits, delivers and audits.  All mass arithmetic is exact integer
+arithmetic; rounds are a strict superstep barrier (messages sent in round
+lam are summed into their receivers at the end of round lam, before the
+conservation audit and the stopping check).  d_bound >= diameter flood
+rounds bring every node the global extrema of the ratios reseeded at a
+window's start, so the simulator reads those directly and runs the flood
+only when a trace, which prints each round's M and m, is written.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from .graph import Digraph, diameter
 from .quantizer import QuantizationLevel, quantize_floor
+from .rng import node_streams
 
 
 @dataclass(slots=True)
@@ -83,8 +87,9 @@ class ConsensusNonterminationError(RuntimeError):
 
     The protocol terminates with probability 1 but has no deterministic
     round bound; the budget converts pathological seeds into a diagnosable
-    error.  Carries the full state snapshot as .states; the message shows
-    the first few nodes only, so it stays short on large graphs.
+    error.  Carries the full state snapshot as .states (M and m as flooded
+    when traced, else as reseeded at the last window start); the message
+    shows the first few nodes only, so it stays short on large graphs.
     """
 
     def __init__(self, rounds: int, states: list[ConsensusNodeState]):
@@ -109,11 +114,7 @@ def init_consensus(
 
 
 def split_mass(
-    y: int,
-    z: int,
-    rng: random.Random,
-    self_id: int,
-    destinations: Sequence[int],
+    y: int, z: int, rng: random.Random, self_id: int, destinations: Sequence[int]
 ) -> dict[int, tuple[int, int]]:
     """Partition y into z unit pieces and assign them to destinations.
 
@@ -124,16 +125,22 @@ def split_mass(
     """
     if z < 2:
         raise ValueError(f"split requires at least 2 mass units, got z={z}")
-    base = y // z  # floors toward -inf, also for negative mass
-    r = y - base * z
+    base, r = divmod(y, z)  # floors toward -inf, also for negative mass
     acc: dict[int, list[int]] = {self_id: [base, 1]}  # the kept minimum piece
-    for value, count in ((base + 1, r), (base, z - 1 - r)):
-        for _ in range(count):
-            dest = rng.choice(destinations)
-            bucket = acc.setdefault(dest, [0, 0])
-            bucket[0] += value
-            bucket[1] += 1
+    for k in range(1, z):  # the r pieces of base + 1 first, then base's
+        bucket = acc.setdefault(rng.choice(destinations), [0, 0])
+        bucket[0] += base + (k <= r)
+        bucket[1] += 1
     return {dest: (cy, cz) for dest, (cy, cz) in acc.items()}
+
+
+def _flood(M: list[int], m: list[int], closed_in: list[list[int]]):
+    """One synchronous max/min flood round: node j takes the max of M and
+    the min of m over closed_in[j], itself and its in-neighbors."""
+    return (
+        [max([M[i] for i in nb]) for nb in closed_in],
+        [min([m[i] for i in nb]) for nb in closed_in],
+    )
 
 
 def minmax_window_round(
@@ -149,28 +156,14 @@ def minmax_window_round(
         raise ValueError(f"round index must be >= 1, got {lam}")
     if (lam - 1) % d_bound == 0:
         for st in states:
-            st.M = -(-st.y_s // st.z_s)
-            st.m = st.y_s // st.z_s
-    new_M = []
-    new_m = []
-    for j, st in enumerate(states):
-        candidates = [st, *(states[i] for i in g.in_neighbors(j))]
-        new_M.append(max(c.M for c in candidates))
-        new_m.append(min(c.m for c in candidates))
+            st.M, st.m = -(-st.y_s // st.z_s), st.y_s // st.z_s
+    closed_in = [[j, *g.in_neighbors(j)] for j in range(g.n)]
+    new_M, new_m = _flood([st.M for st in states], [st.m for st in states], closed_in)
     for st, big, small in zip(states, new_M, new_m):
-        st.M = big
-        st.m = small
+        st.M, st.m = big, small
 
 
 TamperHook = Callable[[int, list[MassMessage]], list[MassMessage]]
-
-
-def _deliver(states: list[ConsensusNodeState], outbox: list[MassMessage]) -> None:
-    """Sum every in-flight message into its receiver's mass."""
-    for msg in outbox:
-        st = states[msg.receiver]
-        st.y += msg.c_y
-        st.z += msg.c_z
 
 
 def run_faqua(
@@ -195,79 +188,86 @@ def run_faqua(
     n = g.n
     d_actual = diameter(g)  # raises NotStronglyConnectedError on a witness pair
     if d_bound < d_actual:
-        raise ValueError(
-            f"d_bound={d_bound} is below the graph diameter {d_actual}"
-        )
-    if isinstance(rng, int):
-        from .rng import node_streams
-
-        streams = node_streams(rng, n, 0)
-    else:
-        streams = list(rng)
-        if len(streams) != n:
-            raise ValueError(f"expected {n} rng streams, got {len(streams)}")
+        raise ValueError(f"d_bound={d_bound} is below the graph diameter {d_actual}")
+    streams = node_streams(rng, n, 0) if isinstance(rng, int) else list(rng)
+    if len(streams) != n:
+        raise ValueError(f"expected {n} rng streams, got {len(streams)}")
     if max_rounds is None:
         max_rounds = 200 * d_bound * n
 
     states = init_consensus(x_half, g, q)
-    quantized_sum = sum(st.y for st in states) // 2
-    total_y = 2 * quantized_sum
-    total_z = 2 * n
+    ys_s, zs_s = [st.y_s for st in states], [st.z_s for st in states]
+    quantized_sum = sum(ys_s) // 2
+    total_y, total_z = 2 * quantized_sum, 2 * n
     targets = [[j, *g.out_neighbors(j)] for j in range(n)]
+    closed_in = [[j, *g.in_neighbors(j)] for j in range(n)]
+    choices = [stream.choice for stream in streams]
 
-    # Init send: each node transmits its whole (y, z) to one random target.
-    # Nothing runs between the send and round 1, so it is delivered at once.
-    outbox = [
-        MassMessage(st.y, st.z, j, streams[j].choice(targets[j]))
-        for j, st in enumerate(states)
-    ]
-    for st in states:
-        st.y = st.z = 0
-    _deliver(states, outbox)
+    # Init send: each node's whole (y, z) goes to one random target at once.
+    ys, zs = [0] * n, [0] * n
+    for j in range(n):
+        dest = choices[j](targets[j])
+        ys[dest] += ys_s[j]
+        zs[dest] += zs_s[j]
 
+    M = m = [0] * n
     audits: list[RoundAudit] = []
     for lam in range(1, max_rounds + 1):
-        minmax_window_round(states, g, lam, d_bound)
+        if (lam - 1) % d_bound == 0:
+            # Window start: reseed; the window's flood delivers hi and lo.
+            M = [-(-y // z) for y, z in zip(ys_s, zs_s)]
+            m = [y // z for y, z in zip(ys_s, zs_s)]
+            hi, lo = max(M), min(m)
+        if trace is not None:
+            M, m = _flood(M, m, closed_in)
 
-        outbox = []
-        for j, st in enumerate(states):
-            if st.z > 1:
-                st.y_s, st.z_s = st.y, st.z
-                alloc = split_mass(st.y, st.z, streams[j], j, targets[j])
-                st.y, st.z = alloc.pop(j)
+        # Split as split_mass does, drawing from each stream in its order.
+        ny, nz = [0] * n, [0] * n
+        outbox: list[MassMessage] = []
+        for j, z in enumerate(zs):
+            y = ys[j]
+            if z < 2:
+                ny[j] += y
+                nz[j] += z
+                continue
+            ys_s[j], zs_s[j] = y, z
+            if tamper is not None:
+                alloc = split_mass(y, z, streams[j], j, targets[j])
+                ny[j], nz[j] = alloc.pop(j)  # nothing was delivered to j yet
                 for dest, (cy, cz) in sorted(alloc.items()):
                     outbox.append(MassMessage(cy, cz, j, dest))
+                continue
+            base, r = divmod(y, z)
+            ny[j] += base
+            nz[j] += 1
+            choice, tj = choices[j], targets[j]
+            for k in range(1, z):
+                dest = choice(tj)
+                ny[dest] += base + (k <= r)
+                nz[dest] += 1
         if tamper is not None:
-            outbox = tamper(lam, outbox)
-        _deliver(states, outbox)
-
-        merged_y = sum(st.y for st in states)
-        merged_z = sum(st.z for st in states)
-        audits.append(RoundAudit(lam, merged_y == total_y, merged_z == total_z))
+            for msg in tamper(lam, outbox):
+                ny[msg.receiver] += msg.c_y
+                nz[msg.receiver] += msg.c_z
+        ys, zs = ny, nz
+        audits.append(RoundAudit(lam, sum(ys) == total_y, sum(zs) == total_z))
 
         if trace is not None:
-            for j, st in enumerate(states):
-                trace.write(
-                    f"{lam}\t{j}\t{st.y}\t{st.z}\t{st.y_s}\t{st.z_s}\t{st.M}\t{st.m}\n"
+            trace.write("".join(
+                f"{lam}\t{j}\t{ys[j]}\t{zs[j]}\t{ys_s[j]}\t{zs_s[j]}\t{M[j]}\t{m[j]}\n"
+                for j in range(n)
+            ))
+
+        if lam % d_bound == 0:
+            if trace is not None and (M != [hi] * n or m != [lo] * n):
+                raise RuntimeError(f"round {lam}: flood missed extrema {hi}, {lo}")
+            if hi - lo <= 1:
+                value = float(lo * q.delta)
+                if trace is not None:
+                    trace.write(f"RESULT\t{value!r}\t{lam}\n")
+                return ConsensusResult(
+                    value, lo, q.delta, lam, [value] * n, quantized_sum, n, audits
                 )
 
-        if lam % d_bound == 0 and states[0].M - states[0].m <= 1:
-            # After d_bound flooding rounds every node holds the global
-            # extrema of the window's reseeded ratios, so the stopping
-            # decision is simultaneous and the outputs agree.
-            counts = [st.m for st in states]
-            per_node = [float(c * q.delta) for c in counts]
-            if trace is not None:
-                trace.write(f"RESULT\t{per_node[0]!r}\t{lam}\n")
-            return ConsensusResult(
-                value=per_node[0],
-                value_count=counts[0],
-                delta=q.delta,
-                rounds_used=lam,
-                per_node_values=per_node,
-                quantized_sum=quantized_sum,
-                n=n,
-                audits=audits,
-            )
-
-    raise ConsensusNonterminationError(max_rounds, states)
+    snapshot = [ConsensusNodeState(*row) for row in zip(ys, zs, ys_s, zs_s, M, m)]
+    raise ConsensusNonterminationError(max_rounds, snapshot)

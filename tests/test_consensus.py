@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from quagd import consensus
 from quagd.consensus import (
     ConsensusNonterminationError,
     init_consensus,
@@ -219,6 +220,29 @@ class TestRunFaqua:
         assert len(str(err.value)) < 300
         assert "192 more nodes" in str(err.value)
         assert len(err.value.states) == 200
+
+    def test_traced_flood_is_checked_against_window_extrema(self, monkeypatch):
+        real_flood = consensus._flood
+
+        def wrong_max(M, m, closed_in):
+            M, m = real_flood(M, m, closed_in)
+            return [M[0] + 1, *M[1:]], m
+
+        monkeypatch.setattr(consensus, "_flood", wrong_max)
+        g = cycle(4)
+        x = [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(RuntimeError, match="round 3: flood missed extrema") as err:
+            run_faqua(x, g, 3, QuantizationLevel("1"), 0, trace=io.StringIO())
+        assert type(err.value) is RuntimeError
+
+    def test_untraced_path_neither_floods_nor_builds_messages(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the untraced, untampered path")
+
+        for name in ("_flood", "split_mass", "MassMessage"):
+            monkeypatch.setattr(consensus, name, forbidden)
+        res = run_faqua([1.0, 2.0, 3.0, 4.0], cycle(4), 3, QuantizationLevel("1"), 0)
+        assert res.within_accuracy_contract()
 
     def test_rejects_underestimated_diameter(self):
         g = cycle(4)
