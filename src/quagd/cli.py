@@ -315,7 +315,7 @@ def cmd_theory(args) -> int:
         if args.nodes is None:
             raise ConfigError("theory needs --nodes with explicit --mu/--lipschitz")
         n, mu, big_l, alpha = args.nodes, args.mu, args.lipschitz, args.alpha
-        delta = QuantizationLevel(args.delta) if args.delta else 0
+        delta = QuantizationLevel(args.delta) if args.delta else 0  # no quantization
     for name, value in (("alpha", alpha), ("young-delta", args.young_delta)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -416,7 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_theory.add_argument("--mu", type=float, help="total strong convexity")
     p_theory.add_argument("--lipschitz", type=float, help="total smoothness")
     p_theory.add_argument("--young-delta", type=float, dest="young_delta")
-    p_theory.add_argument("--delta", help="quantization level")
+    p_theory.add_argument(
+        "--delta",
+        help="quantization level; default 0 (no quantization, error floor 0) with "
+        "--mu/--lipschitz, else the config's level (0.01 if unset)",
+    )
     p_theory.set_defaults(func=cmd_theory)
 
     p_gen = sub.add_parser("graph-gen", help="generate a random digraph file")

@@ -9,13 +9,13 @@ out-neighbors.  A diameter-windowed max/min flood over the node ratios
 detects when all ratios agree to within one unit; every node then outputs
 the common minimum times delta and stops.
 
-A round splits, delivers and audits.  All mass arithmetic is exact integer
-arithmetic; rounds are a strict superstep barrier (messages sent in round
-lam are summed into their receivers at the end of round lam, before the
-conservation audit and the stopping check).  d_bound >= diameter flood
-rounds bring every node the global extrema of the ratios reseeded at a
-window's start, so the simulator reads those directly and runs the flood
-only when a trace, which prints each round's M and m, is written.
+A round splits, delivers and audits, in exact integer arithmetic, behind a
+strict superstep barrier (what is sent in round lam is summed into its
+receivers before round lam's audit and stopping check).  d_bound >= diameter
+flood rounds bring every node the window-start extrema of the ratios, so the
+simulator reads those directly; it floods only when a trace (which prints
+each round's M and m) is written, and only until every node holds them.
+Targets are drawn as random.Random.choice draws them, by inline getrandbits.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .graph import Digraph, diameter
@@ -54,8 +55,7 @@ class MassMessage:
 
 @dataclass(slots=True)
 class RoundAudit:
-    """Integer conservation check for one round, on the network totals after
-    every message has been summed into its receiver."""
+    """Integer conservation check of one round's network totals, after delivery."""
 
     round_index: int
     y_conserved: bool
@@ -134,13 +134,14 @@ def split_mass(
     return {dest: (cy, cz) for dest, (cy, cz) in acc.items()}
 
 
-def _flood(M: list[int], m: list[int], closed_in: list[list[int]]):
-    """One synchronous max/min flood round: node j takes the max of M and
-    the min of m over closed_in[j], itself and its in-neighbors."""
-    return (
-        [max([M[i] for i in nb]) for nb in closed_in],
-        [min([m[i] for i in nb]) for nb in closed_in],
-    )
+def _closed_in(g: Digraph) -> list[itemgetter]:
+    """Per node, a getter of itself and its in-neighbors (itself twice if none)."""
+    return [itemgetter(j, *(g.in_neighbors(j) or [j])) for j in range(g.n)]
+
+
+def _flood(M: list[int], m: list[int], closed_in: list[itemgetter]):
+    """One synchronous flood round: node j takes max M and min m over closed_in[j]."""
+    return [max(get(M)) for get in closed_in], [min(get(m)) for get in closed_in]
 
 
 def minmax_window_round(
@@ -157,9 +158,8 @@ def minmax_window_round(
     if (lam - 1) % d_bound == 0:
         for st in states:
             st.M, st.m = -(-st.y_s // st.z_s), st.y_s // st.z_s
-    closed_in = [[j, *g.in_neighbors(j)] for j in range(g.n)]
-    new_M, new_m = _flood([st.M for st in states], [st.m for st in states], closed_in)
-    for st, big, small in zip(states, new_M, new_m):
+    M, m = _flood([st.M for st in states], [st.m for st in states], _closed_in(g))
+    for st, big, small in zip(states, M, m):
         st.M, st.m = big, small
 
 
@@ -179,7 +179,8 @@ def run_faqua(
 ) -> ConsensusResult:
     """Run the full protocol until the distributed stopping rule fires.
 
-    rng is either an integer seed or a list of one random.Random per node.
+    rng is either an integer seed or a list of one random.Random per node;
+    draws reproduce Random.choice through getrandbits (no override is used).
     trace, if given, is a writable text stream receiving one tab-separated
     line `lambda node y z y_s z_s M m` per node per round and a final
     `RESULT value rounds` line.  tamper is a test hook invoked on each
@@ -198,17 +199,21 @@ def run_faqua(
     states = init_consensus(x_half, g, q)
     ys_s, zs_s = [st.y_s for st in states], [st.z_s for st in states]
     quantized_sum = sum(ys_s) // 2
-    total_y, total_z = 2 * quantized_sum, 2 * n
     targets = [[j, *g.out_neighbors(j)] for j in range(n)]
-    closed_in = [[j, *g.in_neighbors(j)] for j in range(n)]
-    choices = [stream.choice for stream in streams]
+    closed_in = _closed_in(g)
+    # Random.choice(t) is t[i], i the first getrandbits(len(t).bit_length()) < len(t).
+    draws = [
+        (s.getrandbits, len(t).bit_length(), len(t), t) for s, t in zip(streams, targets)
+    ]
 
     # Init send: each node's whole (y, z) goes to one random target at once.
     ys, zs = [0] * n, [0] * n
-    for j in range(n):
-        dest = choices[j](targets[j])
-        ys[dest] += ys_s[j]
-        zs[dest] += zs_s[j]
+    for j, (bits, k, t, tj) in enumerate(draws):
+        i = bits(k)
+        while i >= t:
+            i = bits(k)
+        ys[tj[i]] += ys_s[j]
+        zs[tj[i]] += zs_s[j]
 
     M = m = [0] * n
     audits: list[RoundAudit] = []
@@ -218,14 +223,14 @@ def run_faqua(
             M = [-(-y // z) for y, z in zip(ys_s, zs_s)]
             m = [y // z for y, z in zip(ys_s, zs_s)]
             hi, lo = max(M), min(m)
-        if trace is not None:
-            M, m = _flood(M, m, closed_in)
+            top, bottom = [hi] * n, [lo] * n
+        if trace is not None and (M != top or m != bottom):
+            M, m = _flood(M, m, closed_in)  # a settled flood changes nothing
 
         # Split as split_mass does, drawing from each stream in its order.
         ny, nz = [0] * n, [0] * n
         outbox: list[MassMessage] = []
-        for j, z in enumerate(zs):
-            y = ys[j]
+        for j, (y, z) in enumerate(zip(ys, zs)):
             if z < 2:
                 ny[j] += y
                 nz[j] += z
@@ -240,26 +245,28 @@ def run_faqua(
             base, r = divmod(y, z)
             ny[j] += base
             nz[j] += 1
-            choice, tj = choices[j], targets[j]
-            for k in range(1, z):
-                dest = choice(tj)
-                ny[dest] += base + (k <= r)
-                nz[dest] += 1
+            bits, k, t, tj = draws[j]
+            for piece in range(1, z):
+                i = bits(k)
+                while i >= t:
+                    i = bits(k)
+                ny[tj[i]] += base + (piece <= r)
+                nz[tj[i]] += 1
         if tamper is not None:
             for msg in tamper(lam, outbox):
                 ny[msg.receiver] += msg.c_y
                 nz[msg.receiver] += msg.c_z
         ys, zs = ny, nz
-        audits.append(RoundAudit(lam, sum(ys) == total_y, sum(zs) == total_z))
+        audits.append(RoundAudit(lam, sum(ys) == 2 * quantized_sum, sum(zs) == 2 * n))
 
         if trace is not None:
-            trace.write("".join(
+            trace.write("".join([
                 f"{lam}\t{j}\t{ys[j]}\t{zs[j]}\t{ys_s[j]}\t{zs_s[j]}\t{M[j]}\t{m[j]}\n"
                 for j in range(n)
-            ))
+            ]))
 
         if lam % d_bound == 0:
-            if trace is not None and (M != [hi] * n or m != [lo] * n):
+            if trace is not None and (M != top or m != bottom):
                 raise RuntimeError(f"round {lam}: flood missed extrema {hi}, {lo}")
             if hi - lo <= 1:
                 value = float(lo * q.delta)

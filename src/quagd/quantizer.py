@@ -55,15 +55,18 @@ def quantize_floor(xi, q: QuantizationLevel) -> int:
     """Largest integer count c with c * delta <= xi (floor toward -inf).
 
     The quantized value is c * delta; the error xi - c*delta lies in
-    [0, delta).
+    [0, delta).  Computed in integers: with xi = num/den exactly (a float's
+    binary value, anything else through Fraction) and delta = a/b, both
+    denominators positive, c = num*b // (den*a).
     """
     if isinstance(xi, float):
         if not math.isfinite(xi):
             raise ValueError(f"cannot quantize non-finite value {xi}")
-        xi = Fraction(xi)  # exact binary value
+        num, den = xi.as_integer_ratio()  # exact binary value
     else:
-        xi = Fraction(xi)
-    return math.floor(xi / q.delta)
+        num, den = Fraction(xi).as_integer_ratio()
+    delta = q.delta
+    return num * delta.denominator // (den * delta.numerator)
 
 
 def quantized_value(xi, q: QuantizationLevel) -> Fraction:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import random
 
@@ -284,3 +285,57 @@ class TestRunFaqua:
         assert res.audits[0].y_conserved  # round 1 clean
         assert not res.audits[1].y_conserved  # corruption lands in round 2
         assert all(a.z_conserved for a in res.audits)  # z mass untouched
+
+
+class TestInlineDraws:
+    """The untraced kernel draws targets through getrandbits inline; these
+    compare it with Random.choice where the rejection loop is most fragile:
+    target lists of a power-of-two length reject half the words, and lists
+    longer than 255 need 9-bit words."""
+
+    SIZES = (2, 3, 4, 5, 8, 9, 16, 17, 256, 257, 300)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_untraced_run_equals_split_mass_run(self, n):
+        g = complete(n)
+        rnd = random.Random(n)
+        x = [rnd.uniform(-50.0, 50.0) for _ in range(n)]
+        q = QuantizationLevel("0.25")
+        plain = run_faqua(x, g, 1, q, 7)
+        drawn_by_choice = run_faqua(x, g, 1, q, 7, tamper=lambda lam, msgs: msgs)
+        assert plain == drawn_by_choice
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_init_send_draws_as_random_choice(self, n, monkeypatch):
+        # On the tamper path, round 1 splits each node's mass as the init
+        # send left it; rebuild that state with Random.choice and compare.
+        g = complete(n)
+        x = [float(j % 5) for j in range(n)]
+        q = QuantizationLevel("1")
+        streams = node_streams(11, n, 0)
+        ys, zs = [0] * n, [0] * n
+        for j, stream in enumerate(node_streams(11, n, 0)):
+            dest = stream.choice([j, *g.out_neighbors(j)])
+            ys[dest] += 2 * int(x[j])
+            zs[dest] += 2
+        split_at_round_1 = {}
+        real_split = consensus.split_mass
+
+        def record(y, z, rng, self_id, destinations):
+            split_at_round_1.setdefault(self_id, (y, z))
+            return real_split(y, z, rng, self_id, destinations)
+
+        monkeypatch.setattr(consensus, "split_mass", record)
+        with contextlib.suppress(ConsensusNonterminationError):  # unless n = 2
+            run_faqua(x, g, 1, q, streams, max_rounds=1, tamper=lambda lam, msgs: msgs)
+        assert split_at_round_1 == {j: (ys[j], zs[j]) for j in range(n) if zs[j] >= 2}
+
+    def test_untraced_path_never_calls_random_choice(self, monkeypatch):
+        def forbidden(self, seq):
+            raise AssertionError("Random.choice called on the untraced path")
+
+        g = generate_random_strongly_connected(12, 0.3, 4)
+        monkeypatch.setattr(random.Random, "choice", forbidden)
+        x = [float(j) for j in range(12)]
+        res = run_faqua(x, g, diameter(g), QuantizationLevel("0.1"), 3)
+        assert res.within_accuracy_contract()
