@@ -5,7 +5,9 @@ levels), theory (step-size interval / contraction constants), graph-gen
 (random strongly connected digraph to an edge-list file).
 
 Every run/sweep/theory option is resolved from its flag, else its INI
-entry, else its default; effective_config.ini lists every option.
+entry, else its default; effective_config.ini lists every option.  The
+library checks the resolved values.  A quantization level is named by its
+float's repr, so a sweep's levels must be distinct as floats.
 
 Exit codes: 0 success, 2 configuration error (including an unreadable or
 unwritable path), 3 assumption violation (e.g. graph not strongly
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -25,10 +28,8 @@ import sys
 
 from .consensus import ConsensusNonterminationError
 from .graph import (
-    GraphError,
     NotStronglyConnectedError,
     diameter,
-    find_unreachable_pair,
     generate_random_strongly_connected,
     read_edge_list,
     write_edge_list,
@@ -68,10 +69,15 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _level_name(level: QuantizationLevel) -> str:
+    """The name a level is labelled and written under: its float's repr."""
+    return repr(float(level.delta))
+
+
 def _levels(text: str) -> list[QuantizationLevel]:
     levels = [QuantizationLevel(tok) for tok in text.split(",") if tok.strip()]
-    if len({lv.delta for lv in levels}) != len(levels):
-        raise ValueError(f"levels must be distinct, got {text!r}")
+    if len({_level_name(lv) for lv in levels}) != len(levels):
+        raise ValueError(f"levels must be distinct as floats, got {text!r}")
     return levels
 
 
@@ -151,22 +157,18 @@ class EffectiveConfig:
             self.nodes = self.edge_prob = None  # fixed by the file, not echoed
         else:
             self.graph = reference_graph(self.nodes, self.edge_prob, self.seed)
-        pair = find_unreachable_pair(self.graph)
-        if pair is not None:
-            raise NotStronglyConnectedError(pair)
+        diameter(self.graph)  # raises NotStronglyConnectedError with a witness
 
         # costs and initial estimates: explicit entries win; otherwise the
         # reference instance's seeded draws
         n = self.graph.n
         centers, x0 = reference_draws(n, self.seed)
         if ini.has_section("costs") and ini.options("costs"):
-            entries = {}
-            for key in ini.options("costs"):
-                entries[int(key)] = _parse_cost_line(int(key), ini.get("costs", key))
-            missing = [j for j in range(n) if j not in entries]
-            if missing:
-                raise ConfigError(f"[costs] missing entries for nodes {missing}")
-            self.cost_specs = [entries[j] for j in range(n)]
+            keys = ini.options("costs")
+            if sorted(map(int, keys)) != list(range(n)):
+                raise ConfigError(f"[costs] must name nodes 0..{n - 1} once: {keys}")
+            specs = {int(k): _parse_cost_line(int(k), ini["costs"][k]) for k in keys}
+            self.cost_specs = [specs[j] for j in range(n)]
         else:
             self.cost_specs = [
                 {"type": "quadratic", "beta": 1.0, "center": c} for c in centers
@@ -213,51 +215,38 @@ class EffectiveConfig:
         return path
 
 
+def _plot_residuals(path: str, curves, title: str) -> None:
+    """One residual curve per (level, RunTrace) pair, on shared axes."""
+    labelled = [(f"delta={_level_name(lv)}", trace.residuals) for lv, trace in curves]
+    write_line_plot(
+        path, labelled, title=title, xlabel="outer iteration k", ylabel="residual"
+    )
+
+
 def cmd_run(args) -> int:
     eff = EffectiveConfig(args)
     cfg = eff.to_opt_config()
     os.makedirs(eff.output_dir, exist_ok=True)
     x_star = quadratic_optimum(cfg.costs)
-    inner_trace = None
-    trace_path = None
-    if eff.trace:
-        trace_path = os.path.join(eff.output_dir, "faqua_trace.txt")
-        inner_trace = open(trace_path, "w")
-    try:
-        trace = quagd_run(cfg, x_star=x_star, inner_trace=inner_trace)
-    finally:
-        if inner_trace is not None:
-            inner_trace.close()
+    trace_path = os.path.join(eff.output_dir, "faqua_trace.txt") if eff.trace else None
+    with open(trace_path, "w") if trace_path else contextlib.nullcontext() as fh:
+        trace = quagd_run(cfg, x_star=x_star, inner_trace=fh)
     csv_path = os.path.join(eff.output_dir, "trace.csv")
     write_trace_csv(trace, csv_path)
     svg_path = None
     if x_star is not None:
         svg_path = os.path.join(eff.output_dir, "residual.svg")
-        residuals = [s.residual for s in trace.steps]
-        write_line_plot(
-            svg_path,
-            [(f"delta={float(cfg.delta.delta)!r}", residuals)],
-            title="residual vs outer iteration",
-            xlabel="outer iteration k",
-            ylabel="residual",
-        )
+        _plot_residuals(svg_path, [(cfg.delta, trace)], "residual vs outer iteration")
     echo_path = eff.write_echo()
     print(eff.echo_text(), end="")
-    print(f"wrote {csv_path}")
-    if svg_path:
-        print(f"wrote {svg_path}")
-    if trace_path:
-        print(f"wrote {trace_path}")
-    print(f"wrote {echo_path}")
+    for path in (csv_path, svg_path, trace_path, echo_path):
+        if path:
+            print(f"wrote {path}")
     final = trace.steps[-1]
     print(f"final estimates: {final.estimates}")
     if final.residual is not None:
         print(f"final residual: {final.residual!r}")
     return EXIT_OK
-
-
-def _delta_slug(level: QuantizationLevel) -> str:
-    return repr(float(level.delta)).replace(".", "p").replace("-", "m")
 
 
 def cmd_sweep(args) -> int:
@@ -269,29 +258,22 @@ def cmd_sweep(args) -> int:
     report = delta_sweep(cfg, eff.deltas)
     curves = []
     for level, entry in zip(eff.deltas, report.entries):
+        name = _level_name(level)
         if entry.error is not None:
-            print(f"delta={float(level.delta)!r}: FAILED: {entry.error}")
+            print(f"delta={name}: FAILED: {entry.error}")
             continue
-        csv_path = os.path.join(eff.output_dir, f"trace_delta_{_delta_slug(level)}.csv")
+        slug = name.replace(".", "p").replace("-", "m")
+        csv_path = os.path.join(eff.output_dir, f"trace_delta_{slug}.csv")
         write_trace_csv(entry.trace, csv_path)
         print(f"wrote {csv_path}")
-        curves.append(
-            (
-                f"delta={float(level.delta)!r}",
-                [s.residual for s in entry.trace.steps],
-            )
-        )
+        curves.append((level, entry.trace))
     sweep_csv = os.path.join(eff.output_dir, "sweep.csv")
     write_sweep_csv(report, sweep_csv)
     print(f"wrote {sweep_csv}")
     if curves:
         svg_path = os.path.join(eff.output_dir, "sweep.svg")
-        write_line_plot(
-            svg_path,
-            curves,
-            title="residual vs outer iteration per quantization level",
-            xlabel="outer iteration k",
-            ylabel="residual",
+        _plot_residuals(
+            svg_path, curves, "residual vs outer iteration per quantization level"
         )
         print(f"wrote {svg_path}")
     echo_path = eff.write_echo()
@@ -437,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotStronglyConnectedError as exc:
@@ -452,7 +433,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(exc, file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (ConfigError, GraphError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

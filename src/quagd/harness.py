@@ -22,6 +22,7 @@ from .optimizer import (
     DivergenceError,
     OptRunConfig,
     TheoryConstants,
+    _sum,
     compute_theta_and_floor,
     quadratic_cost,
     quadratic_optimum,
@@ -96,11 +97,11 @@ def centralized_baseline(cfg: OptRunConfig) -> RunTrace:
     def _residual(est):
         return residual_error(est, cfg.x0, x_star) if x_star is not None else None
 
-    x = sum(cfg.x0) / n
+    x = _sum(cfg.x0) / n
     trace = RunTrace(x0=list(cfg.x0), delta=Fraction(0), x_star=x_star)
     trace.steps.append(StepRecord(k=0, estimates=[x] * n, residual=_residual([x] * n)))
     for k in range(cfg.max_outer):
-        x = x - (alpha / n) * sum(c.gradient(x) for c in cfg.costs)
+        x = x - (alpha / n) * _sum(c.gradient(x) for c in cfg.costs)
         trace.steps.append(
             StepRecord(k=k + 1, estimates=[x] * n, residual=_residual([x] * n))
         )

@@ -10,8 +10,10 @@ error floor, all in exact rational arithmetic.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +24,12 @@ from .graph import Digraph, diameter
 from .quantizer import QuantizationLevel
 from .rng import node_streams
 from .trace import RunTrace, StepRecord, residual_error
+
+
+def _sum(values) -> float:
+    """Left-to-right sum.  From CPython 3.12 the builtin sum() of floats is
+    compensated, which changes last bits; this is the same on 3.10-3.13."""
+    return functools.reduce(operator.add, values, 0)
 
 
 class ParameterViolationError(ValueError):
@@ -113,8 +121,8 @@ def quadratic_optimum(costs: list[CostFunction]) -> Optional[float]:
     not from the quadratic family."""
     if any(c.beta is None or c.center is None for c in costs):
         return None
-    total = sum(c.beta for c in costs)
-    return sum(c.beta * c.center for c in costs) / total
+    total = _sum(c.beta for c in costs)
+    return _sum(c.beta * c.center for c in costs) / total
 
 
 def gradient_step(x: float, alpha: float, f: CostFunction) -> float:
@@ -288,11 +296,11 @@ class OptRunConfig:
 
     @property
     def L(self) -> float:
-        return sum(c.lipschitz for c in self.costs)
+        return _sum(c.lipschitz for c in self.costs)
 
     @property
     def mu(self) -> float:
-        return sum(c.strong_convexity for c in self.costs)
+        return _sum(c.strong_convexity for c in self.costs)
 
     def effective_alpha(self) -> float:
         if self.alpha is not None:
@@ -364,8 +372,8 @@ def quagd_run(
             exc.outer_step = k
             raise
         x = list(result.per_node_values)
-        x_hat = sum(x) / n
-        z_hat = sum(x_half) / n
+        x_hat = _sum(x) / n
+        z_hat = _sum(x_half) / n
         trace.steps.append(
             StepRecord(
                 k=k + 1,

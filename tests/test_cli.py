@@ -157,6 +157,22 @@ TINY_BETAS = two_betas("1e-320")
           "--alpha", "1.9999999999999998e-300"], None),
         (["theory", "--mu", "1e300", "--lipschitz", "1e300", "--nodes", "2",
           "--young-delta", "1e-300", "--delta", "0.01"], None),
+        (["run", "--config", "cfg.ini"],
+         "[graph]\nnodes = 2\n[costs]\n0 =\n1 = quadratic beta=1.0 center=2.0\n"),
+        (["run", "--config", "cfg.ini"], TWO_COSTS.format("beta=1.0 center")),
+        (["run", "--config", "cfg.ini"], "nodes = 2\n"),
+        (["run", "--config", "cfg.ini"],
+         "[graph]\nnodes = 3\n[costs]\n0 = quadratic beta=1.0 center=1.0\n"),
+        (["theory", "--mu", "5", "--lipschitz", "5"], None),
+        (["sweep", "--nodes", "4", "--deltas", "0.1,0.1000000000000000000001",
+          "--max-iters", "3"], None),
+        (["run", "--config", "cfg.ini"],
+         "[graph]\nnodes = 3\n[costs]\n0 = quadratic beta=1.0 center=1.0\n"
+         "1 = quadratic beta=1.0 center=2.0\n2 = quadratic beta=1.0 center=3.0\n"
+         "7 = quadratic beta=1.0 center=4.0\n-1 = quadratic beta=1.0 center=5.0\n"),
+        (["run", "--config", "cfg.ini"],
+         TWO_COSTS.format("beta=1.0 center=1.0")
+         + "01 = quadratic beta=3.0 center=2.0\n"),
     ],
     ids=["missing-graph-file", "unwritable-output", "bad-cost-key", "inf-alpha",
          "percent-sign", "inf-beta", "nan-center", "huge-x0", "theory-inf-mu",
@@ -167,7 +183,10 @@ TINY_BETAS = two_betas("1e-320")
          "theory-config-interval-beyond-floats", "run-interval-beyond-floats",
          "run-alpha-interval-beyond-floats", "sweep-interval-beyond-floats",
          "run-infinite-sum-of-betas", "theory-young-upper-beyond-floats",
-         "theory-error-floor-beyond-floats"],
+         "theory-error-floor-beyond-floats", "empty-cost-entry",
+         "cost-item-without-equals", "ini-syntax-error", "costs-missing-a-node",
+         "theory-mu-lipschitz-without-nodes", "levels-sharing-a-name",
+         "costs-naming-other-nodes", "costs-naming-a-node-twice"],
 )
 def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -185,6 +204,17 @@ class TestEffectiveConfig:
         assert cfg.graph == ref.graph
         assert [c.center for c in cfg.costs] == [c.center for c in ref.costs]
         assert cfg.x0 == ref.x0
+
+    def test_no_flags_resolve_to_reference_instance(self):
+        cfg = EffectiveConfig(build_parser().parse_args(["run"])).to_opt_config()
+        ref = reference_instance()
+        assert cfg.graph == ref.graph
+        assert [(c.beta, c.center) for c in cfg.costs] == [
+            (c.beta, c.center) for c in ref.costs
+        ]
+        assert (cfg.x0, cfg.delta, cfg.max_outer, cfg.master_seed) == (
+            ref.x0, ref.delta, ref.max_outer, ref.master_seed
+        )
 
 
 class TestSweep:
