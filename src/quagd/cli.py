@@ -6,8 +6,8 @@ levels), theory (step-size interval / contraction constants), graph-gen
 
 Every run/sweep/theory option is resolved from its flag, else its INI
 entry, else its default; effective_config.ini lists every option.  The
-library checks the resolved values.  A quantization level is named by its
-float's repr, so a sweep's levels must be distinct as floats.
+library checks the resolved values, including a sweep's levels (named by
+harness.level_name) and the theory inputs.
 
 Exit codes: 0 success, 2 configuration error (including an unreadable or
 unwritable path), 3 assumption violation (e.g. graph not strongly
@@ -22,7 +22,6 @@ import argparse
 import configparser
 import contextlib
 import json
-import math
 import os
 import sys
 
@@ -36,6 +35,7 @@ from .graph import (
 )
 from .harness import (
     delta_sweep,
+    level_name,
     reference_draws,
     reference_graph,
     write_sweep_csv,
@@ -69,16 +69,8 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _level_name(level: QuantizationLevel) -> str:
-    """The name a level is labelled and written under: its float's repr."""
-    return repr(float(level.delta))
-
-
 def _levels(text: str) -> list[QuantizationLevel]:
-    levels = [QuantizationLevel(tok) for tok in text.split(",") if tok.strip()]
-    if len({_level_name(lv) for lv in levels}) != len(levels):
-        raise ValueError(f"levels must be distinct as floats, got {text!r}")
-    return levels
+    return [QuantizationLevel(tok) for tok in text.split(",") if tok.strip()]
 
 
 # (INI section, key, parser, default), in echo order; each key is also the
@@ -165,7 +157,7 @@ class EffectiveConfig:
         centers, x0 = reference_draws(n, self.seed)
         if ini.has_section("costs") and ini.options("costs"):
             keys = ini.options("costs")
-            if sorted(map(int, keys)) != list(range(n)):
+            if sorted(int(k) if k.isdecimal() else -1 for k in keys) != list(range(n)):
                 raise ConfigError(f"[costs] must name nodes 0..{n - 1} once: {keys}")
             specs = {int(k): _parse_cost_line(int(k), ini["costs"][k]) for k in keys}
             self.cost_specs = [specs[j] for j in range(n)]
@@ -215,9 +207,9 @@ class EffectiveConfig:
         return path
 
 
-def _plot_residuals(path: str, curves, title: str) -> None:
-    """One residual curve per (level, RunTrace) pair, on shared axes."""
-    labelled = [(f"delta={_level_name(lv)}", trace.residuals) for lv, trace in curves]
+def _plot_residuals(path: str, traces, title: str) -> None:
+    """One residual curve per RunTrace, labelled with its level, on shared axes."""
+    labelled = [(f"delta={level_name(t.delta)}", t.residuals) for t in traces]
     write_line_plot(
         path, labelled, title=title, xlabel="outer iteration k", ylabel="residual"
     )
@@ -236,7 +228,7 @@ def cmd_run(args) -> int:
     svg_path = None
     if x_star is not None:
         svg_path = os.path.join(eff.output_dir, "residual.svg")
-        _plot_residuals(svg_path, [(cfg.delta, trace)], "residual vs outer iteration")
+        _plot_residuals(svg_path, [trace], "residual vs outer iteration")
     echo_path = eff.write_echo()
     print(eff.echo_text(), end="")
     for path in (csv_path, svg_path, trace_path, echo_path):
@@ -251,14 +243,12 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     eff = EffectiveConfig(args)
-    if not eff.deltas:
-        raise ConfigError("sweep needs at least one quantization level (--deltas)")
     cfg = eff.to_opt_config()
     os.makedirs(eff.output_dir, exist_ok=True)
-    report = delta_sweep(cfg, eff.deltas)
-    curves = []
-    for level, entry in zip(eff.deltas, report.entries):
-        name = _level_name(level)
+    report = delta_sweep(cfg, eff.deltas or [])
+    traces = []
+    for entry in report.entries:
+        name = level_name(entry.delta)
         if entry.error is not None:
             print(f"delta={name}: FAILED: {entry.error}")
             continue
@@ -266,14 +256,14 @@ def cmd_sweep(args) -> int:
         csv_path = os.path.join(eff.output_dir, f"trace_delta_{slug}.csv")
         write_trace_csv(entry.trace, csv_path)
         print(f"wrote {csv_path}")
-        curves.append((level, entry.trace))
+        traces.append(entry.trace)
     sweep_csv = os.path.join(eff.output_dir, "sweep.csv")
     write_sweep_csv(report, sweep_csv)
     print(f"wrote {sweep_csv}")
-    if curves:
+    if traces:
         svg_path = os.path.join(eff.output_dir, "sweep.svg")
         _plot_residuals(
-            svg_path, curves, "residual vs outer iteration per quantization level"
+            svg_path, traces, "residual vs outer iteration per quantization level"
         )
         print(f"wrote {svg_path}")
     echo_path = eff.write_echo()
@@ -298,9 +288,6 @@ def cmd_theory(args) -> int:
             raise ConfigError("theory needs --nodes with explicit --mu/--lipschitz")
         n, mu, big_l, alpha = args.nodes, args.mu, args.lipschitz, args.alpha
         delta = QuantizationLevel(args.delta) if args.delta else 0  # no quantization
-    for name, value in (("alpha", alpha), ("young-delta", args.young_delta)):
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
 
     interval = step_size_interval(big_l, mu, n)
     print(f"n = {n}, mu = {float(mu)!r}, L = {float(big_l)!r}")

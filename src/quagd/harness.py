@@ -156,14 +156,23 @@ def iterations_to_plateau(residuals: Sequence[float], plateau: float) -> int:
     return len(residuals) - 1
 
 
+def level_name(delta) -> str:
+    """The name a quantization level is labelled and written under: its
+    float's repr."""
+    return repr(float(delta))
+
+
 def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
     """Run the outer loop once per quantization level with a shared master
     seed; per-level failures (invalid parameters, consensus nontermination,
     divergence) are recorded without aborting the sweep.  theory_floor is
-    left None when the step size is outside the open admissible interval."""
+    left None when the step size is outside the open admissible interval.
+
+    At least one level is needed, and no two may share a level_name."""
     levels = [QuantizationLevel(d) for d in deltas]
-    if len({lv.delta for lv in levels}) != len(levels):
-        raise ConfigError("quantization levels must be distinct")
+    names = [level_name(lv.delta) for lv in levels]
+    if not names or len(set(names)) != len(names):
+        raise ConfigError(f"need one or more levels, distinct as floats: {names}")
     x_star = quadratic_optimum(cfg.costs)
     if x_star is None:
         raise ConfigError(
@@ -278,6 +287,6 @@ def write_sweep_csv(report: SweepReport, path: str) -> None:
         fh.write(SWEEP_CSV_HEADER + "\n")
         for e in report.entries:
             fh.write(
-                f"{_cell(float(e.delta))},{_cell(e.plateau)},"
+                f"{level_name(e.delta)},{_cell(e.plateau)},"
                 f"{_cell(e.iters_to_plateau)},{_cell(e.theory_floor)}\n"
             )

@@ -135,6 +135,14 @@ def gradient_step(x: float, alpha: float, f: CostFunction) -> float:
 # --- Theory calculators (exact rationals throughout) ---
 
 
+def _exact(name: str, value) -> Fraction:
+    """value as an exact rational; ConfigError if it is not finite."""
+    try:
+        return Fraction(value)
+    except (OverflowError, ValueError):
+        raise ConfigError(f"{name} must be finite, got {value!r}") from None
+
+
 @dataclass
 class StepSizeInterval:
     lower: Fraction
@@ -160,10 +168,7 @@ def step_size_interval(L, mu, n: int) -> StepSizeInterval:
 
     Step sizes are floats, so constants that are not finite or put a bound
     beyond the float range are a ConfigError."""
-    try:
-        L, mu = Fraction(L), Fraction(mu)
-    except (OverflowError, ValueError):
-        raise ConfigError(f"need finite constants, got mu={mu}, L={L}") from None
+    L, mu = _exact("L", L), _exact("mu", mu)
     if L <= 0 or mu <= 0:
         raise ParameterViolationError(f"need positive constants, got mu={mu}, L={L}")
     lower = n * (mu + L) / (4 * mu * L)
@@ -187,9 +192,7 @@ def young_delta_interval(alpha, L, mu, n: int) -> tuple[Fraction, Fraction]:
     """Open interval (0, n[4 a mu L - n(mu+L)] / (2 a [n(mu+L) - 2 a mu L]))
     for the auxiliary contraction parameter; requires alpha strictly inside
     the step-size interval."""
-    a = Fraction(alpha)
-    L = Fraction(L)
-    mu = Fraction(mu)
+    a, L, mu = _exact("alpha", alpha), _exact("L", L), _exact("mu", mu)
     interval = step_size_interval(L, mu, n)
     if not interval.contains(a):
         raise ParameterViolationError(
@@ -225,18 +228,17 @@ def compute_theta_and_floor(
     """Evaluate theta = 2(1 + a d/n)(1 - 2 a mu L / (n(mu+L))) and the floor
     (8 + 32 a_hat^2 L^2 + 32 a_hat L^2 / d) * Delta^2, exactly.
 
-    Every number is taken at its exact value (a float at its binary value);
-    a None delta_young means half its admissible upper bound."""
-    a = Fraction(alpha)
-    L = Fraction(L)
-    mu = Fraction(mu)
+    Every number must be finite and is taken at its exact value (a float at
+    its binary value); a None delta_young means half its admissible upper
+    bound."""
+    a, L, mu = _exact("alpha", alpha), _exact("L", L), _exact("mu", mu)
     if isinstance(Delta, QuantizationLevel):
         Delta = Delta.delta
-    Delta = Fraction(Delta)
+    Delta = _exact("Delta", Delta)
     if Delta < 0:
         raise ParameterViolationError(f"quantization level must be >= 0, got {Delta}")
     _, d_upper = young_delta_interval(a, L, mu, n)
-    d = d_upper / 2 if delta_young is None else Fraction(delta_young)
+    d = d_upper / 2 if delta_young is None else _exact("delta_young", delta_young)
     if not (0 < d < d_upper):
         raise ParameterViolationError(
             f"delta_young={float(d)} outside (0, {float(d_upper)})"

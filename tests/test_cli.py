@@ -120,6 +120,12 @@ def two_betas(beta):
     )
 
 
+NON_INTEGER_COST_KEY = (
+    "[graph]\nnodes = 2\n[costs]\n"
+    "a = quadratic beta=1.0 center=1.0\n1 = quadratic beta=1.0 center=2.0\n"
+)
+
+
 # 2n/(mu+L) and n(mu+L)/(4 mu L) exceed the largest float
 TINY_BETAS = two_betas("1e-320")
 
@@ -173,6 +179,7 @@ TINY_BETAS = two_betas("1e-320")
         (["run", "--config", "cfg.ini"],
          TWO_COSTS.format("beta=1.0 center=1.0")
          + "01 = quadratic beta=3.0 center=2.0\n"),
+        (["run", "--config", "cfg.ini"], NON_INTEGER_COST_KEY),
     ],
     ids=["missing-graph-file", "unwritable-output", "bad-cost-key", "inf-alpha",
          "percent-sign", "inf-beta", "nan-center", "huge-x0", "theory-inf-mu",
@@ -186,7 +193,8 @@ TINY_BETAS = two_betas("1e-320")
          "theory-error-floor-beyond-floats", "empty-cost-entry",
          "cost-item-without-equals", "ini-syntax-error", "costs-missing-a-node",
          "theory-mu-lipschitz-without-nodes", "levels-sharing-a-name",
-         "costs-naming-other-nodes", "costs-naming-a-node-twice"],
+         "costs-naming-other-nodes", "costs-naming-a-node-twice",
+         "costs-naming-a-non-integer-key"],
 )
 def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -194,6 +202,13 @@ def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
         (tmp_path / "cfg.ini").write_text(ini)
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_non_integer_cost_key_names_the_section(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.ini").write_text(NON_INTEGER_COST_KEY)
+    assert run_cli("run", "--config", "cfg.ini") == 2
+    assert "[costs] must name nodes 0..1 once" in capsys.readouterr().err
 
 
 class TestEffectiveConfig:

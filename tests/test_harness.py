@@ -136,6 +136,16 @@ class TestDeltaSweep:
         with pytest.raises(ConfigError):
             delta_sweep(cfg, ["0.1", "0.1"])
 
+    @pytest.mark.parametrize(
+        "levels",
+        [[], ["0.1", "0.1000000000000000000001"]],
+        ids=["none", "sharing-a-name"],
+    )
+    def test_no_levels_or_levels_sharing_a_name_rejected(self, levels):
+        cfg = reference_instance(n=4, max_outer=3)
+        with pytest.raises(ConfigError, match="distinct as floats"):
+            delta_sweep(cfg, levels)
+
     @pytest.mark.filterwarnings("ignore:alpha=0.5 outside")
     def test_theory_floor_only_inside_the_open_interval(self):
         # the reference interval at n=10 is (0.5, 1.0)

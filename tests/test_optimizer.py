@@ -7,6 +7,7 @@ import pytest
 from quagd.graph import Digraph, generate_random_strongly_connected
 from quagd.optimizer import (
     ConfigError,
+    CostFunction,
     DivergenceError,
     OptRunConfig,
     ParameterViolationError,
@@ -70,6 +71,10 @@ class TestCostFunctions:
         register_cost_type("broken", broken)
         with pytest.raises(TypeError, match="bug in builder"):
             build_cost({"type": "broken", "beta": 1.0})
+
+    def test_strong_convexity_above_lipschitz_rejected(self):
+        with pytest.raises(ConfigError):
+            CostFunction(evaluate=abs, gradient=abs, lipschitz=1.0, strong_convexity=2.0)
 
     def test_quadratic_optimum_closed_form(self):
         costs = [quadratic_cost(1.0, 0.0), quadratic_cost(3.0, 4.0)]
@@ -163,6 +168,10 @@ class TestYoungDeltaInterval:
             with pytest.raises(ParameterViolationError):
                 young_delta_interval(alpha, 20, 20, 20)
 
+    def test_non_finite_alpha_is_config_error(self):
+        with pytest.raises(ConfigError, match="alpha must be finite"):
+            young_delta_interval(math.inf, 20, 20, 20)
+
     def test_positive_upper_for_interior_alpha(self):
         rnd = random.Random(21)
         for _ in range(200):
@@ -197,6 +206,13 @@ class TestThetaAndFloor:
             compute_theta_and_floor(Fraction(3, 4), 100, 20, 20, 20, 1)  # young too big
         with pytest.raises(ParameterViolationError):
             compute_theta_and_floor(2, 1, 20, 20, 20, 1)  # alpha outside
+
+    @pytest.mark.parametrize(
+        "alpha, young", [(math.inf, None), (math.nan, None), (0.75, math.inf)]
+    )
+    def test_non_finite_inputs_are_config_errors(self, alpha, young):
+        with pytest.raises(ConfigError, match="must be finite"):
+            compute_theta_and_floor(alpha, young, 20, 20, 20, "0.01")
 
     def test_default_young_parameter_is_half_its_bound(self):
         c = compute_theta_and_floor(Fraction(3, 4), None, 20, 20, 20, 0)
