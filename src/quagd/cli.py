@@ -4,10 +4,12 @@ Subcommands: run (one optimization run), sweep (several quantization
 levels), theory (step-size interval / contraction constants), graph-gen
 (random strongly connected digraph to an edge-list file).
 
-Every run/sweep/theory option is resolved from its flag, else its INI
-entry, else its default; effective_config.ini lists every option.  The
-library checks the resolved values, including a sweep's levels (named by
-harness.level_name) and the theory inputs.
+Each option is declared once, as an _OPTIONS row naming the subcommands
+whose --flag sets it, and no subcommand takes a flag it does not read.
+Every option is resolved from its flag, else its INI entry, else its
+default, an empty value counting as unset; effective_config.ini lists
+every option.  The library checks the resolved values, including a
+sweep's levels (named by harness.level_name) and the theory inputs.
 
 Exit codes: 0 success, 2 configuration error (including an unreadable or
 unwritable path), 3 assumption violation (e.g. graph not strongly
@@ -73,23 +75,43 @@ def _levels(text: str) -> list[QuantizationLevel]:
     return [QuantizationLevel(tok) for tok in text.split(",") if tok.strip()]
 
 
-# (INI section, key, parser, default), in echo order; each key is also the
-# argparse dest of its flag.  Text (from a string flag, the INI or a
-# default) goes through the parser; flags argparse has typed do not.
+# One row per option, in echo order: (INI section, key, parser, default,
+# subcommands taking its --flag, help).  The key is the flag's dest.  Each
+# value is taken from the flag, else the INI, else the default; text goes
+# through the parser, and an empty value counts as unset.
 _OPTIONS = [
-    ("graph", "graph_file", str, None),
-    ("graph", "nodes", int, 20),
-    ("graph", "edge_prob", float, 0.2),
-    ("graph", "d_bound", int, None),
-    ("optimizer", "alpha", float, None),
-    ("optimizer", "delta", QuantizationLevel, "0.01"),
-    ("optimizer", "deltas", _levels, None),
-    ("optimizer", "max_iters", int, 60),
-    ("optimizer", "x0", _floats, None),
-    ("run", "seed", int, 0),
-    ("run", "output_dir", str, "out"),
-    ("run", "trace", _flag, False),
+    ("graph", "graph_file", str, None, "run sweep", "edge-list file"),
+    ("graph", "nodes", int, 20, "run sweep theory graph-gen", None),
+    ("graph", "edge_prob", float, 0.2, "run sweep theory graph-gen", None),
+    ("graph", "d_bound", int, None, "run sweep", None),
+    ("optimizer", "alpha", float, None, "run sweep theory", None),
+    ("optimizer", "delta", QuantizationLevel, "0.01", "run theory",
+     "quantization level (decimal string)"),
+    ("optimizer", "deltas", _levels, None, "sweep",
+     "comma-separated quantization levels"),
+    ("optimizer", "max_iters", int, 60, "run sweep", None),
+    ("optimizer", "x0", _floats, None, "", None),
+    ("run", "seed", int, 0, "run sweep theory graph-gen", None),
+    ("run", "output_dir", str, "out", "run sweep", None),
+    ("run", "trace", _flag, False, "run", "write inner-round trace"),
 ]
+
+
+def _resolve(args, ini=None, defaults=True) -> dict:
+    """Every _OPTIONS value by key: its flag, else its INI entry, else (with
+    defaults) its default, else None."""
+    resolved = {}
+    for section, key, parse, default, _, _ in _OPTIONS:
+        entry = ini.get(section, key, fallback=None) if ini is not None else None
+        candidates = (getattr(args, key, None), entry, default if defaults else None)
+        value = next((v for v in candidates if v not in (None, "")), None)
+        if isinstance(value, str):
+            try:
+                value = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+        resolved[key] = value
+    return resolved
 
 
 def _echo(value) -> str:
@@ -132,17 +154,7 @@ class EffectiveConfig:
 
     def __init__(self, args):
         ini = _load_ini(args.config) if args.config else configparser.ConfigParser()
-        for section, key, parse, default in _OPTIONS:
-            flag = getattr(args, key, None)
-            for value in (flag, ini.get(section, key, fallback=None), default):
-                if value not in (None, ""):  # an empty value counts as unset
-                    break
-            if isinstance(value, str):
-                try:
-                    value = parse(value)
-                except ValueError as exc:
-                    raise ConfigError(f"[{section}] {key}: {exc}") from None
-            setattr(self, key, value)
+        vars(self).update(_resolve(args, ini))
 
         if self.graph_file:
             self.graph = read_edge_list(self.graph_file)
@@ -192,7 +204,7 @@ class EffectiveConfig:
             for j, spec in enumerate(self.cost_specs)
         ]
         sections = {"graph": [], "optimizer": [], "costs": costs, "run": []}
-        for section, key, _, _ in _OPTIONS:
+        for section, key, *_ in _OPTIONS:
             value = getattr(self, key)
             if value is not None:
                 sections[section].append(f"{key} = {_echo(value)}")
@@ -280,14 +292,15 @@ def cmd_theory(args) -> int:
         cfg = EffectiveConfig(args).to_opt_config()
         n, mu, big_l, alpha, delta = cfg.graph.n, cfg.mu, cfg.L, cfg.alpha, cfg.delta
     else:
-        if args.config or args.mu is None or args.lipschitz is None:
+        given = _resolve(args, defaults=False)
+        unread = (given["seed"], given["edge_prob"]) != (None, None) or args.config
+        if unread or None in (args.mu, args.lipschitz, given["nodes"]):
             raise ConfigError(
-                "theory takes --mu and --lipschitz together, without --config"
+                "theory takes --mu, --lipschitz and --nodes together, without "
+                "--config, --seed or --edge-prob"
             )
-        if args.nodes is None:
-            raise ConfigError("theory needs --nodes with explicit --mu/--lipschitz")
-        n, mu, big_l, alpha = args.nodes, args.mu, args.lipschitz, args.alpha
-        delta = QuantizationLevel(args.delta) if args.delta else 0  # no quantization
+        n, mu, big_l, alpha = given["nodes"], args.mu, args.lipschitz, given["alpha"]
+        delta = given["delta"] or 0  # no quantization
 
     interval = step_size_interval(big_l, mu, n)
     print(f"n = {n}, mu = {float(mu)!r}, L = {float(big_l)!r}")
@@ -340,21 +353,11 @@ def cmd_theory(args) -> int:
 
 
 def cmd_graph_gen(args) -> int:
-    g = generate_random_strongly_connected(args.nodes, args.edge_prob, args.seed)
+    opt = _resolve(args)
+    g = generate_random_strongly_connected(opt["nodes"], opt["edge_prob"], opt["seed"])
     write_edge_list(g, args.output)
     print(f"wrote {args.output}: n={g.n} edges={len(g.edges)} diameter={diameter(g)}")
     return EXIT_OK
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="ini config file")
-    parser.add_argument("--nodes", type=int)
-    parser.add_argument("--edge-prob", type=float, dest="edge_prob")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--max-iters", type=int, dest="max_iters")
-    parser.add_argument("--d-bound", type=int, dest="d_bound")
-    parser.add_argument("--output-dir", dest="output_dir")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,44 +367,32 @@ def build_parser() -> argparse.ArgumentParser:
         "average consensus on directed graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="one optimization run")
-    _add_common(p_run)
-    p_run.add_argument("--delta", help="quantization level (decimal string)")
-    p_run.add_argument("--graph-file", dest="graph_file")
-    p_run.add_argument(
-        "--trace", action="store_true", default=None, help="write inner-round trace"
+    commands = {}
+    for name, func, text in (
+        ("run", cmd_run, "one optimization run"),
+        ("sweep", cmd_sweep, "run several quantization levels"),
+        ("theory", cmd_theory, "step-size interval and constants"),
+        ("graph-gen", cmd_graph_gen, "generate a random digraph file"),
+    ):
+        commands[name] = sub.add_parser(name, help=text)
+        commands[name].set_defaults(func=func)
+        if name != "graph-gen":
+            commands[name].add_argument("--config", help="ini config file")
+    for _, key, parse, _, names, text in _OPTIONS:
+        # a bare --trace; every other flag takes its value as text
+        bare = {"action": "store_const", "const": "true"} if parse is _flag else {}
+        for name in names.split():
+            flag = "--" + key.replace("_", "-")
+            commands[name].add_argument(flag, dest=key, help=text, **bare)
+    theory = commands["theory"]
+    theory.description = (
+        "--delta is the quantization level; default 0 (no quantization, error "
+        "floor 0) with --mu/--lipschitz, else the config's level (0.01 if unset)"
     )
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run several quantization levels")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--deltas", help="comma-separated quantization levels")
-    p_sweep.add_argument("--graph-file", dest="graph_file")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_theory = sub.add_parser("theory", help="step-size interval and constants")
-    _add_common(p_theory)
-    p_theory.add_argument("--mu", type=float, help="total strong convexity")
-    p_theory.add_argument("--lipschitz", type=float, help="total smoothness")
-    p_theory.add_argument("--young-delta", type=float, dest="young_delta")
-    p_theory.add_argument(
-        "--delta",
-        help="quantization level; default 0 (no quantization, error floor 0) with "
-        "--mu/--lipschitz, else the config's level (0.01 if unset)",
-    )
-    p_theory.set_defaults(func=cmd_theory)
-
-    p_gen = sub.add_parser("graph-gen", help="generate a random digraph file")
-    p_gen.add_argument("--nodes", type=int)
-    p_gen.add_argument("--edge-prob", type=float, dest="edge_prob")
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--output", required=True)
-    p_gen.set_defaults(
-        func=cmd_graph_gen,
-        **{key: default for _, key, _, default in _OPTIONS
-           if key in ("nodes", "edge_prob", "seed")},
-    )
+    theory.add_argument("--mu", type=float, help="total strong convexity")
+    theory.add_argument("--lipschitz", type=float, help="total smoothness")
+    theory.add_argument("--young-delta", type=float, dest="young_delta")
+    commands["graph-gen"].add_argument("--output", required=True)
     return parser
 
 

@@ -22,6 +22,7 @@ from .optimizer import (
     DivergenceError,
     OptRunConfig,
     TheoryConstants,
+    _residual,
     _sum,
     compute_theta_and_floor,
     quadratic_cost,
@@ -88,23 +89,22 @@ def default_theory(cfg: OptRunConfig) -> TheoryConstants:
 
 def centralized_baseline(cfg: OptRunConfig) -> RunTrace:
     """Unquantized exact-averaging reference: the scalar recursion
-    x <- (1/n) sum_i (x - alpha * grad f_i(x)) from the mean initial value."""
+    x <- (1/n) sum_i (x - alpha * grad f_i(x)) from the mean initial value.
+    An iterate or residual that is not finite raises DivergenceError."""
     cfg.validate()
     n = cfg.graph.n
     alpha = cfg.effective_alpha()
     x_star = quadratic_optimum(cfg.costs)
-
-    def _residual(est):
-        return residual_error(est, cfg.x0, x_star) if x_star is not None else None
-
     x = _sum(cfg.x0) / n
+    r0 = _residual([x] * n, cfg.x0, x_star, None)
     trace = RunTrace(x0=list(cfg.x0), delta=Fraction(0), x_star=x_star)
-    trace.steps.append(StepRecord(k=0, estimates=[x] * n, residual=_residual([x] * n)))
+    trace.steps.append(StepRecord(k=0, estimates=[x] * n, residual=r0))
     for k in range(cfg.max_outer):
         x = x - (alpha / n) * _sum(c.gradient(x) for c in cfg.costs)
-        trace.steps.append(
-            StepRecord(k=k + 1, estimates=[x] * n, residual=_residual([x] * n))
-        )
+        if not math.isfinite(x):
+            raise DivergenceError(k, "the iterate is not finite")
+        r = _residual([x] * n, cfg.x0, x_star, k)
+        trace.steps.append(StepRecord(k=k + 1, estimates=[x] * n, residual=r))
     return trace
 
 

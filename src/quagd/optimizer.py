@@ -151,8 +151,7 @@ class StepSizeInterval:
     sufficient_condition: bool  # L < 3*mu guarantees nonemptiness
 
     def contains(self, alpha) -> bool:
-        a = Fraction(alpha)
-        return self.lower < a < self.upper
+        return self.lower < _exact("alpha", alpha) < self.upper
 
     def default_alpha(self) -> float:
         """The step size used when none is given: the float of the midpoint."""
@@ -313,6 +312,23 @@ class OptRunConfig:
         return self.d_bound if self.d_bound is not None else diameter(self.graph)
 
 
+def _residual(x, x0, x_star: Optional[float], k: Optional[int]):
+    """residual_error of estimates x, or None without x_star.  One that is
+    not finite raises DivergenceError at outer step k, or ConfigError for
+    the initial estimates (k None)."""
+    if x_star is None:
+        return None
+    try:
+        r = residual_error(x, x0, x_star)
+    except OverflowError:
+        r = math.inf
+    if math.isfinite(r):
+        return r
+    if k is None:
+        raise ConfigError("the residual of the initial estimates is not finite")
+    raise DivergenceError(k, "the residual overflowed")
+
+
 def quagd_run(
     cfg: OptRunConfig, x_star: Optional[float] = None, inner_trace=None
 ) -> RunTrace:
@@ -337,22 +353,10 @@ def quagd_run(
         )
     d_bound = cfg.effective_d_bound()
 
-    def _residual(x, k):  # k is None for the initial estimates
-        if x_star is None:
-            return None
-        try:
-            r = residual_error(x, cfg.x0, x_star)
-        except OverflowError:
-            r = math.inf
-        if math.isfinite(r):
-            return r
-        if k is None:
-            raise ConfigError("the residual of the initial estimates is not finite")
-        raise DivergenceError(k, "the residual overflowed")
-
     x = list(cfg.x0)
     trace = RunTrace(x0=list(cfg.x0), delta=cfg.delta.delta, x_star=x_star)
-    trace.steps.append(StepRecord(k=0, estimates=list(x), residual=_residual(x, None)))
+    r0 = _residual(x, cfg.x0, x_star, None)
+    trace.steps.append(StepRecord(k=0, estimates=list(x), residual=r0))
     for k in range(cfg.max_outer):
         x_half = [gradient_step(x[i], alpha, cfg.costs[i]) for i in range(n)]
         if not all(map(math.isfinite, x_half)):
@@ -380,7 +384,7 @@ def quagd_run(
             StepRecord(
                 k=k + 1,
                 estimates=list(x),
-                residual=_residual(x, k),
+                residual=_residual(x, cfg.x0, x_star, k),
                 inner_rounds=result.rounds_used,
                 centroid_err=abs(x_hat - z_hat),
                 max_node_dev=max(abs(xi - x_hat) for xi in x),

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +181,13 @@ TINY_BETAS = two_betas("1e-320")
          TWO_COSTS.format("beta=1.0 center=1.0")
          + "01 = quadratic beta=3.0 center=2.0\n"),
         (["run", "--config", "cfg.ini"], NON_INTEGER_COST_KEY),
+        (["theory", "--mu", "20", "--lipschitz", "20", "--nodes", "20",
+          "--seed", "5"], None),
+        (["theory", "--mu", "20", "--lipschitz", "20", "--nodes", "20",
+          "--seed", "5", "--edge-prob", "0.9"], None),
+        (["run", "--nodes", "abc"], None),
+        (["run", "--max-iters", "-1"], None),
+        (["theory", "--mu", "-1", "--lipschitz", "5", "--nodes", "3"], None),
     ],
     ids=["missing-graph-file", "unwritable-output", "bad-cost-key", "inf-alpha",
          "percent-sign", "inf-beta", "nan-center", "huge-x0", "theory-inf-mu",
@@ -194,13 +202,27 @@ TINY_BETAS = two_betas("1e-320")
          "cost-item-without-equals", "ini-syntax-error", "costs-missing-a-node",
          "theory-mu-lipschitz-without-nodes", "levels-sharing-a-name",
          "costs-naming-other-nodes", "costs-naming-a-node-twice",
-         "costs-naming-a-non-integer-key"],
+         "costs-naming-a-non-integer-key", "theory-mu-lipschitz-with-seed",
+         "theory-mu-lipschitz-with-seed-and-edge-prob", "non-integer-nodes-flag",
+         "negative-max-iters", "theory-negative-mu"],
 )
 def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if ini is not None:
         (tmp_path / "cfg.ini").write_text(ini)
     assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["n x\n1 0\n0 1\n", "n 1\n", "n 2\n0 a\n1 0\n"],
+    ids=["header-without-a-count", "one-node", "non-integer-node-id"],
+)
+def test_malformed_graph_file_is_config_error(text, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(text)
+    assert run_cli("run", "--graph-file", "g.txt") == 2
     assert capsys.readouterr().err.startswith("config error: ")
 
 
@@ -353,3 +375,40 @@ class TestGraphGen:
         from quagd.graph import is_strongly_connected
 
         assert is_strongly_connected(g)
+
+
+class TestFlags:
+    """Every table option's flag is text resolved like its INI entry, and a
+    subcommand takes only the flags it reads."""
+
+    def test_bad_flag_value_names_its_option(self, tmp_path, capsys):
+        assert run_cli("run", "--nodes", "abc", "--output-dir", str(tmp_path)) == 2
+        assert "config error: [graph] nodes: " in capsys.readouterr().err
+
+    def test_empty_flag_counts_as_unset(self, tmp_path, capsys):
+        for name, extra in (("a", ["--nodes", ""]), ("b", [])):
+            argv = ["run", *extra, "--max-iters", "1", "--output-dir"]
+            assert run_cli(*argv, str(tmp_path / name)) == 0
+        trace_a, trace_b = (tmp_path / "a" / "trace.csv", tmp_path / "b" / "trace.csv")
+        assert trace_a.read_bytes() == trace_b.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--max-iters", "--d-bound", "--output-dir"])
+    def test_theory_rejects_flags_it_does_not_read(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("theory", "--nodes", "20", flag, "3")
+        assert exc.value.code == 2
+
+    def test_graph_gen_defaults_to_the_reference_size(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        assert run_cli("graph-gen", "--output", str(out)) == 0
+        assert read_edge_list(str(out)).n == 20
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split() for line in block.splitlines() if line.strip()]
+    assert len(commands) == 4 and all(argv[0] == "quagd" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run_cli(*argv[1:]) == 0, argv

@@ -3,7 +3,8 @@
 Whatever the argv and INI file, `main` returns a documented exit code
 (0, 2, 3, 4 or 5), and the only exception that escapes it is argparse's own
 SystemExit(2) for an unparsable command line.  `theory` given only one of
---mu/--lipschitz, or either of them with --config, is a config error.
+--mu/--lipschitz, or either of them with --config, --seed or --edge-prob,
+is a config error.
 """
 
 import contextlib
@@ -67,6 +68,8 @@ def cli_inputs(draw):
         for flag in ("--mu", "--lipschitz", "--young-delta"):
             if draw(st.booleans()):
                 argv += [flag, draw(st.sampled_from(CONSTANTS))]
+        if draw(st.booleans()):
+            argv += ["--edge-prob", draw(st.sampled_from(["0.3", "2"]))]
     else:
         option("--graph-file", "graph", st.sampled_from(GRAPH_FILES))
         option("--output-dir", "run", st.sampled_from(OUTPUT_DIRS))
@@ -110,7 +113,8 @@ def test_exit_code_is_documented(case):
             os.chdir(cwd)
     assert code in (0, 2, 3, 4, 5), (argv, ini, err.getvalue())
     given_constants = {"--mu", "--lipschitz"} & set(argv)
+    unread = {"--config", "--seed", "--edge-prob"} & set(argv)
     if argv[0] == "theory" and given_constants and (
-        "--config" in argv or len(given_constants) == 1
+        unread or len(given_constants) == 1
     ):
         assert code == 2, (argv, ini)  # never silently ignored

@@ -180,6 +180,11 @@ class TestRunFaqua:
             assert all(a.y_conserved and a.z_conserved for a in res.audits)
             assert len(set(res.per_node_values)) == 1
 
+    def test_wrong_number_of_streams_rejected(self):
+        streams = node_streams(0, 3, 0)  # one short
+        with pytest.raises(ValueError, match="expected 4 rng streams, got 3"):
+            run_faqua([1.0] * 4, cycle(4), 4, QuantizationLevel("1"), streams)
+
     def test_overestimated_diameter_bound_still_correct(self):
         g = cycle(4)
         res = run_faqua([1.0, 2.0, 3.0, 4.0], g, diameter(g) + 3, QuantizationLevel("1"), 11)

@@ -17,6 +17,7 @@ from quagd.harness import (
 )
 from quagd.optimizer import (
     ConfigError,
+    CostFunction,
     DivergenceError,
     OptRunConfig,
     quadratic_cost,
@@ -53,6 +54,10 @@ class TestResidualError:
     def test_zero_denominator_names_node(self):
         with pytest.raises(ValueError, match="node 1"):
             residual_error([0.0, 0.0], [5.0, 2.0], 2.0)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            residual_error([1.0, 2.0], [5.0], 2.0)
 
 
 class TestCentralizedBaseline:
@@ -104,6 +109,30 @@ class TestCentralizedBaseline:
         errs = [abs(s.estimates[0] - c) for s in trace.steps]
         for prev, nxt in zip(errs, errs[1:]):
             assert nxt == pytest.approx(prev * abs(1 - alpha))
+
+    @pytest.mark.filterwarnings("ignore:alpha=50.0 outside")
+    def test_divergence_carries_the_outer_step_of_quagd_run(self):
+        cfg = reference_instance(n=10, alpha=50.0, max_outer=200)
+        with pytest.raises(DivergenceError) as baseline:
+            centralized_baseline(cfg)
+        with pytest.raises(DivergenceError) as run:
+            quagd_run(cfg, x_star=quadratic_optimum(cfg.costs))
+        assert baseline.value.outer_step == run.value.outer_step == 91
+
+    def test_non_finite_iterate_without_an_optimum_is_divergence(self):
+        # a cost outside the quadratic family: no residual, so the iterate
+        # itself must leave the floats
+        linear = CostFunction(
+            evaluate=lambda x: x * x / 2, gradient=lambda x: x,
+            lipschitz=1.0, strong_convexity=1.0,
+        )
+        cfg = OptRunConfig(
+            graph=complete(2), costs=[linear] * 2, delta="1", x0=[1.0, 2.0],
+            max_outer=400, master_seed=0, alpha=1e100,
+        )
+        with pytest.raises(DivergenceError, match="not finite") as err:
+            centralized_baseline(cfg)
+        assert err.value.outer_step == 3
 
 
 class TestDeltaSweep:

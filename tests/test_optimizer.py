@@ -146,6 +146,11 @@ class TestStepSizeInterval:
         iv = step_size_interval(1e-300, 1e-300, 2)
         assert iv.default_alpha() == pytest.approx(1.5e300)
 
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_contains_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ConfigError, match="alpha must be finite"):
+            step_size_interval(20, 20, 20).contains(alpha)
+
 
 class TestDefaultAlpha:
     def test_float_of_the_midpoint(self):
@@ -213,6 +218,10 @@ class TestThetaAndFloor:
     def test_non_finite_inputs_are_config_errors(self, alpha, young):
         with pytest.raises(ConfigError, match="must be finite"):
             compute_theta_and_floor(alpha, young, 20, 20, 20, "0.01")
+
+    def test_negative_quantization_level_rejected(self):
+        with pytest.raises(ParameterViolationError, match="quantization level"):
+            compute_theta_and_floor(0.75, None, 20, 20, 20, -0.01)
 
     def test_default_young_parameter_is_half_its_bound(self):
         c = compute_theta_and_floor(Fraction(3, 4), None, 20, 20, 20, 0)
@@ -331,6 +340,11 @@ class TestQuagdRun:
     def test_validation_rejects_length_mismatch(self):
         cfg = small_config(x0=[1.0, 2.0])
         with pytest.raises(ConfigError):
+            cfg.validate()
+
+    def test_validation_rejects_cost_count_mismatch(self):
+        cfg = small_config(costs=[quadratic_cost(1.0, 1.0)] * 3)
+        with pytest.raises(ConfigError, match="expected 4 cost functions, got 3"):
             cfg.validate()
 
     def test_monotone_contraction_outside_error_floor(self):
