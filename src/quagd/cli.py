@@ -5,7 +5,8 @@ levels), theory (step-size interval / contraction constants), graph-gen
 (random strongly connected digraph to an edge-list file).
 
 Each option is declared once, as an _OPTIONS row naming the subcommands
-whose --flag sets it, and no subcommand takes a flag it does not read.
+whose --flag sets it (theory's flag-only constants as _CONSTANTS rows),
+and no subcommand takes a flag it does not read.
 Every option is resolved from its flag, else its INI entry, else its
 default, an empty value counting as unset; effective_config.ini lists
 every option.  The library checks the resolved values, including a
@@ -38,6 +39,7 @@ from .graph import (
 from .harness import (
     delta_sweep,
     level_name,
+    level_slug,
     reference_draws,
     reference_graph,
     write_sweep_csv,
@@ -97,11 +99,19 @@ _OPTIONS = [
 ]
 
 
-def _resolve(args, ini=None, defaults=True) -> dict:
-    """Every _OPTIONS value by key: its flag, else its INI entry, else (with
+# theory's own constants, flags only and parsed like the options above
+_CONSTANTS = [
+    ("theory", "mu", float, None, "theory", "total strong convexity"),
+    ("theory", "lipschitz", float, None, "theory", "total smoothness"),
+    ("theory", "young_delta", float, None, "theory", None),
+]
+
+
+def _resolve(args, ini=None, defaults=True, rows=_OPTIONS) -> dict:
+    """Every rows value by key: its flag, else its INI entry, else (with
     defaults) its default, else None."""
     resolved = {}
-    for section, key, parse, default, _, _ in _OPTIONS:
+    for section, key, parse, default, _, _ in rows:
         entry = ini.get(section, key, fallback=None) if ini is not None else None
         candidates = (getattr(args, key, None), entry, default if defaults else None)
         value = next((v for v in candidates if v not in (None, "")), None)
@@ -264,8 +274,7 @@ def cmd_sweep(args) -> int:
         if entry.error is not None:
             print(f"delta={name}: FAILED: {entry.error}")
             continue
-        slug = name.replace(".", "p").replace("-", "m")
-        csv_path = os.path.join(eff.output_dir, f"trace_delta_{slug}.csv")
+        csv_path = os.path.join(eff.output_dir, f"trace_delta_{level_slug(name)}.csv")
         write_trace_csv(entry.trace, csv_path)
         print(f"wrote {csv_path}")
         traces.append(entry.trace)
@@ -288,18 +297,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_theory(args) -> int:
     # the same floats a run uses; the theory takes their exact values
-    if args.mu is None and args.lipschitz is None:
+    mu, big_l, young = _resolve(args, defaults=False, rows=_CONSTANTS).values()
+    if mu is None and big_l is None:
         cfg = EffectiveConfig(args).to_opt_config()
         n, mu, big_l, alpha, delta = cfg.graph.n, cfg.mu, cfg.L, cfg.alpha, cfg.delta
     else:
         given = _resolve(args, defaults=False)
         unread = (given["seed"], given["edge_prob"]) != (None, None) or args.config
-        if unread or None in (args.mu, args.lipschitz, given["nodes"]):
+        if unread or None in (mu, big_l, given["nodes"]):
             raise ConfigError(
                 "theory takes --mu, --lipschitz and --nodes together, without "
                 "--config, --seed or --edge-prob"
             )
-        n, mu, big_l, alpha = given["nodes"], args.mu, args.lipschitz, given["alpha"]
+        n, alpha = given["nodes"], given["alpha"]
         delta = given["delta"] or 0  # no quantization
 
     interval = step_size_interval(big_l, mu, n)
@@ -327,7 +337,7 @@ def cmd_theory(args) -> int:
         return EXIT_CONFIG
     if alpha is None:
         alpha = interval.default_alpha()
-    consts = compute_theta_and_floor(alpha, args.young_delta, big_l, mu, n, delta)
+    consts = compute_theta_and_floor(alpha, young, big_l, mu, n, delta)
     try:
         record.update(
             {
@@ -378,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         commands[name].set_defaults(func=func)
         if name != "graph-gen":
             commands[name].add_argument("--config", help="ini config file")
-    for _, key, parse, _, names, text in _OPTIONS:
+    for _, key, parse, _, names, text in _OPTIONS + _CONSTANTS:
         # a bare --trace; every other flag takes its value as text
         bare = {"action": "store_const", "const": "true"} if parse is _flag else {}
         for name in names.split():
@@ -389,9 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta is the quantization level; default 0 (no quantization, error "
         "floor 0) with --mu/--lipschitz, else the config's level (0.01 if unset)"
     )
-    theory.add_argument("--mu", type=float, help="total strong convexity")
-    theory.add_argument("--lipschitz", type=float, help="total smoothness")
-    theory.add_argument("--young-delta", type=float, dest="young_delta")
     commands["graph-gen"].add_argument("--output", required=True)
     return parser
 

@@ -16,6 +16,8 @@ flood rounds bring every node the window-start extrema of the ratios, so the
 simulator reads those directly; it floods only when a trace (which prints
 each round's M and m) is written, and only until every node holds them.
 Targets are drawn as random.Random.choice draws them, by inline getrandbits.
+No unit count and no draw depends on y, so _run_lanes runs several inputs
+(a sweep's levels) on one set of draws, each as run_faqua would run it alone.
 """
 
 from __future__ import annotations
@@ -166,6 +168,27 @@ def minmax_window_round(
 TamperHook = Callable[[int, list[MassMessage]], list[MassMessage]]
 
 
+def _prepare(g: Digraph, d_bound: int, rng, max_rounds: Optional[int]):
+    """What both kernels check and share: d_bound against the diameter, one
+    stream per node, the round budget, and per node its targets (itself,
+    then its out-neighbors) and draw table entry.  Random.choice(t) is t[i],
+    i the first getrandbits(len(t).bit_length()) below len(t)."""
+    n = g.n
+    d_actual = diameter(g)  # raises NotStronglyConnectedError on a witness pair
+    if d_bound < d_actual:
+        raise ValueError(f"d_bound={d_bound} is below the graph diameter {d_actual}")
+    streams = node_streams(rng, n, 0) if isinstance(rng, int) else list(rng)
+    if len(streams) != n:
+        raise ValueError(f"expected {n} rng streams, got {len(streams)}")
+    if max_rounds is None:
+        max_rounds = 200 * d_bound * n
+    targets = [[j, *g.out_neighbors(j)] for j in range(n)]
+    draws = [
+        (s.getrandbits, len(t).bit_length(), len(t), t) for s, t in zip(streams, targets)
+    ]
+    return streams, targets, draws, max_rounds
+
+
 def run_faqua(
     x_half: Sequence[float],
     g: Digraph,
@@ -187,24 +210,11 @@ def run_faqua(
     round's in-flight messages before delivery.
     """
     n = g.n
-    d_actual = diameter(g)  # raises NotStronglyConnectedError on a witness pair
-    if d_bound < d_actual:
-        raise ValueError(f"d_bound={d_bound} is below the graph diameter {d_actual}")
-    streams = node_streams(rng, n, 0) if isinstance(rng, int) else list(rng)
-    if len(streams) != n:
-        raise ValueError(f"expected {n} rng streams, got {len(streams)}")
-    if max_rounds is None:
-        max_rounds = 200 * d_bound * n
-
+    streams, targets, draws, max_rounds = _prepare(g, d_bound, rng, max_rounds)
     states = init_consensus(x_half, g, q)
     ys_s, zs_s = [st.y_s for st in states], [st.z_s for st in states]
     quantized_sum = sum(ys_s) // 2
-    targets = [[j, *g.out_neighbors(j)] for j in range(n)]
     closed_in = _closed_in(g)
-    # Random.choice(t) is t[i], i the first getrandbits(len(t).bit_length()) < len(t).
-    draws = [
-        (s.getrandbits, len(t).bit_length(), len(t), t) for s, t in zip(streams, targets)
-    ]
 
     # Init send: each node's whole (y, z) goes to one random target at once.
     ys, zs = [0] * n, [0] * n
@@ -242,10 +252,18 @@ def run_faqua(
                 for dest, (cy, cz) in sorted(alloc.items()):
                     outbox.append(MassMessage(cy, cz, j, dest))
                 continue
+            bits, k, t, tj = draws[j]
+            nz[j] += 1
+            if z == 2:  # one piece to send: the larger half
+                i = bits(k)
+                while i >= t:
+                    i = bits(k)
+                ny[j] += y >> 1
+                ny[tj[i]] += (y + 1) >> 1
+                nz[tj[i]] += 1
+                continue
             base, r = divmod(y, z)
             ny[j] += base
-            nz[j] += 1
-            bits, k, t, tj = draws[j]
             for piece in range(1, z):
                 i = bits(k)
                 while i >= t:
@@ -278,3 +296,94 @@ def run_faqua(
 
     snapshot = [ConsensusNodeState(*row) for row in zip(ys, zs, ys_s, zs_s, M, m)]
     raise ConsensusNonterminationError(max_rounds, snapshot)
+
+
+def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None) -> list:
+    """run_faqua, untraced, for one x_half per level on shared draws: no z
+    and no draw depends on y, so each round draws once per splitting node
+    and every level splits its own y over those targets.  Each level stops
+    at its own first settled window and gets what run_faqua gives it alone,
+    a ConsensusResult or the ConsensusNonterminationError it would raise."""
+    n = g.n
+    _, _, draws, max_rounds = _prepare(g, d_bound, rng, max_rounds)
+    # Per lane, one per level: y, y_s, the y total, per-round audits, M, m.
+    lane_ys_s = [[st.y_s for st in init_consensus(x, g, q)]
+                 for x, q in zip(x_halves, levels)]
+    lane_total = [sum(ys_s) for ys_s in lane_ys_s]
+    lane_ys, lane_y_ok = [[0] * n for _ in levels], [[] for _ in levels]
+    lane_M, lane_m = [[0] * n for _ in levels], [[0] * n for _ in levels]
+    zs_s, zs = [2] * n, [0] * n
+    for j, (bits, k, t, tj) in enumerate(draws):  # the init send
+        i = bits(k)
+        while i >= t:
+            i = bits(k)
+        zs[tj[i]] += 2
+        for ys, ys_s in zip(lane_ys, lane_ys_s):
+            ys[tj[i]] += ys_s[j]
+
+    out: list = [None] * len(levels)
+    live, z_ok = list(range(len(levels))), []
+    for lam in range(1, max_rounds + 1):
+        if (lam - 1) % d_bound == 0:
+            for lane in live:
+                lane_M[lane] = [-(-y // z) for y, z in zip(lane_ys_s[lane], zs_s)]
+                lane_m[lane] = [y // z for y, z in zip(lane_ys_s[lane], zs_s)]
+
+        # Draw once per split node; a z = 2 node sends one piece, the larger half.
+        nz, halves, splits = [1 if z > 1 else z for z in zs], [], []
+        for j, z in enumerate(zs):
+            if z < 2:
+                continue
+            zs_s[j] = z
+            bits, k, t, tj = draws[j]
+            if z == 2:
+                i = bits(k)
+                while i >= t:
+                    i = bits(k)
+                halves.append((j, tj[i]))
+                nz[tj[i]] += 1
+                continue
+            dests = []
+            for _ in range(1, z):
+                i = bits(k)
+                while i >= t:
+                    i = bits(k)
+                dests.append(tj[i])
+                nz[tj[i]] += 1
+            splits.append((j, z, dests))
+        zs = nz
+        z_ok.append(sum(zs) == 2 * n)
+
+        for lane in live:
+            ys, ys_s = lane_ys[lane], lane_ys_s[lane]
+            ny = ys[:]  # nodes that do not split keep their mass
+            for j, dest in halves:
+                y = ys_s[j] = ys[j]
+                half = (y + 1) >> 1  # y >> 1 stays
+                ny[j] -= half
+                ny[dest] += half
+            for j, z, dests in splits:
+                y = ys_s[j] = ys[j]
+                base, r = divmod(y, z)
+                ny[j] += base - y
+                for piece, dest in enumerate(dests, 1):
+                    ny[dest] += base + (piece <= r)
+            lane_ys[lane] = ny
+            lane_y_ok[lane].append(sum(ny) == lane_total[lane])
+
+        if lam % d_bound == 0:
+            for lane in [l for l in live if max(lane_M[l]) - min(lane_m[l]) <= 1]:
+                lo, delta = min(lane_m[lane]), levels[lane].delta
+                audits = list(map(RoundAudit, range(1, lam + 1), lane_y_ok[lane], z_ok))
+                value, quantized_sum = float(lo * delta), lane_total[lane] // 2
+                out[lane] = ConsensusResult(
+                    value, lo, delta, lam, [value] * n, quantized_sum, n, audits
+                )
+                live.remove(lane)
+            if not live:
+                return out
+    for lane in live:
+        rows = zip(lane_ys[lane], zs, lane_ys_s[lane], zs_s, lane_M[lane], lane_m[lane])
+        snapshot = [ConsensusNodeState(*row) for row in rows]
+        out[lane] = ConsensusNonterminationError(max_rounds, snapshot)
+    return out

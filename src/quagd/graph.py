@@ -191,4 +191,7 @@ def read_edge_list(path: str) -> Digraph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise GraphError(f"{path}:{lineno}: non-integer node id in {ln!r}") from None
-    return Digraph(n, edges)
+    try:
+        return Digraph(n, edges)  # checks the node count and the edge ends
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None

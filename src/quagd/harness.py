@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .consensus import ConsensusNonterminationError
 from .graph import Digraph, generate_random_strongly_connected
 from .optimizer import (
     ConfigError,
@@ -23,11 +22,11 @@ from .optimizer import (
     OptRunConfig,
     TheoryConstants,
     _residual,
+    _run_levels,
     _sum,
     compute_theta_and_floor,
     quadratic_cost,
     quadratic_optimum,
-    quagd_run,
     step_size_interval,
 )
 from .quantizer import QuantizationLevel
@@ -162,13 +161,20 @@ def level_name(delta) -> str:
     return repr(float(delta))
 
 
+def level_slug(delta) -> str:
+    """The level_name as it appears in a file name: `.` as `p`, `-` as `m`."""
+    return level_name(delta).replace(".", "p").replace("-", "m")
+
+
 def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
-    """Run the outer loop once per quantization level with a shared master
+    """Run the outer loop at each quantization level with a shared master
     seed; per-level failures (invalid parameters, consensus nontermination,
     divergence) are recorded without aborting the sweep.  theory_floor is
     left None when the step size is outside the open admissible interval.
 
-    At least one level is needed, and no two may share a level_name."""
+    The levels run in lockstep on shared draws (optimizer._run_levels), and
+    each level's trace or failure is the one quagd_run gives it alone.  At
+    least one level is needed, and no two may share a level_name."""
     levels = [QuantizationLevel(d) for d in deltas]
     names = [level_name(lv.delta) for lv in levels]
     if not names or len(set(names)) != len(names):
@@ -180,20 +186,19 @@ def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
         )
     interval = step_size_interval(cfg.L, cfg.mu, cfg.graph.n)
     report = SweepReport()
-    for level in levels:
+    for level, outcome in zip(levels, _run_levels(cfg, levels, x_star)):
         entry = SweepEntry(delta=level.delta)
-        cfg_d = replace(cfg, delta=level)
-        try:
-            entry.trace = quagd_run(cfg_d, x_star=x_star)
-        except (ValueError, ConsensusNonterminationError, DivergenceError) as exc:
-            entry.exception = exc
+        if isinstance(outcome, Exception):
+            entry.exception = outcome
         else:
+            entry.trace = outcome
             residuals = entry.trace.residuals
             entry.plateau = plateau_level(residuals)
             entry.iters_to_plateau = iterations_to_plateau(residuals, entry.plateau)
             if interval.contains(cfg.effective_alpha()):
+                theory = default_theory(replace(cfg, delta=level))
                 try:
-                    entry.theory_floor = float(default_theory(cfg_d).asymptotic_bound)
+                    entry.theory_floor = float(theory.asymptotic_bound)
                 except OverflowError:  # the bound exceeds every float
                     entry.theory_floor = math.inf
         report.entries.append(entry)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .consensus import run_faqua
+from .consensus import ConsensusNonterminationError, _run_lanes, run_faqua
 from .graph import Digraph, diameter
 from .quantizer import QuantizationLevel
 from .rng import node_streams
@@ -340,59 +340,93 @@ def quagd_run(
     inner_trace, if given, receives the per-round consensus debug trace,
     with an `OUTER <k>` marker line before each outer step.
     """
-    cfg.validate()
-    n = cfg.graph.n
-    alpha = cfg.effective_alpha()
-    interval = step_size_interval(cfg.L, cfg.mu, n)
-    if interval.nonempty and not interval.contains(alpha):
-        warnings.warn(
-            f"alpha={alpha} outside the admissible interval "
-            f"({float(interval.lower)}, {float(interval.upper)}); "
-            f"convergence is not guaranteed",
-            stacklevel=2,
-        )
-    d_bound = cfg.effective_d_bound()
+    (out,) = _run_levels(cfg, [cfg.delta], x_star, inner_trace)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    x = list(cfg.x0)
-    trace = RunTrace(x0=list(cfg.x0), delta=cfg.delta.delta, x_star=x_star)
-    r0 = _residual(x, cfg.x0, x_star, None)
-    trace.steps.append(StepRecord(k=0, estimates=list(x), residual=r0))
+
+def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> list:
+    """The outer loop at each quantization level, all levels in lockstep.
+
+    No node stream or consensus draw depends on the level, so each outer
+    step runs the live levels on one stream set: run_faqua a lone level
+    (inner_trace is for one level only), _run_lanes several.  Returns per
+    level its RunTrace or the ValueError, ConsensusNonterminationError or
+    DivergenceError that ended it, a consensus error with .outer_step; any
+    other error propagates.
+    """
+    n = cfg.graph.n
+    try:
+        cfg.validate()
+        alpha = cfg.effective_alpha()
+        interval = step_size_interval(cfg.L, cfg.mu, n)
+        if interval.nonempty and not interval.contains(alpha):
+            for _ in levels:  # as many warnings as separate runs give
+                warnings.warn(
+                    f"alpha={alpha} outside the admissible interval "
+                    f"({float(interval.lower)}, {float(interval.upper)}); "
+                    f"convergence is not guaranteed",
+                    stacklevel=3,  # the caller of quagd_run or delta_sweep
+                )
+        d_bound = cfg.effective_d_bound()
+        r0 = _residual(cfg.x0, cfg.x0, x_star, None)
+    except ValueError as exc:
+        return [exc] * len(levels)
+    out: list = [RunTrace(x0=list(cfg.x0), delta=q.delta, x_star=x_star) for q in levels]
+    for trace in out:
+        trace.steps.append(StepRecord(k=0, estimates=list(cfg.x0), residual=r0))
     for k in range(cfg.max_outer):
-        x_half = [gradient_step(x[i], alpha, cfg.costs[i]) for i in range(n)]
-        if not all(map(math.isfinite, x_half)):
-            raise DivergenceError(k, "a stepped value is not finite")
+        stepped = {}  # each live level's stepped values
+        for lane, trace in enumerate(out):
+            if isinstance(trace, RunTrace):
+                x = trace.steps[-1].estimates
+                try:
+                    x_half = [gradient_step(x[i], alpha, cfg.costs[i]) for i in range(n)]
+                    if not all(map(math.isfinite, x_half)):
+                        raise DivergenceError(k, "a stepped value is not finite")
+                    stepped[lane] = x_half
+                except (ValueError, DivergenceError) as exc:
+                    out[lane] = exc
+        if not stepped:
+            break
         streams = node_streams(cfg.master_seed, n, k)
         if inner_trace is not None:
             inner_trace.write(f"OUTER\t{k}\n")
+        x_halves, qs = list(stepped.values()), [levels[lane] for lane in stepped]
         try:
-            result = run_faqua(
-                x_half,
-                cfg.graph,
-                d_bound,
-                cfg.delta,
-                streams,
-                cfg.max_rounds,
-                trace=inner_trace,
-            )
+            if len(qs) == 1:
+                results = [run_faqua(x_halves[0], cfg.graph, d_bound, qs[0], streams,
+                                     cfg.max_rounds, trace=inner_trace)]
+            else:
+                results = _run_lanes(x_halves, cfg.graph, d_bound, qs, streams,
+                                     cfg.max_rounds)
         except Exception as exc:
             exc.outer_step = k
-            raise
-        x = list(result.per_node_values)
-        x_hat = _sum(x) / n
-        z_hat = _sum(x_half) / n
-        trace.steps.append(
-            StepRecord(
-                k=k + 1,
-                estimates=list(x),
-                residual=_residual(x, cfg.x0, x_star, k),
-                inner_rounds=result.rounds_used,
-                centroid_err=abs(x_hat - z_hat),
-                max_node_dev=max(abs(xi - x_hat) for xi in x),
-                conservation_ok=all(
-                    a.y_conserved and a.z_conserved for a in result.audits
-                ),
-                accuracy_ok=result.within_accuracy_contract(),
-                agreement_ok=len(set(result.per_node_values)) == 1,
-            )
-        )
-    return trace
+            if not isinstance(exc, (ValueError, ConsensusNonterminationError)):
+                raise
+            results = [exc] * len(qs)
+        for (lane, x_half), result in zip(stepped.items(), results):
+            if isinstance(result, Exception):
+                result.outer_step = k
+                out[lane] = result
+                continue
+            x = list(result.per_node_values)
+            x_hat = _sum(x) / n
+            try:
+                out[lane].steps.append(StepRecord(
+                    k=k + 1,
+                    estimates=list(x),
+                    residual=_residual(x, cfg.x0, x_star, k),
+                    inner_rounds=result.rounds_used,
+                    centroid_err=abs(x_hat - _sum(x_half) / n),
+                    max_node_dev=max(abs(xi - x_hat) for xi in x),
+                    conservation_ok=all(
+                        a.y_conserved and a.z_conserved for a in result.audits
+                    ),
+                    accuracy_ok=result.within_accuracy_contract(),
+                    agreement_ok=len(set(result.per_node_values)) == 1,
+                ))
+            except DivergenceError as exc:
+                out[lane] = exc
+    return out

@@ -188,6 +188,11 @@ TINY_BETAS = two_betas("1e-320")
         (["run", "--nodes", "abc"], None),
         (["run", "--max-iters", "-1"], None),
         (["theory", "--mu", "-1", "--lipschitz", "5", "--nodes", "3"], None),
+        (["theory", "--mu", "", "--lipschitz", "5", "--nodes", "3"], None),
+        (["theory", "--mu", "abc", "--lipschitz", "5", "--nodes", "3"], None),
+        (["theory", "--mu", "5", "--lipschitz", "5", "--nodes", "3",
+          "--young-delta", "abc"], None),
+        (["theory", "--nodes", "20", "--young-delta", "abc"], None),
     ],
     ids=["missing-graph-file", "unwritable-output", "bad-cost-key", "inf-alpha",
          "percent-sign", "inf-beta", "nan-center", "huge-x0", "theory-inf-mu",
@@ -204,7 +209,9 @@ TINY_BETAS = two_betas("1e-320")
          "costs-naming-other-nodes", "costs-naming-a-node-twice",
          "costs-naming-a-non-integer-key", "theory-mu-lipschitz-with-seed",
          "theory-mu-lipschitz-with-seed-and-edge-prob", "non-integer-nodes-flag",
-         "negative-max-iters", "theory-negative-mu"],
+         "negative-max-iters", "theory-negative-mu", "theory-empty-mu-is-unset",
+         "theory-malformed-mu", "theory-malformed-young-delta",
+         "theory-config-malformed-young-delta"],
 )
 def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -216,14 +223,15 @@ def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["n x\n1 0\n0 1\n", "n 1\n", "n 2\n0 a\n1 0\n"],
-    ids=["header-without-a-count", "one-node", "non-integer-node-id"],
+    ["n x\n1 0\n0 1\n", "n 1\n", "n 2\n0 a\n1 0\n", "n 2\n1 0\n2 1\n"],
+    ids=["header-without-a-count", "one-node", "non-integer-node-id",
+         "node-id-out-of-range"],
 )
 def test_malformed_graph_file_is_config_error(text, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "g.txt").write_text(text)
     assert run_cli("run", "--graph-file", "g.txt") == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    assert capsys.readouterr().err.startswith("config error: g.txt")
 
 
 def test_non_integer_cost_key_names_the_section(tmp_path, monkeypatch, capsys):
@@ -391,6 +399,18 @@ class TestFlags:
             assert run_cli(*argv, str(tmp_path / name)) == 0
         trace_a, trace_b = (tmp_path / "a" / "trace.csv", tmp_path / "b" / "trace.csv")
         assert trace_a.read_bytes() == trace_b.read_bytes()
+
+    def test_empty_theory_constant_counts_as_unset(self, capsys):
+        assert run_cli("theory", "--nodes", "20") == 0
+        plain = capsys.readouterr().out
+        empty = ["--mu", "", "--lipschitz", "", "--young-delta", ""]
+        assert run_cli("theory", "--nodes", "20", *empty) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_bad_theory_constant_names_its_flag(self, capsys):
+        argv = ["--mu", "5", "--lipschitz", "5", "--nodes", "3", "--young-delta", "x"]
+        assert run_cli("theory", *argv) == 2
+        assert "config error: [theory] young_delta: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--max-iters", "--d-bound", "--output-dir"])
     def test_theory_rejects_flags_it_does_not_read(self, flag, capsys):

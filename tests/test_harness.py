@@ -202,12 +202,14 @@ class TestDeltaSweep:
         assert isinstance(entry.exception, DivergenceError)
         assert entry.error.startswith("DivergenceError: divergence at outer step")
 
-        def broken(cfg, x_star=None):
+        def broken(*args):
             raise TypeError("bug in a level")
 
-        monkeypatch.setattr("quagd.harness.quagd_run", broken)
-        with pytest.raises(TypeError, match="bug in a level"):
-            delta_sweep(cfg, ["0.1"])
+        # two live levels share the lanes kernel; one alone runs run_faqua
+        monkeypatch.setattr("quagd.optimizer._run_lanes", broken)
+        with pytest.raises(TypeError, match="bug in a level") as info:
+            delta_sweep(cfg, ["0.1", "0.01"])
+        assert info.value.outer_step == 0
 
     def test_bit_reproducible(self, tmp_path):
         paths = []

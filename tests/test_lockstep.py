@@ -1,0 +1,128 @@
+"""A sweep's levels run in lockstep on shared draws (consensus._run_lanes
+inside optimizer._run_levels); each level must still give exactly what its
+own run gives: the same consensus results, the same StepRecords, and the
+same failure, outer step and nontermination snapshot."""
+
+import warnings
+from dataclasses import replace
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from quagd.consensus import (  # noqa: E402
+    ConsensusNonterminationError,
+    _run_lanes,
+    run_faqua,
+)
+from quagd.graph import Digraph, diameter  # noqa: E402
+from quagd.harness import delta_sweep, reference_instance  # noqa: E402
+from quagd.optimizer import DivergenceError, quadratic_optimum, quagd_run  # noqa: E402
+from quagd.quantizer import QuantizationLevel  # noqa: E402
+from quagd.rng import node_streams  # noqa: E402
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+def _consensus_view(res):
+    """A consensus result's numbers and audits, or a nontermination error's
+    message and full snapshot (M and m included)."""
+    if isinstance(res, ConsensusNonterminationError):
+        return str(res), res.states
+    audits = [(a.round_index, a.y_conserved, a.z_conserved) for a in res.audits]
+    return (res.value, res.value_count, res.rounds_used, res.per_node_values,
+            res.quantized_sum, audits)
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 8),
+    complete=st.booleans(),
+    levels=st.lists(st.sampled_from(["5", "1", "0.25", "0.01"]), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_each_lane_equals_its_solo_run(n, complete, levels, data):
+    """On a ring most splits are z = 2 halves; on complete(n) units pile up
+    and split into many pieces, so both split branches run."""
+    if complete:
+        g = Digraph(n, [(r, s) for r in range(n) for s in range(n) if r != s])
+    else:
+        g = Digraph(n, [((j + 1) % n, j) for j in range(n)])
+    d_bound = diameter(g) + data.draw(st.integers(0, 2))
+    qs = [QuantizationLevel(v) for v in levels]
+    xs = [data.draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n)) for _ in qs]
+    seed = data.draw(st.integers(0, 2**32))
+    max_rounds = data.draw(st.one_of(st.none(), st.integers(0, 30)))
+
+    lanes = _run_lanes(xs, g, d_bound, qs, node_streams(seed, n, 0), max_rounds)
+    for x, q, lane in zip(xs, qs, lanes):
+        try:
+            solo = run_faqua(x, g, d_bound, q, seed, max_rounds)
+        except ConsensusNonterminationError as err:
+            solo = err
+        assert _consensus_view(lane) == _consensus_view(solo)
+
+
+def _assert_entries_equal_solo_runs(cfg, levels):
+    x_star = quadratic_optimum(cfg.costs)
+    report = delta_sweep(cfg, levels)
+    for level, entry in zip(levels, report.entries):
+        try:
+            solo = quagd_run(replace(cfg, delta=QuantizationLevel(level)), x_star=x_star)
+        except (ValueError, ConsensusNonterminationError, DivergenceError) as exc:
+            err = entry.exception
+            assert (type(err), str(err)) == (type(exc), str(exc))
+            assert getattr(err, "outer_step", None) == getattr(exc, "outer_step", None)
+            assert getattr(err, "states", None) == getattr(exc, "states", None)
+        else:
+            assert entry.exception is None
+            assert entry.trace.steps == solo.steps
+    return report
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 11),
+    n=st.integers(2, 8),
+    edge_prob=st.floats(0.0, 0.6),
+    levels=st.lists(
+        st.sampled_from(["1", "0.25", "0.1", "0.01", "0.001"]),
+        min_size=1, max_size=4, unique=True,
+    ),
+    extra_d=st.one_of(st.none(), st.integers(0, 2)),
+    max_rounds=st.one_of(st.none(), st.integers(0, 60)),
+)
+def test_sweep_entries_equal_solo_runs(seed, n, edge_prob, levels, extra_d, max_rounds):
+    cfg = reference_instance(n=n, edge_prob=edge_prob, seed=seed, max_outer=6)
+    if extra_d is not None:
+        cfg.d_bound = diameter(cfg.graph) + extra_d
+    cfg.max_rounds = max_rounds
+    _assert_entries_equal_solo_runs(cfg, levels)
+
+
+def test_failing_and_succeeding_levels_share_a_sweep():
+    cfg = reference_instance(n=6, seed=0, max_outer=5)
+    cfg.max_rounds = 40  # the coarsest level settles within it, the others do not
+    report = _assert_entries_equal_solo_runs(cfg, ["1", "0.1", "0.001"])
+    ok, *failed = report.entries
+    assert ok.exception is None
+    assert all(isinstance(e.exception, ConsensusNonterminationError) for e in failed)
+
+
+def test_too_small_d_bound_fails_every_level():
+    cfg = reference_instance(n=6, seed=0, max_outer=3)
+    cfg.d_bound = diameter(cfg.graph) - 1
+    report = _assert_entries_equal_solo_runs(cfg, ["1", "0.1"])
+    assert all(e.exception.outer_step == 0 for e in report.entries)
+
+
+def test_divergence_and_warnings_match_solo_runs():
+    cfg = reference_instance(n=10, alpha=50.0, max_outer=200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = _assert_entries_equal_solo_runs(cfg, ["0.1", "0.01"])
+    assert all(isinstance(e.exception, DivergenceError) for e in report.entries)
+    # one warning per level, in the sweep as in each level's own run
+    assert len(caught) == 4
+    assert len({(w.category, str(w.message)) for w in caught}) == 1
