@@ -214,7 +214,7 @@ def run_faqua(
     states = init_consensus(x_half, g, q)
     ys_s, zs_s = [st.y_s for st in states], [st.z_s for st in states]
     quantized_sum = sum(ys_s) // 2
-    closed_in = _closed_in(g)
+    closed_in = _closed_in(g) if trace is not None else None
 
     # Init send: each node's whole (y, z) goes to one random target at once.
     ys, zs = [0] * n, [0] * n

@@ -8,8 +8,11 @@ distinct out-neighbors excluding self.
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
 from typing import Iterable, Optional
 
 
@@ -140,7 +143,15 @@ def generate_random_strongly_connected(
 
     Plants a directed Hamiltonian cycle through a random node permutation,
     then adds each remaining ordered pair independently with probability
-    extra_edge_prob.
+    extra_edge_prob: sender by sender, in receiver order, the pair is added
+    when rng.random() < extra_edge_prob.
+
+    Those draws are made in bulk, word for word.  random() is X / 2**53
+    with X = (w0 >> 5) << 26 | (w1 >> 6) for its two words, and
+    getrandbits(64 * m) puts the first-drawn word lowest, so its
+    little-endian bytes are m coins of 8 bytes, X's top byte being each
+    coin's byte 3.  A coin is a hit exactly when X < T, T the ceiling of
+    extra_edge_prob * 2**53; only a coin whose top byte is T's needs X.
     """
     if n < 2:
         raise GraphError(f"need at least 2 nodes, got {n}")
@@ -149,17 +160,29 @@ def generate_random_strongly_connected(
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
-    edges = set()
+    succ = [0] * n  # succ[s] receives from s on the cycle
     for idx in range(n):
-        sender = perm[idx]
-        receiver = perm[(idx + 1) % n]
-        edges.add((receiver, sender))
-    for sender in range(n):
-        for receiver in range(n):
-            if receiver == sender or (receiver, sender) in edges:
-                continue
-            if rng.random() < extra_edge_prob:
-                edges.add((receiver, sender))
+        succ[perm[idx]] = perm[(idx + 1) % n]
+    edges = set(zip(succ, range(n)))
+    threshold = math.ceil(Fraction(extra_edge_prob) * 2**53)
+    tie = threshold >> 45
+    below = bytes(top < tie for top in range(256))
+    at_tie = bytes(top == tie for top in range(256))
+    nodes = list(range(n))
+    m = n - 2
+    for sender, on_cycle in enumerate(succ):
+        receivers = nodes.copy()  # every receiver that gets a coin, in order
+        del receivers[max(sender, on_cycle)], receivers[min(sender, on_cycle)]
+        coins = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+        tops = coins[3::8]
+        edges.update(zip(compress(receivers, tops.translate(below)), repeat(sender)))
+        ties = tops.translate(at_tie)
+        c = ties.find(1)
+        while c >= 0:
+            word = int.from_bytes(coins[8 * c:8 * c + 8], "little")
+            if ((word & 0xFFFFFFFF) >> 5 << 26 | word >> 38) < threshold:
+                edges.add((receivers[c], sender))
+            c = ties.find(1, c + 1)
     return Digraph(n, edges)
 
 

@@ -43,6 +43,18 @@ def cli_inputs(draw):
         argv += ["--seed", str(draw(st.integers(0, 3)))]
         argv += ["--output", draw(st.sampled_from(["g2.txt", "nodir/g.txt"]))]
         return argv, None
+    if command == "theory" and draw(st.booleans()):
+        # valid constants and node count, but with a flag theory does not read
+        argv += ["--mu", draw(st.sampled_from(["4", "6"]))]
+        argv += ["--lipschitz", draw(st.sampled_from(["4", "6"]))]
+        argv += ["--nodes", str(draw(st.integers(2, 6)))]
+        unread = draw(st.sampled_from(
+            [["--seed"], ["--edge-prob"], ["--seed", "--edge-prob"]]))
+        if "--seed" in unread:
+            argv += ["--seed", str(draw(st.integers(0, 3)))]
+        if "--edge-prob" in unread:
+            argv += ["--edge-prob", draw(st.sampled_from(["0", "0.3", "1"]))]
+        return argv, None
 
     ini: dict[str, list[str]] = {}
 

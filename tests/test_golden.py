@@ -41,6 +41,27 @@ def test_cli_outputs_match_golden_digests(argv, tmp_path, monkeypatch, capsys):
     assert digests == GOLDEN[argv]
 
 
+# Edge-list files from graph-gen: a sparse graph the size of the benchmark's
+# large graphs, and a dense one.  These pin every coin of the generator.
+GRAPH_GOLDEN = {
+    ("graph-gen", "--nodes", "600", "--edge-prob", "0.006", "--seed", "0"):
+        "b8a56a5768d359a829e0885132aadd35b5514aa81aa82751d37d2f30692e9d6c",
+    ("graph-gen", "--nodes", "200", "--edge-prob", "0.3", "--seed", "5"):
+        "c9ca4ac13a2b938e297cff06bd71c05a080c1df1d761d90cea8002bb76651a28",
+}
+
+
+def graph_gen_id(argv):
+    return f"n{argv[2]}-p{argv[4]}"
+
+
+@pytest.mark.parametrize("argv", list(GRAPH_GOLDEN), ids=graph_gen_id)
+def test_graph_gen_matches_golden_digest(argv, tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    assert main([*argv, "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GRAPH_GOLDEN[argv]
+
+
 # An INI that exercises the echo paths the flag-only runs above leave out:
 # graph_file, d_bound, alpha, delta, deltas, output_dir, trace = yes, x0 and
 # explicit [costs] (one beta=2, echoed as 2.0).  alpha = 0.6 lies inside the

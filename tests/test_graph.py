@@ -1,4 +1,7 @@
+import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -193,6 +196,74 @@ class TestGenerator:
             generate_random_strongly_connected(1, 0.5, 0)
         with pytest.raises(GraphError):
             generate_random_strongly_connected(4, 1.5, 0)
+
+
+def reference_generator(n, extra_edge_prob, seed):
+    """The per-pair loop that generate_random_strongly_connected reproduces:
+    the shuffled cycle, then one rng.random() per remaining ordered pair,
+    sender by sender, in receiver order."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = set()
+    for idx in range(n):
+        sender = perm[idx]
+        receiver = perm[(idx + 1) % n]
+        edges.add((receiver, sender))
+    for sender in range(n):
+        for receiver in range(n):
+            if receiver == sender or (receiver, sender) in edges:
+                continue
+            if rng.random() < extra_edge_prob:
+                edges.add((receiver, sender))
+    return Digraph(n, edges)
+
+
+def assert_generator_matches_reference(n, p, seed):
+    new = generate_random_strongly_connected(n, p, seed)
+    old = reference_generator(n, p, seed)
+    assert (new.edges, new._out, new._in) == (old.edges, old._out, old._in), (n, p, seed)
+
+
+# k/256 puts the threshold's top byte at k with no lower bits, so every coin
+# with that top byte is a miss; its float neighbours move the threshold by one.
+TOP_BYTE_BOUNDARIES = [
+    q for k in (1, 2, 37, 128, 255)
+    for q in (math.nextafter(k / 256, 0), k / 256, math.nextafter(k / 256, 1))
+]
+EDGE_PROBS = [
+    0, 1, 0.0, 1.0, 5e-324, 1 - 2**-53, *TOP_BYTE_BOUNDARIES,
+    random.Random(3).random(), random.Random(4).random() * 0.05,
+    Fraction(1, 3), Decimal("0.3"),
+]
+
+
+class TestGeneratorMatchesReferenceLoop:
+    @pytest.mark.parametrize("p", EDGE_PROBS, ids=repr)
+    def test_every_small_size(self, p):
+        for n in range(2, 41):
+            assert_generator_matches_reference(n, p, seed=1000 + n)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_600_nodes(self, seed):
+        assert_generator_matches_reference(600, 0.006, seed)
+
+    def test_coin_a_quarter_unit_below_an_exact_threshold(self):
+        # p lies a quarter of 2**-53 above the first coin's random() >= 0.5,
+        # where floats are 2**-53 apart: the coin is a hit, though float(p)
+        # equals the coin's value and would make it a miss.
+        checked = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            rng.shuffle(list(range(6)))
+            first = rng.random()
+            if first < 0.5:
+                continue
+            p = Fraction(first) + Fraction(1, 2**55)
+            assert float(p) == first
+            assert_generator_matches_reference(6, p, seed)
+            checked += 1
+        assert checked >= 10
 
 
 class TestDigraphBasics:
