@@ -10,7 +10,6 @@ from .consensus import (
     init_consensus,
     minmax_window_round,
     run_faqua,
-    split_mass,
 )
 from .graph import (
     Digraph,

@@ -16,13 +16,15 @@ flood rounds bring every node the window-start extrema of the ratios, so the
 simulator reads those directly; it floods only when a trace (which prints
 each round's M and m) is written, and only until every node holds them.
 Targets are drawn as random.Random.choice draws them, by inline getrandbits.
-No unit count and no draw depends on y, so _run_lanes runs several inputs
-(a sweep's levels) on one set of draws, each as run_faqua would run it alone.
+No unit count and no draw depends on y, so the one kernel, _run_lanes, runs
+several inputs (lanes: a sweep's levels) on one set of draws, each as it
+would run alone; run_faqua is its one-lane case.  A round splits node by
+node while one lane is live and no tamper hook is set, and else draws once
+per splitting node and lets every lane split its own y over those targets.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -115,27 +117,6 @@ def init_consensus(
     return [ConsensusNodeState(y, 2, y, 2) for y in masses]
 
 
-def split_mass(
-    y: int, z: int, rng: random.Random, self_id: int, destinations: Sequence[int]
-) -> dict[int, tuple[int, int]]:
-    """Partition y into z unit pieces and assign them to destinations.
-
-    r = y - z*floor(y/z) pieces carry floor(y/z)+1 and the rest carry
-    floor(y/z).  One minimum-value piece is always kept by the sender;
-    each of the remaining z-1 pieces goes independently uniformly at
-    random to self or an out-neighbor.  Mass is conserved exactly.
-    """
-    if z < 2:
-        raise ValueError(f"split requires at least 2 mass units, got z={z}")
-    base, r = divmod(y, z)  # floors toward -inf, also for negative mass
-    acc: dict[int, list[int]] = {self_id: [base, 1]}  # the kept minimum piece
-    for k in range(1, z):  # the r pieces of base + 1 first, then base's
-        bucket = acc.setdefault(rng.choice(destinations), [0, 0])
-        bucket[0] += base + (k <= r)
-        bucket[1] += 1
-    return {dest: (cy, cz) for dest, (cy, cz) in acc.items()}
-
-
 def _closed_in(g: Digraph) -> list[itemgetter]:
     """Per node, a getter of itself and its in-neighbors (itself twice if none)."""
     return [itemgetter(j, *(g.in_neighbors(j) or [j])) for j in range(g.n)]
@@ -168,11 +149,49 @@ def minmax_window_round(
 TamperHook = Callable[[int, list[MassMessage]], list[MassMessage]]
 
 
-def _prepare(g: Digraph, d_bound: int, rng, max_rounds: Optional[int]):
-    """What both kernels check and share: d_bound against the diameter, one
-    stream per node, the round budget, and per node its targets (itself,
-    then its out-neighbors) and draw table entry.  Random.choice(t) is t[i],
-    i the first getrandbits(len(t).bit_length()) below len(t)."""
+def run_faqua(x_half: Sequence[float], g: Digraph, d_bound: int, q: QuantizationLevel,
+              rng, max_rounds: Optional[int] = None, *, trace=None,
+              tamper: Optional[TamperHook] = None) -> ConsensusResult:
+    """Run the full protocol until the distributed stopping rule fires (the
+    kernel with one lane; its nontermination error is raised).
+
+    rng is either an integer seed or a list of one random.Random per node;
+    draws reproduce Random.choice through getrandbits (no override is used).
+    trace, if given, is a writable text stream receiving one tab-separated
+    line `lambda node y z y_s z_s M m` per node per round and a final
+    `RESULT value rounds` line.  tamper is a test hook invoked on each
+    round's in-flight messages before delivery.
+    """
+    [res] = _run_lanes([x_half], g, d_bound, [q], rng, max_rounds,
+                       trace=trace, tamper=tamper)
+    if isinstance(res, ConsensusNonterminationError):
+        raise res
+    return res
+
+
+def _outbox(ys_s: list[int], halves, splits) -> list[MassMessage]:
+    """A round's messages rebuilt from its recorded draws: per sender and per
+    destination other than the sender, the sum of its pieces, in sender and
+    then destination order (ys_s[j] is the mass sender j split)."""
+    sums: dict[tuple[int, int], list[int]] = {}
+    for j, z, dests in [(j, 2, [dest]) for j, dest in halves] + splits:
+        base, r = divmod(ys_s[j], z)
+        for piece, dest in enumerate(dests, 1):
+            if dest != j:
+                acc = sums.setdefault((j, dest), [0, 0])
+                acc[0] += base + (piece <= r)
+                acc[1] += 1
+    return [MassMessage(cy, cz, j, dest) for (j, dest), (cy, cz) in sorted(sums.items())]
+
+
+def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None, *,
+               trace=None, tamper: Optional[TamperHook] = None) -> list:
+    """The kernel, for one x_half per level.  Each lane stops at its own
+    first settled window and gets what run_faqua gives it alone, a
+    ConsensusResult or the ConsensusNonterminationError it would raise.
+    trace and tamper act on lane 0; run_faqua passes them, with one lane.
+    Random.choice(t) is t[i], i the first getrandbits(len(t).bit_length())
+    below len(t)."""
     n = g.n
     d_actual = diameter(g)  # raises NotStronglyConnectedError on a witness pair
     if d_bound < d_actual:
@@ -182,130 +201,8 @@ def _prepare(g: Digraph, d_bound: int, rng, max_rounds: Optional[int]):
         raise ValueError(f"expected {n} rng streams, got {len(streams)}")
     if max_rounds is None:
         max_rounds = 200 * d_bound * n
-    targets = [[j, *g.out_neighbors(j)] for j in range(n)]
-    draws = [
-        (s.getrandbits, len(t).bit_length(), len(t), t) for s, t in zip(streams, targets)
-    ]
-    return streams, targets, draws, max_rounds
-
-
-def run_faqua(
-    x_half: Sequence[float],
-    g: Digraph,
-    d_bound: int,
-    q: QuantizationLevel,
-    rng,
-    max_rounds: Optional[int] = None,
-    *,
-    trace=None,
-    tamper: Optional[TamperHook] = None,
-) -> ConsensusResult:
-    """Run the full protocol until the distributed stopping rule fires.
-
-    rng is either an integer seed or a list of one random.Random per node;
-    draws reproduce Random.choice through getrandbits (no override is used).
-    trace, if given, is a writable text stream receiving one tab-separated
-    line `lambda node y z y_s z_s M m` per node per round and a final
-    `RESULT value rounds` line.  tamper is a test hook invoked on each
-    round's in-flight messages before delivery.
-    """
-    n = g.n
-    streams, targets, draws, max_rounds = _prepare(g, d_bound, rng, max_rounds)
-    states = init_consensus(x_half, g, q)
-    ys_s, zs_s = [st.y_s for st in states], [st.z_s for st in states]
-    quantized_sum = sum(ys_s) // 2
-    closed_in = _closed_in(g) if trace is not None else None
-
-    # Init send: each node's whole (y, z) goes to one random target at once.
-    ys, zs = [0] * n, [0] * n
-    for j, (bits, k, t, tj) in enumerate(draws):
-        i = bits(k)
-        while i >= t:
-            i = bits(k)
-        ys[tj[i]] += ys_s[j]
-        zs[tj[i]] += zs_s[j]
-
-    M = m = [0] * n
-    audits: list[RoundAudit] = []
-    for lam in range(1, max_rounds + 1):
-        if (lam - 1) % d_bound == 0:
-            # Window start: reseed; the window's flood delivers hi and lo.
-            M = [-(-y // z) for y, z in zip(ys_s, zs_s)]
-            m = [y // z for y, z in zip(ys_s, zs_s)]
-            hi, lo = max(M), min(m)
-            top, bottom = [hi] * n, [lo] * n
-        if trace is not None and (M != top or m != bottom):
-            M, m = _flood(M, m, closed_in)  # a settled flood changes nothing
-
-        # Split as split_mass does, drawing from each stream in its order.
-        ny, nz = [0] * n, [0] * n
-        outbox: list[MassMessage] = []
-        for j, (y, z) in enumerate(zip(ys, zs)):
-            if z < 2:
-                ny[j] += y
-                nz[j] += z
-                continue
-            ys_s[j], zs_s[j] = y, z
-            if tamper is not None:
-                alloc = split_mass(y, z, streams[j], j, targets[j])
-                ny[j], nz[j] = alloc.pop(j)  # nothing was delivered to j yet
-                for dest, (cy, cz) in sorted(alloc.items()):
-                    outbox.append(MassMessage(cy, cz, j, dest))
-                continue
-            bits, k, t, tj = draws[j]
-            nz[j] += 1
-            if z == 2:  # one piece to send: the larger half
-                i = bits(k)
-                while i >= t:
-                    i = bits(k)
-                ny[j] += y >> 1
-                ny[tj[i]] += (y + 1) >> 1
-                nz[tj[i]] += 1
-                continue
-            base, r = divmod(y, z)
-            ny[j] += base
-            for piece in range(1, z):
-                i = bits(k)
-                while i >= t:
-                    i = bits(k)
-                ny[tj[i]] += base + (piece <= r)
-                nz[tj[i]] += 1
-        if tamper is not None:
-            for msg in tamper(lam, outbox):
-                ny[msg.receiver] += msg.c_y
-                nz[msg.receiver] += msg.c_z
-        ys, zs = ny, nz
-        audits.append(RoundAudit(lam, sum(ys) == 2 * quantized_sum, sum(zs) == 2 * n))
-
-        if trace is not None:
-            trace.write("".join([
-                f"{lam}\t{j}\t{ys[j]}\t{zs[j]}\t{ys_s[j]}\t{zs_s[j]}\t{M[j]}\t{m[j]}\n"
-                for j in range(n)
-            ]))
-
-        if lam % d_bound == 0:
-            if trace is not None and (M != top or m != bottom):
-                raise RuntimeError(f"round {lam}: flood missed extrema {hi}, {lo}")
-            if hi - lo <= 1:
-                value = float(lo * q.delta)
-                if trace is not None:
-                    trace.write(f"RESULT\t{value!r}\t{lam}\n")
-                return ConsensusResult(
-                    value, lo, q.delta, lam, [value] * n, quantized_sum, n, audits
-                )
-
-    snapshot = [ConsensusNodeState(*row) for row in zip(ys, zs, ys_s, zs_s, M, m)]
-    raise ConsensusNonterminationError(max_rounds, snapshot)
-
-
-def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None) -> list:
-    """run_faqua, untraced, for one x_half per level on shared draws: no z
-    and no draw depends on y, so each round draws once per splitting node
-    and every level splits its own y over those targets.  Each level stops
-    at its own first settled window and gets what run_faqua gives it alone,
-    a ConsensusResult or the ConsensusNonterminationError it would raise."""
-    n = g.n
-    _, _, draws, max_rounds = _prepare(g, d_bound, rng, max_rounds)
+    draws = [(s.getrandbits, len(t).bit_length(), len(t), t) for s, t in  # self first
+             zip(streams, ([j, *g.out_neighbors(j)] for j in range(n)))]
     # Per lane, one per level: y, y_s, the y total, per-round audits, M, m.
     lane_ys_s = [[st.y_s for st in init_consensus(x, g, q)]
                  for x, q in zip(x_halves, levels)]
@@ -313,7 +210,7 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None)
     lane_ys, lane_y_ok = [[0] * n for _ in levels], [[] for _ in levels]
     lane_M, lane_m = [[0] * n for _ in levels], [[0] * n for _ in levels]
     zs_s, zs = [2] * n, [0] * n
-    for j, (bits, k, t, tj) in enumerate(draws):  # the init send
+    for j, (bits, k, t, tj) in enumerate(draws):  # the init send: all of (y, z)
         i = bits(k)
         while i >= t:
             i = bits(k)
@@ -321,6 +218,7 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None)
         for ys, ys_s in zip(lane_ys, lane_ys_s):
             ys[tj[i]] += ys_s[j]
 
+    closed_in = _closed_in(g) if trace is not None else None
     out: list = [None] * len(levels)
     live, z_ok = list(range(len(levels))), []
     for lam in range(1, max_rounds + 1):
@@ -328,57 +226,112 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None)
             for lane in live:
                 lane_M[lane] = [-(-y // z) for y, z in zip(lane_ys_s[lane], zs_s)]
                 lane_m[lane] = [y // z for y, z in zip(lane_ys_s[lane], zs_s)]
+            if trace is not None:  # what the window's flood delivers
+                top, bottom = [max(lane_M[0])] * n, [min(lane_m[0])] * n
+        if trace is not None and (lane_M[0] != top or lane_m[0] != bottom):
+            lane_M[0], lane_m[0] = _flood(lane_M[0], lane_m[0], closed_in)
 
-        # Draw once per split node; a z = 2 node sends one piece, the larger half.
-        nz, halves, splits = [1 if z > 1 else z for z in zs], [], []
-        for j, z in enumerate(zs):
-            if z < 2:
-                continue
-            zs_s[j] = z
-            bits, k, t, tj = draws[j]
-            if z == 2:
-                i = bits(k)
-                while i >= t:
+        if tamper is None and len(live) == 1:
+            # One lane: split node by node, each piece drawn where it goes.
+            lane = live[0]
+            ys_s, ny, nz = lane_ys_s[lane], [0] * n, [0] * n
+            for j, (y, z) in enumerate(zip(lane_ys[lane], zs)):
+                if z < 2:
+                    ny[j] += y
+                    nz[j] += z
+                    continue
+                ys_s[j], zs_s[j] = y, z
+                bits, k, t, tj = draws[j]
+                nz[j] += 1
+                if z == 2:  # one piece to send: the larger half
                     i = bits(k)
-                halves.append((j, tj[i]))
-                nz[tj[i]] += 1
-                continue
-            dests = []
-            for _ in range(1, z):
-                i = bits(k)
-                while i >= t:
-                    i = bits(k)
-                dests.append(tj[i])
-                nz[tj[i]] += 1
-            splits.append((j, z, dests))
-        zs = nz
-        z_ok.append(sum(zs) == 2 * n)
-
-        for lane in live:
-            ys, ys_s = lane_ys[lane], lane_ys_s[lane]
-            ny = ys[:]  # nodes that do not split keep their mass
-            for j, dest in halves:
-                y = ys_s[j] = ys[j]
-                half = (y + 1) >> 1  # y >> 1 stays
-                ny[j] -= half
-                ny[dest] += half
-            for j, z, dests in splits:
-                y = ys_s[j] = ys[j]
+                    while i >= t:
+                        i = bits(k)
+                    ny[j] += y >> 1
+                    ny[tj[i]] += (y + 1) >> 1
+                    nz[tj[i]] += 1
+                    continue
                 base, r = divmod(y, z)
-                ny[j] += base - y
-                for piece, dest in enumerate(dests, 1):
-                    ny[dest] += base + (piece <= r)
-            lane_ys[lane] = ny
-            lane_y_ok[lane].append(sum(ny) == lane_total[lane])
+                ny[j] += base
+                for piece in range(1, z):
+                    i = bits(k)
+                    while i >= t:
+                        i = bits(k)
+                    ny[tj[i]] += base + (piece <= r)
+                    nz[tj[i]] += 1
+            lane_ys[lane], zs = ny, nz
+        else:
+            # Draw once per split node; a z = 2 node sends one piece, the larger half.
+            nz, halves, splits = [1 if z > 1 else z for z in zs], [], []
+            for j, z in enumerate(zs):
+                if z < 2:
+                    continue
+                zs_s[j] = z
+                bits, k, t, tj = draws[j]
+                if z == 2:
+                    i = bits(k)
+                    while i >= t:
+                        i = bits(k)
+                    halves.append((j, tj[i]))
+                    nz[tj[i]] += 1
+                    continue
+                dests = []
+                for _ in range(1, z):
+                    i = bits(k)
+                    while i >= t:
+                        i = bits(k)
+                    dests.append(tj[i])
+                    nz[tj[i]] += 1
+                splits.append((j, z, dests))
+            zs = nz
+
+            for lane in live:
+                ys, ys_s = lane_ys[lane], lane_ys_s[lane]
+                ny = ys[:]  # nodes that do not split keep their mass
+                for j, dest in halves:
+                    y = ys_s[j] = ys[j]
+                    half = (y + 1) >> 1  # y >> 1 stays
+                    ny[j] -= half
+                    ny[dest] += half
+                for j, z, dests in splits:
+                    y = ys_s[j] = ys[j]
+                    base, r = divmod(y, z)
+                    ny[j] += base - y
+                    for piece, dest in enumerate(dests, 1):
+                        ny[dest] += base + (piece <= r)
+                lane_ys[lane] = ny
+
+            if tamper is not None:  # take lane 0's messages back, deliver tamper's
+                ys, outbox = lane_ys[0], _outbox(lane_ys_s[0], halves, splits)
+                for msg in outbox:
+                    ys[msg.receiver] -= msg.c_y
+                    zs[msg.receiver] -= msg.c_z
+                for msg in tamper(lam, outbox):
+                    ys[msg.receiver] += msg.c_y
+                    zs[msg.receiver] += msg.c_z
+        z_ok.append(sum(zs) == 2 * n)
+        for lane in live:
+            lane_y_ok[lane].append(sum(lane_ys[lane]) == lane_total[lane])
+
+        if trace is not None:
+            ys, ys_s, M, m = lane_ys[0], lane_ys_s[0], lane_M[0], lane_m[0]
+            trace.write("".join([
+                f"{lam}\t{j}\t{ys[j]}\t{zs[j]}\t{ys_s[j]}\t{zs_s[j]}\t{M[j]}\t{m[j]}\n"
+                for j in range(n)
+            ]))
 
         if lam % d_bound == 0:
+            if trace is not None and (lane_M[0] != top or lane_m[0] != bottom):
+                raise RuntimeError(f"round {lam}: flood missed extrema "
+                                   f"{top[0]}, {bottom[0]}")
             for lane in [l for l in live if max(lane_M[l]) - min(lane_m[l]) <= 1]:
                 lo, delta = min(lane_m[lane]), levels[lane].delta
                 audits = list(map(RoundAudit, range(1, lam + 1), lane_y_ok[lane], z_ok))
                 value, quantized_sum = float(lo * delta), lane_total[lane] // 2
-                out[lane] = ConsensusResult(
-                    value, lo, delta, lam, [value] * n, quantized_sum, n, audits
-                )
+                if trace is not None:
+                    trace.write(f"RESULT\t{value!r}\t{lam}\n")
+                out[lane] = ConsensusResult(value, lo, delta, lam, [value] * n,
+                                            quantized_sum, n, audits)
                 live.remove(lane)
             if not live:
                 return out

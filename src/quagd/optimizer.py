@@ -166,7 +166,9 @@ def step_size_interval(L, mu, n: int) -> StepSizeInterval:
     """Admissible open interval (n(mu+L)/(4 mu L), 2n/(mu+L)) for the step size.
 
     Step sizes are floats, so constants that are not finite or put a bound
-    beyond the float range are a ConfigError."""
+    beyond the float range are a ConfigError, as is a node count below 1."""
+    if n < 1:
+        raise ConfigError(f"need at least 1 node, got n={n}")
     L, mu = _exact("L", L), _exact("mu", mu)
     if L <= 0 or mu <= 0:
         raise ParameterViolationError(f"need positive constants, got mu={mu}, L={L}")

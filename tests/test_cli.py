@@ -193,6 +193,8 @@ TINY_BETAS = two_betas("1e-320")
         (["theory", "--mu", "5", "--lipschitz", "5", "--nodes", "3",
           "--young-delta", "abc"], None),
         (["theory", "--nodes", "20", "--young-delta", "abc"], None),
+        (["theory", "--mu", "1", "--lipschitz", "10", "--nodes", "-3"], None),
+        (["theory", "--mu", "1", "--lipschitz", "10", "--nodes", "0"], None),
     ],
     ids=["missing-graph-file", "unwritable-output", "bad-cost-key", "inf-alpha",
          "percent-sign", "inf-beta", "nan-center", "huge-x0", "theory-inf-mu",
@@ -211,7 +213,8 @@ TINY_BETAS = two_betas("1e-320")
          "theory-mu-lipschitz-with-seed-and-edge-prob", "non-integer-nodes-flag",
          "negative-max-iters", "theory-negative-mu", "theory-empty-mu-is-unset",
          "theory-malformed-mu", "theory-malformed-young-delta",
-         "theory-config-malformed-young-delta"],
+         "theory-config-malformed-young-delta", "theory-negative-nodes",
+         "theory-zero-nodes"],
 )
 def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -219,6 +222,14 @@ def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
         (tmp_path / "cfg.ini").write_text(ini)
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("nodes", ["-3", "0"])
+def test_node_count_below_one_prints_no_interval(nodes, capsys):
+    assert run_cli("theory", "--mu", "1", "--lipschitz", "10", "--nodes", nodes) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: need at least 1 node, got n={nodes}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,15 @@
-import contextlib
 import io
 import random
 
 import pytest
 
+from consensus_reference import reference_run, split_mass
 from quagd import consensus
 from quagd.consensus import (
     ConsensusNonterminationError,
     init_consensus,
     minmax_window_round,
     run_faqua,
-    split_mass,
 )
 from quagd.graph import (
     Digraph,
@@ -245,7 +244,7 @@ class TestRunFaqua:
         def forbidden(*args, **kwargs):
             raise AssertionError("called on the untraced, untampered path")
 
-        for name in ("_flood", "split_mass", "MassMessage"):
+        for name in ("_flood", "_outbox", "MassMessage"):
             monkeypatch.setattr(consensus, name, forbidden)
         res = run_faqua([1.0, 2.0, 3.0, 4.0], cycle(4), 3, QuantizationLevel("1"), 0)
         assert res.within_accuracy_contract()
@@ -292,11 +291,21 @@ class TestRunFaqua:
         assert all(a.z_conserved for a in res.audits)  # z mass untouched
 
 
+def _outcome(run):
+    """A run's result, or its nontermination error's round budget and
+    (y, z, y_s, z_s) snapshot (the reference floods M and m, the untraced
+    kernel does not)."""
+    try:
+        return run()
+    except ConsensusNonterminationError as err:
+        return err.rounds, [(st.y, st.z, st.y_s, st.z_s) for st in err.states]
+
+
 class TestInlineDraws:
-    """The untraced kernel draws targets through getrandbits inline; these
-    compare it with Random.choice where the rejection loop is most fragile:
-    target lists of a power-of-two length reject half the words, and lists
-    longer than 255 need 9-bit words."""
+    """The kernel draws targets through getrandbits inline; these compare it
+    with reference_run, which draws by Random.choice, where the rejection
+    loop is most fragile: target lists of a power-of-two length reject half
+    the words, and lists longer than 255 need 9-bit words."""
 
     SIZES = (2, 3, 4, 5, 8, 9, 16, 17, 256, 257, 300)
 
@@ -307,33 +316,19 @@ class TestInlineDraws:
         x = [rnd.uniform(-50.0, 50.0) for _ in range(n)]
         q = QuantizationLevel("0.25")
         plain = run_faqua(x, g, 1, q, 7)
-        drawn_by_choice = run_faqua(x, g, 1, q, 7, tamper=lambda lam, msgs: msgs)
-        assert plain == drawn_by_choice
+        assert plain == reference_run(x, g, 1, q, 7)
+        assert plain == run_faqua(x, g, 1, q, 7, tamper=lambda lam, msgs: msgs)
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_init_send_draws_as_random_choice(self, n, monkeypatch):
-        # On the tamper path, round 1 splits each node's mass as the init
-        # send left it; rebuild that state with Random.choice and compare.
+    def test_init_send_draws_as_random_choice(self, n):
+        # After one round, y_s and z_s hold the masses the init send left
+        # at every node that split in round 1.
         g = complete(n)
         x = [float(j % 5) for j in range(n)]
         q = QuantizationLevel("1")
-        streams = node_streams(11, n, 0)
-        ys, zs = [0] * n, [0] * n
-        for j, stream in enumerate(node_streams(11, n, 0)):
-            dest = stream.choice([j, *g.out_neighbors(j)])
-            ys[dest] += 2 * int(x[j])
-            zs[dest] += 2
-        split_at_round_1 = {}
-        real_split = consensus.split_mass
+        kernel = _outcome(lambda: run_faqua(x, g, 1, q, 11, max_rounds=1))
+        assert kernel == _outcome(lambda: reference_run(x, g, 1, q, 11, max_rounds=1))
 
-        def record(y, z, rng, self_id, destinations):
-            split_at_round_1.setdefault(self_id, (y, z))
-            return real_split(y, z, rng, self_id, destinations)
-
-        monkeypatch.setattr(consensus, "split_mass", record)
-        with contextlib.suppress(ConsensusNonterminationError):  # unless n = 2
-            run_faqua(x, g, 1, q, streams, max_rounds=1, tamper=lambda lam, msgs: msgs)
-        assert split_at_round_1 == {j: (ys[j], zs[j]) for j in range(n) if zs[j] >= 2}
 
     def test_untraced_path_never_calls_random_choice(self, monkeypatch):
         def forbidden(self, seq):
@@ -344,3 +339,33 @@ class TestInlineDraws:
         x = [float(j) for j in range(12)]
         res = run_faqua(x, g, diameter(g), QuantizationLevel("0.1"), 3)
         assert res.within_accuracy_contract()
+
+
+class TestTamperOutbox:
+    """A tamper hook gets each round's messages rebuilt from the kernel's
+    draws: per sender and destination other than the sender, the sum of its
+    pieces, in sender and then destination order, as reference_run sends
+    them from split_mass's allocations."""
+
+    @pytest.mark.parametrize(
+        "make, n", [(cycle, 3), (cycle, 5), (cycle, 12), (complete, 3), (complete, 6),
+                    (complete, 17)],
+        ids=["ring-3", "ring-5", "ring-12", "complete-3", "complete-6", "complete-17"],
+    )
+    def test_identity_hook_sees_the_reference_messages(self, make, n):
+        g = make(n)
+        def recorder(rounds):
+            def record(lam, msgs):
+                rounds.append([(m.sender, m.receiver, m.c_y, m.c_z) for m in msgs])
+                return msgs
+            return record
+
+        rnd = random.Random(g.n)
+        x = [rnd.uniform(-50.0, 50.0) for _ in range(g.n)]
+        q, d = QuantizationLevel("0.1"), diameter(g)
+        seen, sent = [], []
+        res = run_faqua(x, g, d, q, 3, tamper=recorder(seen))
+        assert res == reference_run(x, g, d, q, 3, tamper=recorder(sent))
+        assert len(seen) == res.rounds_used
+        assert any(len(msgs) > 1 for msgs in seen)
+        assert seen == sent

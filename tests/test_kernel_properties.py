@@ -1,7 +1,7 @@
-"""Hypothesis properties of the integer kernels: the mass split of the
-consensus protocol and floor quantization, on extreme, negative and
+"""Hypothesis properties of the integer kernels: the reference mass split
+of the consensus protocol and floor quantization, on extreme, negative and
 multi-thousand-digit values, and the agreement of the consensus kernel's
-untraced, traced and tamper paths."""
+untraced, traced and tamper paths with the reference run."""
 
 import io
 import math
@@ -13,11 +13,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from quagd.consensus import (  # noqa: E402
-    ConsensusNonterminationError,
-    run_faqua,
-    split_mass,
-)
+from consensus_reference import reference_run, split_mass  # noqa: E402
+from quagd.consensus import ConsensusNonterminationError, run_faqua  # noqa: E402
 from quagd.graph import diameter, generate_random_strongly_connected  # noqa: E402
 from quagd.quantizer import QuantizationLevel, quantize_floor  # noqa: E402
 
@@ -106,6 +103,14 @@ def _outcome(run):
             res.quantized_sum, audits)
 
 
+def _corrupt(lam, msgs):
+    """Adds a unit of y to each round's first message and drops every third
+    round's last one."""
+    if msgs:
+        msgs[0].c_y += 1
+    return msgs[:-1] if lam % 3 == 0 else msgs
+
+
 @PROPERTY
 @given(
     n=st.integers(2, 9),
@@ -119,8 +124,9 @@ def test_untraced_traced_and_tamper_paths_agree(
     n, edge_prob, graph_seed, extra_d, level, data
 ):
     """The untraced kernel reads the window extrema, the traced one floods
-    them and checks the flood, and the tamper path splits through
-    split_mass: all three return the same result on the same draws."""
+    them and checks the flood, the tamper path splits on shared draws and
+    rebuilds messages from them, and reference_run splits through
+    split_mass: all four return the same result on the same draws."""
     g = generate_random_strongly_connected(n, edge_prob, graph_seed)
     d_bound = diameter(g) + extra_d
     x = data.draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n))
@@ -128,9 +134,11 @@ def test_untraced_traced_and_tamper_paths_agree(
     max_rounds = data.draw(st.one_of(st.none(), st.integers(1, 30)))
     q = QuantizationLevel(level)
 
-    def run(**kw):
-        return _outcome(lambda: run_faqua(x, g, d_bound, q, seed, max_rounds, **kw))
+    def run(kernel=run_faqua, **kw):
+        return _outcome(lambda: kernel(x, g, d_bound, q, seed, max_rounds, **kw))
 
     untraced = run()
     assert run(trace=io.StringIO()) == untraced
     assert run(tamper=lambda lam, msgs: msgs) == untraced
+    assert run(reference_run) == untraced
+    assert run(tamper=_corrupt) == run(reference_run, tamper=_corrupt)

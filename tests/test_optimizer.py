@@ -142,6 +142,11 @@ class TestStepSizeInterval:
         with pytest.raises(ConfigError):
             step_size_interval(L, mu, 2)
 
+    @pytest.mark.parametrize("n", [-3, 0])
+    def test_node_count_below_one_is_config_error(self, n):
+        with pytest.raises(ConfigError, match=f"need at least 1 node, got n={n}"):
+            step_size_interval(10, 1, n)
+
     def test_bounds_at_the_edge_of_floats_are_kept(self):
         iv = step_size_interval(1e-300, 1e-300, 2)
         assert iv.default_alpha() == pytest.approx(1.5e300)
