@@ -136,26 +136,39 @@ def _parse_cost_line(node: int, text: str):
     """Parse a `[costs]` entry like `quadratic beta=1.0 center=3.2`."""
     parts = text.split()
     if not parts:
-        raise ConfigError(f"cost entry for node {node} is empty")
+        raise ConfigError(f"[costs] {node}: the entry is empty")
     spec = {"type": parts[0]}
     for item in parts[1:]:
-        if "=" not in item:
+        key, eq, value = item.partition("=")
+        if not eq or key in spec:
             raise ConfigError(
-                f"cost entry for node {node}: expected key=value, got {item!r}"
+                f"[costs] {node}: expected distinct key=value items, got {item!r}"
             )
-        key, value = item.split("=", 1)
-        spec[key] = float(value)
+        try:
+            spec[key] = float(value)
+        except ValueError as exc:
+            raise ConfigError(f"[costs] {node}: {key}: {exc}") from None
     return spec
 
 
 def _load_ini(path: str) -> configparser.ConfigParser:
-    # no interpolation: values are read, and echoed, verbatim
-    parser = configparser.ConfigParser(interpolation=None)
+    # no interpolation: values are read, and echoed, verbatim; no default
+    # section, so [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     with open(path) as fh:
         try:
             parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
+    known = {(section, key) for section, key, *_ in _OPTIONS}
+    for section in parser.sections():
+        if section == "costs":  # its keys are nodes, checked with the costs
+            continue
+        if not any(s == section for s, _ in known):
+            raise ConfigError(f"[{section}]: unknown section")
+        for key in parser.options(section):
+            if (section, key) not in known:
+                raise ConfigError(f"[{section}] {key}: unknown key")
     return parser
 
 

@@ -18,9 +18,10 @@ each round's M and m) is written, and only until every node holds them.
 Targets are drawn as random.Random.choice draws them, by inline getrandbits.
 No unit count and no draw depends on y, so the one kernel, _run_lanes, runs
 several inputs (lanes: a sweep's levels) on one set of draws, each as it
-would run alone; run_faqua is its one-lane case.  A round splits node by
-node while one lane is live and no tamper hook is set, and else draws once
-per splitting node and lets every lane split its own y over those targets.
+would run alone; run_faqua is its one-lane case.  Each round the first live
+lane splits node by node, each piece drawn where it goes; the other lanes
+replay its recorded targets over their own y, and a tamper hook is handed
+the messages rebuilt from the same record.
 """
 
 from __future__ import annotations
@@ -169,12 +170,12 @@ def run_faqua(x_half: Sequence[float], g: Digraph, d_bound: int, q: Quantization
     return res
 
 
-def _outbox(ys_s: list[int], halves, splits) -> list[MassMessage]:
+def _outbox(ys_s: list[int], splits) -> list[MassMessage]:
     """A round's messages rebuilt from its recorded draws: per sender and per
     destination other than the sender, the sum of its pieces, in sender and
     then destination order (ys_s[j] is the mass sender j split)."""
     sums: dict[tuple[int, int], list[int]] = {}
-    for j, z, dests in [(j, 2, [dest]) for j, dest in halves] + splits:
+    for j, z, dests in splits:
         base, r = divmod(ys_s[j], z)
         for piece, dest in enumerate(dests, 1):
             if dest != j:
@@ -231,84 +232,68 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
         if trace is not None and (lane_M[0] != top or lane_m[0] != bottom):
             lane_M[0], lane_m[0] = _flood(lane_M[0], lane_m[0], closed_in)
 
-        if tamper is None and len(live) == 1:
-            # One lane: split node by node, each piece drawn where it goes.
-            lane = live[0]
-            ys_s, ny, nz = lane_ys_s[lane], [0] * n, [0] * n
-            for j, (y, z) in enumerate(zip(lane_ys[lane], zs)):
-                if z < 2:
-                    ny[j] += y
-                    nz[j] += z
-                    continue
-                ys_s[j], zs_s[j] = y, z
-                bits, k, t, tj = draws[j]
-                nz[j] += 1
-                if z == 2:  # one piece to send: the larger half
+        # live[0] splits, each piece drawn where it goes; only the other lanes'
+        # replay and tamper read the (j, z, dests) records, so only they build them
+        record, splits = tamper is not None or len(live) > 1, []
+        ys, ys_s = lane_ys[live[0]], lane_ys_s[live[0]]
+        ny, nz = ys[:], [1 if z > 1 else z for z in zs]  # a splitting node keeps 1 unit
+        for j, z in enumerate(zs):
+            if z < 2:
+                continue
+            y = ys_s[j] = ys[j]
+            zs_s[j] = z
+            bits, k, t, tj = draws[j]
+            if z == 2:  # one piece to send: the larger half
+                i = bits(k)
+                while i >= t:
                     i = bits(k)
-                    while i >= t:
-                        i = bits(k)
-                    ny[j] += y >> 1
-                    ny[tj[i]] += (y + 1) >> 1
-                    nz[tj[i]] += 1
-                    continue
-                base, r = divmod(y, z)
-                ny[j] += base
-                for piece in range(1, z):
-                    i = bits(k)
-                    while i >= t:
-                        i = bits(k)
-                    ny[tj[i]] += base + (piece <= r)
-                    nz[tj[i]] += 1
-            lane_ys[lane], zs = ny, nz
-        else:
-            # Draw once per split node; a z = 2 node sends one piece, the larger half.
-            nz, halves, splits = [1 if z > 1 else z for z in zs], [], []
-            for j, z in enumerate(zs):
-                if z < 2:
-                    continue
-                zs_s[j] = z
-                bits, k, t, tj = draws[j]
-                if z == 2:
-                    i = bits(k)
-                    while i >= t:
-                        i = bits(k)
-                    halves.append((j, tj[i]))
-                    nz[tj[i]] += 1
-                    continue
+                dest, half = tj[i], (y + 1) >> 1
+                ny[j] -= half
+                ny[dest] += half
+                nz[dest] += 1
+                if record:
+                    splits.append((j, 2, [dest]))
+                continue
+            base, r = divmod(y, z)
+            ny[j] += base - y
+            if record:
                 dests = []
-                for _ in range(1, z):
-                    i = bits(k)
-                    while i >= t:
-                        i = bits(k)
-                    dests.append(tj[i])
-                    nz[tj[i]] += 1
                 splits.append((j, z, dests))
-            zs = nz
+            for piece in range(1, z):
+                i = bits(k)
+                while i >= t:
+                    i = bits(k)
+                dest = tj[i]
+                ny[dest] += base + (piece <= r)
+                nz[dest] += 1
+                if record:
+                    dests.append(dest)
+        lane_ys[live[0]], zs = ny, nz
 
-            for lane in live:
-                ys, ys_s = lane_ys[lane], lane_ys_s[lane]
-                ny = ys[:]  # nodes that do not split keep their mass
-                for j, dest in halves:
-                    y = ys_s[j] = ys[j]
+        for lane in live[1:]:  # the other lanes split their own y over those draws
+            ys, ys_s = lane_ys[lane], lane_ys_s[lane]
+            ny = ys[:]
+            for j, z, dests in splits:
+                y = ys_s[j] = ys[j]
+                if z == 2:
                     half = (y + 1) >> 1  # y >> 1 stays
                     ny[j] -= half
-                    ny[dest] += half
-                for j, z, dests in splits:
-                    y = ys_s[j] = ys[j]
-                    base, r = divmod(y, z)
-                    ny[j] += base - y
-                    for piece, dest in enumerate(dests, 1):
-                        ny[dest] += base + (piece <= r)
-                lane_ys[lane] = ny
+                    ny[dests[0]] += half
+                    continue
+                base, r = divmod(y, z)
+                ny[j] += base - y
+                for piece, dest in enumerate(dests, 1):
+                    ny[dest] += base + (piece <= r)
+            lane_ys[lane] = ny
 
-            if tamper is not None:  # take lane 0's messages back, deliver tamper's
-                ys, outbox = lane_ys[0], _outbox(lane_ys_s[0], halves, splits)
-                for msg in outbox:
-                    ys[msg.receiver] -= msg.c_y
-                    zs[msg.receiver] -= msg.c_z
-                for msg in tamper(lam, outbox):
-                    ys[msg.receiver] += msg.c_y
-                    zs[msg.receiver] += msg.c_z
+        if tamper is not None:  # take lane 0's messages back, deliver tamper's
+            ys, outbox = lane_ys[0], _outbox(lane_ys_s[0], splits)
+            for msg in outbox:
+                ys[msg.receiver] -= msg.c_y
+                zs[msg.receiver] -= msg.c_z
+            for msg in tamper(lam, outbox):
+                ys[msg.receiver] += msg.c_y
+                zs[msg.receiver] += msg.c_z
         z_ok.append(sum(zs) == 2 * n)
         for lane in live:
             lane_y_ok[lane].append(sum(lane_ys[lane]) == lane_total[lane])

@@ -18,25 +18,27 @@ class QuantizationLevel:
 
     Strings and Decimals are parsed exactly (so CLI values like "0.01"
     mean the decimal 1/100); floats are interpreted through their shortest
-    decimal repr for the same reason.  str() gives back the text the level
-    was written as, so a config echo reproduces it verbatim.
+    decimal repr for the same reason.  The level's float must be positive
+    and finite (levels are named and reported as floats); this is checked
+    before the exact conversion, which could otherwise build a huge power
+    of ten.  str() gives back the text the level was written as, so a
+    config echo reproduces it verbatim.
     """
 
     def __init__(self, delta):
         self._text = str(delta)
         if isinstance(delta, QuantizationLevel):
             delta = delta.delta
-        if isinstance(delta, float):
-            delta = Decimal(repr(delta))
         try:
-            delta = Fraction(Decimal(delta) if isinstance(delta, str) else delta)
-        except ArithmeticError:  # not a decimal number, or infinite
-            raise ValueError(
-                f"quantization level must be a finite decimal, got {self._text!r}"
-            ) from None
-        if delta <= 0:
-            raise ValueError(f"quantization level must be positive, got {delta}")
-        self.delta: Fraction = delta
+            if isinstance(delta, (str, float)):
+                delta = Decimal(repr(delta) if isinstance(delta, float) else delta)
+            in_range = 0 < float(delta) < math.inf
+        except ArithmeticError:  # not a decimal number, or beyond the float range
+            in_range = False
+        if not in_range:
+            raise ValueError("quantization level must be a decimal with "
+                             f"0 < float(level) < inf, got {self._text!r}")
+        self.delta: Fraction = Fraction(delta)
 
     def __float__(self):
         return float(self.delta)

@@ -130,6 +130,22 @@ NON_INTEGER_COST_KEY = (
 # 2n/(mu+L) and n(mu+L)/(4 mu L) exceed the largest float
 TINY_BETAS = two_betas("1e-320")
 
+# levels whose float is infinite or zero; the last one is slow to convert exactly
+LEVEL_FLAGS = [("run", "--delta"), ("sweep", "--deltas"), ("theory", "--delta")]
+BAD_LEVELS = ["1e400", "1e-400", "1e999999999"]
+
+# INI entries that nothing reads, by test id: (INI text, the entry named)
+UNREAD_INI = {
+    "misspelled-graph-key": ("[graph]\nnodez = 7\n", "[graph] nodez"),
+    "misspelled-optimizer-key": ("[optimizer]\nalpah = 0.6\n", "[optimizer] alpah"),
+    "misspelled-run-key": ("[run]\nmax_iter = 2\n", "[run] max_iter"),
+    "unknown-section": ("[graph]\nnodes = 7\n[grpah]\nnodes = 5\n", "[grpah]"),
+    "default-section": ("[DEFAULT]\nnodes = 7\n", "[DEFAULT]"),
+    "cost-parameter-twice": (TWO_COSTS.format("beta=1 center=2 beta=3"), "[costs] 0"),
+    "non-numeric-cost-parameter": (TWO_COSTS.format("beta=abc center=2"),
+                                   "[costs] 0: beta"),
+}
+
 
 @pytest.mark.parametrize(
     "argv, ini",
@@ -195,6 +211,8 @@ TINY_BETAS = two_betas("1e-320")
         (["theory", "--nodes", "20", "--young-delta", "abc"], None),
         (["theory", "--mu", "1", "--lipschitz", "10", "--nodes", "-3"], None),
         (["theory", "--mu", "1", "--lipschitz", "10", "--nodes", "0"], None),
+        *[([cmd, flag, level], None) for cmd, flag in LEVEL_FLAGS for level in BAD_LEVELS],
+        *[(["run", "--config", "cfg.ini"], ini) for ini, _ in UNREAD_INI.values()],
     ],
     ids=["missing-graph-file", "unwritable-output", "bad-cost-key", "inf-alpha",
          "percent-sign", "inf-beta", "nan-center", "huge-x0", "theory-inf-mu",
@@ -214,7 +232,9 @@ TINY_BETAS = two_betas("1e-320")
          "negative-max-iters", "theory-negative-mu", "theory-empty-mu-is-unset",
          "theory-malformed-mu", "theory-malformed-young-delta",
          "theory-config-malformed-young-delta", "theory-negative-nodes",
-         "theory-zero-nodes"],
+         "theory-zero-nodes",
+         *[f"{cmd}-level-{level}" for cmd, _ in LEVEL_FLAGS for level in BAD_LEVELS],
+         *UNREAD_INI],
 )
 def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -243,6 +263,24 @@ def test_malformed_graph_file_is_config_error(text, tmp_path, monkeypatch, capsy
     (tmp_path / "g.txt").write_text(text)
     assert run_cli("run", "--graph-file", "g.txt") == 2
     assert capsys.readouterr().err.startswith("config error: g.txt")
+
+
+@pytest.mark.parametrize("ini, named", UNREAD_INI.values(), ids=list(UNREAD_INI))
+def test_unread_ini_entry_is_named(ini, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.ini").write_text(ini)
+    assert run_cli("run", "--config", "cfg.ini") == 2
+    assert capsys.readouterr().err.startswith(f"config error: {named}")
+
+
+@pytest.mark.parametrize("cmd, flag", LEVEL_FLAGS, ids=[cmd for cmd, _ in LEVEL_FLAGS])
+def test_level_outside_the_float_range_is_named(cmd, flag, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(cmd, flag, "1e400") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: [optimizer] {flag[2:]}: ")
 
 
 def test_non_integer_cost_key_names_the_section(tmp_path, monkeypatch, capsys):

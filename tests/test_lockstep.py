@@ -8,21 +8,21 @@ from dataclasses import replace
 
 import pytest
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from quagd.consensus import ConsensusNonterminationError, _run_lanes, run_faqua
+from quagd.graph import Digraph, diameter
+from quagd.harness import delta_sweep, reference_instance
+from quagd.optimizer import DivergenceError, quadratic_optimum, quagd_run
+from quagd.quantizer import QuantizationLevel
+from quagd.rng import node_streams
 
-from quagd.consensus import (  # noqa: E402
-    ConsensusNonterminationError,
-    _run_lanes,
-    run_faqua,
-)
-from quagd.graph import Digraph, diameter  # noqa: E402
-from quagd.harness import delta_sweep, reference_instance  # noqa: E402
-from quagd.optimizer import DivergenceError, quadratic_optimum, quagd_run  # noqa: E402
-from quagd.quantizer import QuantizationLevel  # noqa: E402
-from quagd.rng import node_streams  # noqa: E402
 
-PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+def _check_property(check, **strategies):
+    """Run check as a derandomized hypothesis property over strategies.  Only
+    the properties need hypothesis; the directed tests run without it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    settings = hypothesis.settings(derandomize=True, deadline=None, database=None,
+                                   max_examples=60)
+    settings(hypothesis.given(**strategies)(check))()
 
 
 def _consensus_view(res):
@@ -35,33 +35,38 @@ def _consensus_view(res):
             res.quantized_sum, audits)
 
 
-@PROPERTY
-@given(
-    n=st.integers(2, 8),
-    complete=st.booleans(),
-    levels=st.lists(st.sampled_from(["5", "1", "0.25", "0.01"]), min_size=1, max_size=4),
-    data=st.data(),
-)
-def test_each_lane_equals_its_solo_run(n, complete, levels, data):
+def test_each_lane_equals_its_solo_run():
     """On a ring most splits are z = 2 halves; on complete(n) units pile up
     and split into many pieces, so both split branches run."""
-    if complete:
-        g = Digraph(n, [(r, s) for r in range(n) for s in range(n) if r != s])
-    else:
-        g = Digraph(n, [((j + 1) % n, j) for j in range(n)])
-    d_bound = diameter(g) + data.draw(st.integers(0, 2))
-    qs = [QuantizationLevel(v) for v in levels]
-    xs = [data.draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n)) for _ in qs]
-    seed = data.draw(st.integers(0, 2**32))
-    max_rounds = data.draw(st.one_of(st.none(), st.integers(0, 30)))
+    st = pytest.importorskip("hypothesis.strategies")
 
-    lanes = _run_lanes(xs, g, d_bound, qs, node_streams(seed, n, 0), max_rounds)
-    for x, q, lane in zip(xs, qs, lanes):
-        try:
-            solo = run_faqua(x, g, d_bound, q, seed, max_rounds)
-        except ConsensusNonterminationError as err:
-            solo = err
-        assert _consensus_view(lane) == _consensus_view(solo)
+    def check(n, complete, levels, data):
+        if complete:
+            g = Digraph(n, [(r, s) for r in range(n) for s in range(n) if r != s])
+        else:
+            g = Digraph(n, [((j + 1) % n, j) for j in range(n)])
+        d_bound = diameter(g) + data.draw(st.integers(0, 2))
+        qs = [QuantizationLevel(v) for v in levels]
+        xs = [data.draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n))
+              for _ in qs]
+        seed = data.draw(st.integers(0, 2**32))
+        max_rounds = data.draw(st.one_of(st.none(), st.integers(0, 30)))
+        lanes = _run_lanes(xs, g, d_bound, qs, node_streams(seed, n, 0), max_rounds)
+        for x, q, lane in zip(xs, qs, lanes):
+            try:
+                solo = run_faqua(x, g, d_bound, q, seed, max_rounds)
+            except ConsensusNonterminationError as err:
+                solo = err
+            assert _consensus_view(lane) == _consensus_view(solo)
+
+    _check_property(
+        check,
+        n=st.integers(2, 8),
+        complete=st.booleans(),
+        levels=st.lists(st.sampled_from(["5", "1", "0.25", "0.01"]),
+                        min_size=1, max_size=4),
+        data=st.data(),
+    )
 
 
 def _assert_entries_equal_solo_runs(cfg, levels):
@@ -81,24 +86,28 @@ def _assert_entries_equal_solo_runs(cfg, levels):
     return report
 
 
-@PROPERTY
-@given(
-    seed=st.integers(0, 11),
-    n=st.integers(2, 8),
-    edge_prob=st.floats(0.0, 0.6),
-    levels=st.lists(
-        st.sampled_from(["1", "0.25", "0.1", "0.01", "0.001"]),
-        min_size=1, max_size=4, unique=True,
-    ),
-    extra_d=st.one_of(st.none(), st.integers(0, 2)),
-    max_rounds=st.one_of(st.none(), st.integers(0, 60)),
-)
-def test_sweep_entries_equal_solo_runs(seed, n, edge_prob, levels, extra_d, max_rounds):
-    cfg = reference_instance(n=n, edge_prob=edge_prob, seed=seed, max_outer=6)
-    if extra_d is not None:
-        cfg.d_bound = diameter(cfg.graph) + extra_d
-    cfg.max_rounds = max_rounds
-    _assert_entries_equal_solo_runs(cfg, levels)
+def test_sweep_entries_equal_solo_runs():
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def check(seed, n, edge_prob, levels, extra_d, max_rounds):
+        cfg = reference_instance(n=n, edge_prob=edge_prob, seed=seed, max_outer=6)
+        if extra_d is not None:
+            cfg.d_bound = diameter(cfg.graph) + extra_d
+        cfg.max_rounds = max_rounds
+        _assert_entries_equal_solo_runs(cfg, levels)
+
+    _check_property(
+        check,
+        seed=st.integers(0, 11),
+        n=st.integers(2, 8),
+        edge_prob=st.floats(0.0, 0.6),
+        levels=st.lists(
+            st.sampled_from(["1", "0.25", "0.1", "0.01", "0.001"]),
+            min_size=1, max_size=4, unique=True,
+        ),
+        extra_d=st.one_of(st.none(), st.integers(0, 2)),
+        max_rounds=st.one_of(st.none(), st.integers(0, 60)),
+    )
 
 
 def test_failing_and_succeeding_levels_share_a_sweep():
@@ -108,6 +117,25 @@ def test_failing_and_succeeding_levels_share_a_sweep():
     ok, *failed = report.entries
     assert ok.exception is None
     assert all(isinstance(e.exception, ConsensusNonterminationError) for e in failed)
+
+
+def test_inline_split_passes_on_while_a_third_lane_replays(monkeypatch):
+    """The coarsest level, lane 0, settles first in every outer step; lane 1
+    then splits inline, updating its own y_s, while lane 2 replays its
+    draws, and lane 2 finishes alone on the inline split."""
+    rounds = []
+
+    def spy(*args, **kwargs):
+        lanes = _run_lanes(*args, **kwargs)
+        rounds.append([lane.rounds_used for lane in lanes])
+        return lanes
+
+    monkeypatch.setattr("quagd.optimizer._run_lanes", spy)
+    cfg = reference_instance(n=6, seed=0, max_outer=4)
+    report = _assert_entries_equal_solo_runs(cfg, ["1", "0.01", "0.0001"])
+    assert all(entry.exception is None for entry in report.entries)
+    assert len(rounds) == 4
+    assert all(first < second < third for first, second, third in rounds)
 
 
 def test_too_small_d_bound_fails_every_level():

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,18 @@ class TestQuantizationLevel:
         for bad in ("abc", "inf", "nan", "", math.inf):
             with pytest.raises(ValueError):
                 QuantizationLevel(bad)
+
+    def test_rejects_levels_outside_the_float_range(self):
+        # checked before the exact conversion, which for "1e10000000" alone
+        # would build 10**10**7
+        for bad in ("1e400", "1e-400", "1e999999999", "1e10000000", "-1e-400",
+                    Decimal("1e400"), Fraction(1, 10**400), 10**400):
+            with pytest.raises(ValueError, match="0 < float"):
+                QuantizationLevel(bad)
+
+    def test_keeps_levels_at_the_ends_of_the_float_range(self):
+        for text in ("5e-324", "1.7976931348623157e308"):
+            assert QuantizationLevel(text).delta == Fraction(Decimal(text))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
