@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .graph import Digraph, diameter
@@ -112,18 +111,17 @@ def init_consensus(
 ) -> list[ConsensusNodeState]:
     """Initialize per-node state: mass 2*floor(x/delta) over two units, with
     the state snapshot equal to the mass."""
+    return [ConsensusNodeState(y, 2, y, 2) for y in _masses(x_half, g, q)]
+
+
+def _masses(x_half: Sequence[float], g: Digraph, q: QuantizationLevel) -> list[int]:
+    """Each node's initial mass, 2*floor(x/delta) (it starts with two units)."""
     if len(x_half) != g.n:
         raise ValueError(f"expected {g.n} inputs, got {len(x_half)}")
-    masses = [2 * quantize_floor(x, q) for x in x_half]
-    return [ConsensusNodeState(y, 2, y, 2) for y in masses]
+    return [2 * quantize_floor(x, q) for x in x_half]
 
 
-def _closed_in(g: Digraph) -> list[itemgetter]:
-    """Per node, a getter of itself and its in-neighbors (itself twice if none)."""
-    return [itemgetter(j, *(g.in_neighbors(j) or [j])) for j in range(g.n)]
-
-
-def _flood(M: list[int], m: list[int], closed_in: list[itemgetter]):
+def _flood(M: list[int], m: list[int], closed_in: list[Callable]):
     """One synchronous flood round: node j takes max M and min m over closed_in[j]."""
     return [max(get(M)) for get in closed_in], [min(get(m)) for get in closed_in]
 
@@ -142,7 +140,7 @@ def minmax_window_round(
     if (lam - 1) % d_bound == 0:
         for st in states:
             st.M, st.m = -(-st.y_s // st.z_s), st.y_s // st.z_s
-    M, m = _flood([st.M for st in states], [st.m for st in states], _closed_in(g))
+    M, m = _flood([st.M for st in states], [st.m for st in states], g._closed_in)
     for st, big, small in zip(states, M, m):
         st.M, st.m = big, small
 
@@ -202,11 +200,10 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
         raise ValueError(f"expected {n} rng streams, got {len(streams)}")
     if max_rounds is None:
         max_rounds = 200 * d_bound * n
-    draws = [(s.getrandbits, len(t).bit_length(), len(t), t) for s, t in  # self first
-             zip(streams, ([j, *g.out_neighbors(j)] for j in range(n)))]
+    draws = [(s.getrandbits, len(t).bit_length(), len(t), t)
+             for s, t in zip(streams, g._targets)]
     # Per lane, one per level: y, y_s, the y total, per-round audits, M, m.
-    lane_ys_s = [[st.y_s for st in init_consensus(x, g, q)]
-                 for x, q in zip(x_halves, levels)]
+    lane_ys_s = [_masses(x, g, q) for x, q in zip(x_halves, levels)]
     lane_total = [sum(ys_s) for ys_s in lane_ys_s]
     lane_ys, lane_y_ok = [[0] * n for _ in levels], [[] for _ in levels]
     lane_M, lane_m = [[0] * n for _ in levels], [[0] * n for _ in levels]
@@ -219,7 +216,6 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
         for ys, ys_s in zip(lane_ys, lane_ys_s):
             ys[tj[i]] += ys_s[j]
 
-    closed_in = _closed_in(g) if trace is not None else None
     out: list = [None] * len(levels)
     live, z_ok = list(range(len(levels))), []
     for lam in range(1, max_rounds + 1):
@@ -230,7 +226,7 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
             if trace is not None:  # what the window's flood delivers
                 top, bottom = [max(lane_M[0])] * n, [min(lane_m[0])] * n
         if trace is not None and (lane_M[0] != top or lane_m[0] != bottom):
-            lane_M[0], lane_m[0] = _flood(lane_M[0], lane_m[0], closed_in)
+            lane_M[0], lane_m[0] = _flood(lane_M[0], lane_m[0], g._closed_in)
 
         # live[0] splits, each piece drawn where it goes; only the other lanes'
         # replay and tamper read the (j, z, dests) records, so only they build them

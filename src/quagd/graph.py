@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
+from operator import itemgetter
 from typing import Iterable, Optional
 
 
@@ -88,6 +89,18 @@ class Digraph:
         source = (missing & -missing).bit_length() - 1
         target = next(v for v, bits in enumerate(reach) if not bits >> source & 1)
         return None, (source, target)
+
+    @cached_property
+    def _targets(self) -> list[list[int]]:
+        """Per node, where its pieces may go: itself first, then its
+        out-neighbours (the consensus kernel's draw tables)."""
+        return [[j, *out] for j, out in enumerate(self._out)]
+
+    @cached_property
+    def _closed_in(self) -> list[itemgetter]:
+        """Per node, a getter of itself and its in-neighbours (itself twice
+        if none), for the consensus max/min flood."""
+        return [itemgetter(j, *(senders or [j])) for j, senders in enumerate(self._in)]
 
     def out_neighbors(self, j: int) -> list[int]:
         """Nodes that can receive from j (self excluded)."""
@@ -202,8 +215,9 @@ def read_edge_list(path: str) -> Digraph:
     if not lines or not lines[0].startswith("n "):
         raise GraphError(f"{path}: missing `n <count>` header line")
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        _, count = lines[0].split()  # exactly `n <count>`
+        n = int(count)
+    except ValueError:
         raise GraphError(f"{path}: bad header line {lines[0]!r}") from None
     edges = []
     for lineno, ln in enumerate(lines[1:], start=2):

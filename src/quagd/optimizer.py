@@ -361,8 +361,8 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
     n = cfg.graph.n
     try:
         cfg.validate()
-        alpha = cfg.effective_alpha()
         interval = step_size_interval(cfg.L, cfg.mu, n)
+        alpha = cfg.alpha if cfg.alpha is not None else interval.default_alpha()
         if interval.nonempty and not interval.contains(alpha):
             for _ in levels:  # as many warnings as separate runs give
                 warnings.warn(

@@ -39,6 +39,7 @@ class QuantizationLevel:
             raise ValueError("quantization level must be a decimal with "
                              f"0 < float(level) < inf, got {self._text!r}")
         self.delta: Fraction = Fraction(delta)
+        self._ratio = self.delta.as_integer_ratio()  # (a, b) for quantize_floor
 
     def __float__(self):
         return float(self.delta)
@@ -67,8 +68,8 @@ def quantize_floor(xi, q: QuantizationLevel) -> int:
         num, den = xi.as_integer_ratio()  # exact binary value
     else:
         num, den = Fraction(xi).as_integer_ratio()
-    delta = q.delta
-    return num * delta.denominator // (den * delta.numerator)
+    a, b = q._ratio
+    return num * b // (den * a)
 
 
 def quantized_value(xi, q: QuantizationLevel) -> Fraction:

@@ -254,9 +254,10 @@ def test_node_count_below_one_prints_no_interval(nodes, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["n x\n1 0\n0 1\n", "n 1\n", "n 2\n0 a\n1 0\n", "n 2\n1 0\n2 1\n"],
+    ["n x\n1 0\n0 1\n", "n 1\n", "n 2\n0 a\n1 0\n", "n 2\n1 0\n2 1\n",
+     "n 3 junk trailing\n1 0\n2 1\n0 2\n"],
     ids=["header-without-a-count", "one-node", "non-integer-node-id",
-         "node-id-out-of-range"],
+         "node-id-out-of-range", "header-with-extra-tokens"],
 )
 def test_malformed_graph_file_is_config_error(text, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

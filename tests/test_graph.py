@@ -299,6 +299,12 @@ class TestEdgeListFormat:
         with pytest.raises(GraphError):
             read_edge_list(str(path))
 
+    def test_header_with_extra_tokens_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("n 3 junk trailing\n1 0\n2 1\n0 2\n")
+        with pytest.raises(GraphError, match="bad header line 'n 3 junk trailing'"):
+            read_edge_list(str(path))
+
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("n 3\n1 0\noops\n")

@@ -299,6 +299,25 @@ class TestQuagdRun:
         with pytest.warns(UserWarning, match="admissible interval"):
             quagd_run(cfg)
 
+    def test_step_size_interval_built_once(self, monkeypatch):
+        import quagd.optimizer as optimizer
+
+        built, real = [], optimizer.step_size_interval
+        monkeypatch.setattr(optimizer, "step_size_interval",
+                            lambda *args: built.append(args) or real(*args))
+        trace = quagd_run(small_config())
+        assert len(built) == 1
+        alpha = real(4.0, 4.0, 4).default_alpha()
+        assert trace.steps == quagd_run(small_config(alpha=alpha)).steps
+
+    def test_empty_interval_needs_an_explicit_alpha(self):
+        flat = CostFunction(lambda x: 0.0, lambda x: 0.0, 3.0, 0.5)  # L=6, mu=1, n=2
+        cfg = small_config(graph=complete(2), costs=[flat] * 2, x0=[1.0, 2.0])
+        with pytest.raises(ConfigError, match="interval is empty"):
+            quagd_run(cfg)
+        cfg.alpha = 0.5  # no admissible interval to warn about
+        assert quagd_run(cfg).steps[-1].k == cfg.max_outer
+
     def test_nontermination_carries_outer_step(self):
         from quagd.consensus import ConsensusNonterminationError
 
