@@ -227,7 +227,8 @@ class AuditReport:
 def audit_invariants(trace: RunTrace) -> AuditReport:
     """Check every recorded outer step against the protocol contracts:
     exact mass conservation, the one-level averaging accuracy bound,
-    node agreement, and the 2*delta / 4*delta observer bounds."""
+    node agreement, and the 2*delta / 4*delta observer bounds.  Agreement
+    holds by construction (see StepRecord); traced runs check the flood."""
     report = AuditReport()
     delta = float(trace.delta)
     # strict bounds in exact arithmetic; tiny slack absorbs float roundoff

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from .consensus import ConsensusNonterminationError, _run_lanes, run_faqua
 from .graph import Digraph, diameter
 from .quantizer import QuantizationLevel
-from .rng import node_streams
+from .rng import NodeStreams
 from .trace import RunTrace, StepRecord, residual_error
 
 
@@ -296,6 +296,8 @@ class OptRunConfig:
             raise ConfigError(f"max_outer must be >= 0, got {self.max_outer}")
         if self.alpha is not None and not math.isfinite(self.alpha):
             raise ConfigError(f"step size must be finite, got {self.alpha}")
+        if self.alpha is not None and self.alpha <= 0:
+            raise ConfigError(f"step size must be positive, got {self.alpha}")
 
     @property
     def L(self) -> float:
@@ -378,6 +380,7 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
     out: list = [RunTrace(x0=list(cfg.x0), delta=q.delta, x_star=x_star) for q in levels]
     for trace in out:
         trace.steps.append(StepRecord(k=0, estimates=list(cfg.x0), residual=r0))
+    run_streams = NodeStreams(cfg.master_seed, n)  # reseeded in place each step
     for k in range(cfg.max_outer):
         stepped = {}  # each live level's stepped values
         for lane, trace in enumerate(out):
@@ -392,7 +395,7 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
                     out[lane] = exc
         if not stepped:
             break
-        streams = node_streams(cfg.master_seed, n, k)
+        streams = run_streams.at(k)
         if inner_trace is not None:
             inner_trace.write(f"OUTER\t{k}\n")
         x_halves, qs = list(stepped.values()), [levels[lane] for lane in stepped]

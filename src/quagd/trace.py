@@ -36,6 +36,8 @@ class StepRecord:
     Observer values (centroid_err = |mean estimate - mean stepped value|,
     max_node_dev = max_i |x_i - mean estimate|) are computed from global
     state by `optimizer.quagd_run`, never by nodes; they are None at k = 0.
+    agreement_ok holds by construction (the kernel gives every node one
+    value); only a traced run floods each node's extrema and checks them.
     """
 
     k: int

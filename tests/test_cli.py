@@ -211,6 +211,9 @@ UNREAD_INI = {
         (["theory", "--nodes", "20", "--young-delta", "abc"], None),
         (["theory", "--mu", "1", "--lipschitz", "10", "--nodes", "-3"], None),
         (["theory", "--mu", "1", "--lipschitz", "10", "--nodes", "0"], None),
+        (["run", "--nodes", "5", "--alpha", "-1", "--max-iters", "0"], None),
+        (["run", "--alpha", "0"], None),
+        (["run", "--config", "cfg.ini"], "[optimizer]\nalpha = 0\n"),
         *[([cmd, flag, level], None) for cmd, flag in LEVEL_FLAGS for level in BAD_LEVELS],
         *[(["run", "--config", "cfg.ini"], ini) for ini, _ in UNREAD_INI.values()],
     ],
@@ -232,16 +235,20 @@ UNREAD_INI = {
          "negative-max-iters", "theory-negative-mu", "theory-empty-mu-is-unset",
          "theory-malformed-mu", "theory-malformed-young-delta",
          "theory-config-malformed-young-delta", "theory-negative-nodes",
-         "theory-zero-nodes",
+         "theory-zero-nodes", "negative-alpha-without-iterations", "zero-alpha",
+         "ini-zero-alpha",
          *[f"{cmd}-level-{level}" for cmd, _ in LEVEL_FLAGS for level in BAD_LEVELS],
          *UNREAD_INI],
 )
-def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys):
+def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys, recwarn):
     monkeypatch.chdir(tmp_path)
     if ini is not None:
         (tmp_path / "cfg.ini").write_text(ini)
     assert run_cli(*argv) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "UserWarning" not in err  # the input is rejected before any warning
+    assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
 @pytest.mark.parametrize("nodes", ["-3", "0"])

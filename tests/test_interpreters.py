@@ -1,11 +1,13 @@
 """Outputs are the same on every supported CPython, not only on this one.
 
-Runs test_golden's flag-only `run` and its graph-gen cases under each
-python3.10 ... python3.13 found on PATH and compares their digests with
-GOLDEN and GRAPH_GOLDEN.  An interpreter that does not start, or that is the
-running interpreter's version, is skipped.
+Runs test_golden's flag-only `run` (several outer steps, so node streams are
+reseeded in C) and its graph-gen cases under each python3.10 ... python3.13
+found on PATH or installed by pyenv, and compares their digests with GOLDEN
+and GRAPH_GOLDEN.  A version with no interpreter that starts, or that is the
+running interpreter's, is skipped.
 """
 
+import glob
 import hashlib
 import os
 import shutil
@@ -22,21 +24,31 @@ RUN = next(argv for argv in GOLDEN if argv[0] == "run")
 MINORS = [10, 11, 12, 13]
 
 
-def other_interpreter(minor):
-    """python3.<minor> on PATH, or skip if it is missing, does not start, or
-    is the running interpreter's version."""
+def candidates(minor):
+    """python3.<minor> on PATH, then pyenv's installs of 3.<minor> (under
+    $PYENV_ROOT, ~/.pyenv by default), whose PATH shims may not start."""
     exe = shutil.which(f"python3.{minor}")
-    if exe is None:
-        pytest.skip(f"python3.{minor} not on PATH")
-    probe = subprocess.run(
-        [exe, "-c", "import sys; print(*sys.version_info[:2])"],
-        capture_output=True, text=True, timeout=60,
-    )
-    if probe.returncode != 0:
-        pytest.skip(f"python3.{minor} does not start")
-    if probe.stdout.split() == [str(v) for v in sys.version_info[:2]]:
+    if exe is not None:
+        yield exe
+    root = os.environ.get("PYENV_ROOT") or os.path.expanduser("~/.pyenv")
+    yield from sorted(glob.glob(
+        os.path.join(root, "versions", f"3.{minor}.*", "bin", f"python3.{minor}")
+    ))
+
+
+def other_interpreter(minor):
+    """The first candidate that starts as 3.<minor>, or skip if none does or
+    3.<minor> is the running interpreter's version."""
+    if sys.version_info[:2] == (3, minor):
         pytest.skip("the running interpreter's version")
-    return exe
+    for exe in candidates(minor):
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(*sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60,
+        )
+        if probe.returncode == 0 and probe.stdout.split() == ["3", str(minor)]:
+            return exe
+    pytest.skip(f"no python3.{minor} that starts, on PATH or under pyenv")
 
 
 def run_cli(exe, argv, cwd):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -355,6 +356,15 @@ class TestQuagdRun:
             for overrides in (dict(alpha=bad), dict(x0=[1.0, bad, 2.0, 3.0])):
                 with pytest.raises(ConfigError):
                     small_config(**overrides).validate()
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_validation_rejects_a_step_size_that_is_not_positive(self, alpha):
+        with pytest.raises(ConfigError, match="step size must be"):
+            small_config(alpha=alpha, max_outer=0).validate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before the interval warning
+            with pytest.raises(ConfigError, match="step size must be"):
+                quagd_run(small_config(alpha=alpha))
 
     def test_validation_rejects_negative_initials(self):
         cfg = small_config(x0=[1.0, -0.5, 2.0, 3.0])

@@ -1,8 +1,11 @@
-"""node_streams and mix64 against their definitions, apart from the goldens.
+"""node_streams, NodeStreams and mix64 against their definitions, apart from
+the goldens.
 
-node_streams(m, n, k)[j] must be a random.Random in the state
-random.Random(mix64(m, j, k)) has, and mix64 the splitmix64 chain written
-out below; both the kernel and tests/consensus_reference.py build on them.
+node_streams(m, n, k)[j] and NodeStreams(m, n).at(k)[j] must be a
+random.Random in the state random.Random(mix64(m, j, k)) has, whatever
+earlier steps drew from a reseeded stream, and mix64 the splitmix64 chain
+written out below; the kernel, the outer loop and tests/consensus_reference.py
+build on them.
 """
 
 import copy
@@ -16,7 +19,7 @@ try:
 except ImportError:
     given = None
 
-from quagd.rng import mix64, node_streams
+from quagd.rng import NodeStreams, mix64, node_streams
 
 MASK = (1 << 64) - 1
 
@@ -36,6 +39,18 @@ def splitmix64_chain(*parts):
 # Master seeds and outer steps, negative and >= 2**64 ones included.
 CASES = [(0, 0), (1, 0), (7, 3), (-1, 0), (-5, 2), (2**64, 1), (2**64 + 7, -9),
          (2**70 + 3, 2**65), (123, -(2**64) - 1)]
+MASTERS = sorted({master for master, _ in CASES})
+# Outer steps in the order a run reseeds its streams: repeats, going back and
+# beyond 64 bits.
+STEPS = [0, 3, -9, 3, 2**65]
+
+
+def consume(streams):
+    """Draw from every stream, as a consensus step would and more."""
+    for s in streams:
+        s.getrandbits(37)
+        s.random()
+        s.choice(range(5))
 
 
 @pytest.mark.parametrize("parts", [(), (0,), (0, 0, 0), (5, -3), (2**64 + 1, 2**80, -7)])
@@ -57,6 +72,36 @@ def test_each_stream_is_random_seeded_with_mix64(master, step):
     for j, s in enumerate(streams):
         assert isinstance(s, random.Random)
         assert s.getstate() == random.Random(splitmix64_chain(master, j, step)).getstate()
+
+
+@pytest.mark.parametrize("master", MASTERS)
+def test_reseeded_streams_match_fresh_ones(master):
+    run = NodeStreams(master, 5)
+    for k in STEPS:
+        streams = run.at(k)
+        assert [s.getstate() for s in streams] == [
+            random.Random(splitmix64_chain(master, j, k)).getstate() for j in range(5)
+        ]
+        consume(streams)
+
+
+def test_at_returns_the_same_list_every_step():
+    run = NodeStreams(11, 4)
+    first = run.at(0)
+    objects = list(first)
+    for k in STEPS:
+        assert run.at(k) is first
+        assert all(a is b for a, b in zip(run.at(k), objects))
+    assert NodeStreams(11, 0).at(3) == []
+
+
+@pytest.mark.parametrize("master, step", CASES)
+def test_node_streams_is_a_fresh_stream_set_at_one_step(master, step):
+    streams = node_streams(master, 6, step)
+    assert [s.getstate() for s in streams] == [
+        s.getstate() for s in NodeStreams(master, 6).at(step)
+    ]
+    assert node_streams(master, 6, step) is not streams
 
 
 def test_draws_match_random():
@@ -98,3 +143,16 @@ if given is not None:  # the property needs hypothesis
         assert [s.getstate() for s in node_streams(master, n, step)] == [
             random.Random(splitmix64_chain(master, j, step)).getstate() for j in range(n)
         ]
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(master=st.integers(-(2**80), 2**80),
+           steps=st.lists(st.integers(-(2**80), 2**80), min_size=1, max_size=5),
+           n=st.integers(1, 4))
+    def test_reseeded_streams_match_their_definition(master, steps, n):
+        run = NodeStreams(master, n)
+        for k in steps:
+            streams = run.at(k)
+            assert [s.getstate() for s in streams] == [
+                random.Random(splitmix64_chain(master, j, k)).getstate() for j in range(n)
+            ]
+            consume(streams)
