@@ -13,21 +13,23 @@ A round splits, delivers and audits, in exact integer arithmetic, behind a
 strict superstep barrier (what is sent in round lam is summed into its
 receivers before round lam's audit and stopping check).  d_bound >= diameter
 flood rounds bring every node the window-start extrema of the ratios, so the
-simulator reads those directly; it floods only when a trace (which prints
-each round's M and m) is written, and only until every node holds them.
-Targets are drawn as random.Random.choice draws them, by inline getrandbits.
-No unit count and no draw depends on y, so the one kernel, _run_lanes, runs
-several inputs (lanes: a sweep's levels) on one set of draws, each as it
-would run alone; run_faqua is its one-lane case.  Each round the first live
-lane splits node by node, each piece drawn where it goes; the other lanes
-replay its recorded targets over their own y, and a tamper hook is handed
-the messages rebuilt from the same record.
+simulator reads those directly.  Only a trace (each round's M and m) floods,
+recomputing just the nodes that still lack an extremum, and it joins its rows
+from cached digit strings; an untraced call builds none of this.  Targets are
+drawn as random.Random.choice draws them, by inline getrandbits.  No unit
+count and no draw depends on y, so the one kernel, _run_lanes, runs several
+inputs (lanes: a sweep's levels) on one set of draws, each as it would run
+alone; run_faqua is its one-lane case, the only one that takes a trace or a
+tamper hook.  Each round the first live lane splits node by node, each piece
+drawn where it goes; the other lanes replay its recorded targets over their
+own y, and a tamper hook is handed the messages rebuilt from the same record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .graph import Digraph, diameter
@@ -121,9 +123,24 @@ def _masses(x_half: Sequence[float], g: Digraph, q: QuantizationLevel) -> list[i
     return [2 * quantize_floor(x, q) for x in x_half]
 
 
-def _flood(M: list[int], m: list[int], closed_in: list[Callable]):
-    """One synchronous flood round: node j takes max M and min m over closed_in[j]."""
-    return [max(get(M)) for get in closed_in], [min(get(m)) for get in closed_in]
+def _flood(M: list[int], m: list[int], closed_in: list[Callable], pending):
+    """One synchronous flood round: pending node j takes max/min over closed_in[j]."""
+    big, small = M[:], m[:]
+    for j in pending:
+        big[j], small[j] = max(closed_in[j](M)), min(closed_in[j](m))
+    return big, small
+
+
+class _Rows(dict):
+    """A traced call's row formatter: rows(lam, *cols) joins round lam's rows
+    `lambda *cols` in C from the cached digits of each int it prints."""
+
+    def __missing__(self, k: int) -> str:
+        return self.setdefault(k, str(k))
+
+    def __call__(self, lam: int, *cols) -> str:
+        rows = zip(repeat(str(lam)), *[map(self.__getitem__, col) for col in cols])
+        return "\n".join(map("\t".join, rows)) + "\n"
 
 
 def minmax_window_round(
@@ -137,11 +154,13 @@ def minmax_window_round(
     """
     if lam < 1:
         raise ValueError(f"round index must be >= 1, got {lam}")
+    if d_bound < 1:
+        raise ValueError(f"d_bound must be >= 1, got {d_bound}")
     if (lam - 1) % d_bound == 0:
         for st in states:
             st.M, st.m = -(-st.y_s // st.z_s), st.y_s // st.z_s
-    M, m = _flood([st.M for st in states], [st.m for st in states], g._closed_in)
-    for st, big, small in zip(states, M, m):
+    M, m = [st.M for st in states], [st.m for st in states]
+    for st, big, small in zip(states, *_flood(M, m, g._closed_in, range(g.n))):
         st.M, st.m = big, small
 
 
@@ -188,9 +207,11 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
     """The kernel, for one x_half per level.  Each lane stops at its own
     first settled window and gets what run_faqua gives it alone, a
     ConsensusResult or the ConsensusNonterminationError it would raise.
-    trace and tamper act on lane 0; run_faqua passes them, with one lane.
+    trace and tamper take one lane only (run_faqua's), which they act on.
     Random.choice(t) is t[i], i the first getrandbits(len(t).bit_length())
     below len(t)."""
+    if (trace is not None or tamper is not None) and len(levels) > 1:
+        raise ValueError(f"trace and tamper act on one lane, got {len(levels)} levels")
     n = g.n
     d_actual = diameter(g)  # raises NotStronglyConnectedError on a witness pair
     if d_bound < d_actual:
@@ -218,26 +239,30 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
 
     out: list = [None] * len(levels)
     live, z_ok = list(range(len(levels))), []
+    fmt = None if trace is None else _Rows()
     for lam in range(1, max_rounds + 1):
         if (lam - 1) % d_bound == 0:
             for lane in live:
                 lane_M[lane] = [-(-y // z) for y, z in zip(lane_ys_s[lane], zs_s)]
                 lane_m[lane] = [y // z for y, z in zip(lane_ys_s[lane], zs_s)]
             if trace is not None:  # what the window's flood delivers
-                top, bottom = [max(lane_M[0])] * n, [min(lane_m[0])] * n
-        if trace is not None and (lane_M[0] != top or lane_m[0] != bottom):
-            lane_M[0], lane_m[0] = _flood(lane_M[0], lane_m[0], g._closed_in)
+                top, bottom, pending = max(lane_M[0]), min(lane_m[0]), range(n)
+        if trace is not None:  # flood only the nodes that lack an extremum
+            M, m = lane_M[0], lane_m[0]
+            pending = [j for j in pending if M[j] != top or m[j] != bottom]
+            M, m = lane_M[0], lane_m[0] = _flood(M, m, g._closed_in, pending)
 
         # live[0] splits, each piece drawn where it goes; only the other lanes'
         # replay and tamper read the (j, z, dests) records, so only they build them
         record, splits = tamper is not None or len(live) > 1, []
         ys, ys_s = lane_ys[live[0]], lane_ys_s[live[0]]
-        ny, nz = ys[:], [1 if z > 1 else z for z in zs]  # a splitting node keeps 1 unit
+        ny, nz = ys[:], zs[:]
         for j, z in enumerate(zs):
             if z < 2:
                 continue
             y = ys_s[j] = ys[j]
             zs_s[j] = z
+            nz[j] -= z - 1  # it keeps 1 unit
             bits, k, t, tj = draws[j]
             if z == 2:  # one piece to send: the larger half
                 i = bits(k)
@@ -295,16 +320,11 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
             lane_y_ok[lane].append(sum(lane_ys[lane]) == lane_total[lane])
 
         if trace is not None:
-            ys, ys_s, M, m = lane_ys[0], lane_ys_s[0], lane_M[0], lane_m[0]
-            trace.write("".join([
-                f"{lam}\t{j}\t{ys[j]}\t{zs[j]}\t{ys_s[j]}\t{zs_s[j]}\t{M[j]}\t{m[j]}\n"
-                for j in range(n)
-            ]))
+            trace.write(fmt(lam, range(n), lane_ys[0], zs, lane_ys_s[0], zs_s, M, m))
 
         if lam % d_bound == 0:
-            if trace is not None and (lane_M[0] != top or lane_m[0] != bottom):
-                raise RuntimeError(f"round {lam}: flood missed extrema "
-                                   f"{top[0]}, {bottom[0]}")
+            if trace is not None and M.count(top) + m.count(bottom) < 2 * n:
+                raise RuntimeError(f"round {lam}: flood missed extrema {top}, {bottom}")
             for lane in [l for l in live if max(lane_M[l]) - min(lane_m[l]) <= 1]:
                 lo, delta = min(lane_m[lane]), levels[lane].delta
                 audits = list(map(RoundAudit, range(1, lam + 1), lane_y_ok[lane], z_ok))

@@ -41,7 +41,8 @@ def split_mass(
     return {dest: (cy, cz) for dest, (cy, cz) in acc.items()}
 
 
-def reference_run(x_half, g, d_bound, q, rng, max_rounds=None, *, tamper=None):
+def reference_run(x_half, g, d_bound, q, rng, max_rounds=None, *, trace=None,
+                  tamper=None):
     """run_faqua's protocol, step by step, with run_faqua's arguments.
 
     Init send: each node sends all of its (y, z) to one target (itself or an
@@ -49,9 +50,11 @@ def reference_run(x_half, g, d_bound, q, rng, max_rounds=None, *, tamper=None):
     with minmax_window_round and splits every node with z >= 2 through
     split_mass.  A node's own pieces stay; the rest leave as one MassMessage
     per sender and destination, in sender and then destination order, which
-    tamper may alter before delivery.  The run stops at the first window end
-    where max M - min m <= 1 and returns run_faqua's result, or raises its
-    ConsensusNonterminationError (with M and m as flooded).
+    tamper may alter before delivery.  After delivery, trace (if given)
+    receives one row `lambda node y z y_s z_s M m` per node.  The run stops
+    at the first window end where max M - min m <= 1, writes
+    `RESULT value rounds` to trace and returns run_faqua's result, or raises
+    its ConsensusNonterminationError (with M and m as flooded).
     """
     n = g.n
     streams = node_streams(rng, n, 0) if isinstance(rng, int) else list(rng)
@@ -86,10 +89,15 @@ def reference_run(x_half, g, d_bound, q, rng, max_rounds=None, *, tamper=None):
             ny[msg.receiver] += msg.c_y
             nz[msg.receiver] += msg.c_z
         ys, zs = ny, nz
+        if trace is not None:
+            for j, (st, y, z) in enumerate(zip(states, ys, zs)):
+                trace.write(f"{lam}\t{j}\t{y}\t{z}\t{st.y_s}\t{st.z_s}\t{st.M}\t{st.m}\n")
         audits.append(RoundAudit(lam, sum(ys) == total, sum(zs) == 2 * n))
         hi, lo = max(st.M for st in states), min(st.m for st in states)
         if lam % d_bound == 0 and hi - lo <= 1:
             value = float(lo * q.delta)
+            if trace is not None:
+                trace.write(f"RESULT\t{value!r}\t{lam}\n")
             return ConsensusResult(
                 value, lo, q.delta, lam, [value] * n, total // 2, n, audits
             )

@@ -143,6 +143,13 @@ class TestMinMaxWindow:
         with pytest.raises(ValueError):
             minmax_window_round(states, g, 0, 1)
 
+    @pytest.mark.parametrize("d_bound", [0, -1, -5])
+    def test_rejects_window_below_one_round(self, d_bound):
+        g = cycle(2)
+        states = self._states(g, [0, 0], [1, 1])
+        with pytest.raises(ValueError, match=f"d_bound must be >= 1, got {d_bound}"):
+            minmax_window_round(states, g, 1, d_bound)
+
 
 class TestRunFaqua:
     def test_equal_inputs_stop_at_first_window(self):
@@ -229,8 +236,8 @@ class TestRunFaqua:
     def test_traced_flood_is_checked_against_window_extrema(self, monkeypatch):
         real_flood = consensus._flood
 
-        def wrong_max(M, m, closed_in):
-            M, m = real_flood(M, m, closed_in)
+        def wrong_max(M, m, closed_in, pending):
+            M, m = real_flood(M, m, closed_in, pending)
             return [M[0] + 1, *M[1:]], m
 
         monkeypatch.setattr(consensus, "_flood", wrong_max)
@@ -244,7 +251,7 @@ class TestRunFaqua:
         def forbidden(*args, **kwargs):
             raise AssertionError("called on the untraced, untampered path")
 
-        for name in ("_flood", "_outbox", "MassMessage"):
+        for name in ("_flood", "_outbox", "MassMessage", "_Rows"):
             monkeypatch.setattr(consensus, name, forbidden)
         res = run_faqua([1.0, 2.0, 3.0, 4.0], cycle(4), 3, QuantizationLevel("1"), 0)
         assert res.within_accuracy_contract()

@@ -126,7 +126,9 @@ def test_untraced_traced_and_tamper_paths_agree(
     """The untraced kernel reads the window extrema, the traced one floods
     them and checks the flood, the tamper path splits on shared draws and
     rebuilds messages from them, and reference_run splits through
-    split_mass: all four return the same result on the same draws."""
+    split_mass: all four return the same result on the same draws, and the
+    traced kernel writes reference_run's trace text byte for byte, also under
+    a tamper hook and when the round budget runs out."""
     g = generate_random_strongly_connected(n, edge_prob, graph_seed)
     d_bound = diameter(g) + extra_d
     x = data.draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n))
@@ -137,8 +139,14 @@ def test_untraced_traced_and_tamper_paths_agree(
     def run(kernel=run_faqua, **kw):
         return _outcome(lambda: kernel(x, g, d_bound, q, seed, max_rounds, **kw))
 
-    untraced = run()
-    assert run(trace=io.StringIO()) == untraced
+    def traced(kernel=run_faqua, **kw):
+        text = io.StringIO()
+        return run(kernel, trace=text, **kw), text.getvalue()
+
+    untraced, (outcome, text) = run(), traced()
+    assert outcome == untraced
     assert run(tamper=lambda lam, msgs: msgs) == untraced
-    assert run(reference_run) == untraced
-    assert run(tamper=_corrupt) == run(reference_run, tamper=_corrupt)
+    assert traced(reference_run) == (outcome, text)
+    corrupt = traced(tamper=_corrupt)
+    assert run(tamper=_corrupt) == corrupt[0]
+    assert traced(reference_run, tamper=_corrupt) == corrupt

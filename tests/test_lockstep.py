@@ -3,6 +3,7 @@ inside optimizer._run_levels); each level must still give exactly what its
 own run gives: the same consensus results, the same StepRecords, and the
 same failure, outer step and nontermination snapshot."""
 
+import io
 import warnings
 from dataclasses import replace
 
@@ -136,6 +137,21 @@ def test_inline_split_passes_on_while_a_third_lane_replays(monkeypatch):
     assert all(entry.exception is None for entry in report.entries)
     assert len(rounds) == 4
     assert all(first < second < third for first, second, third in rounds)
+
+
+@pytest.mark.parametrize("hook", ["trace", "tamper"])
+def test_trace_and_tamper_take_one_lane_only(hook):
+    """Both act on lane 0, which would go on being written or rebuilt after
+    it stopped while other lanes run, so several levels are refused."""
+    g = Digraph(3, [((j + 1) % 3, j) for j in range(3)])
+    qs = [QuantizationLevel("1"), QuantizationLevel("0.1")]
+    text = io.StringIO()
+    kw = {"trace": text} if hook == "trace" else {"tamper": lambda lam, msgs: msgs}
+    with pytest.raises(ValueError, match="trace and tamper act on one lane, got 2 levels"):
+        _run_lanes([[1.0, 2.0, 3.0]] * 2, g, 2, qs, 0, **kw)
+    assert text.getvalue() == ""
+    [one] = _run_lanes([[1.0, 2.0, 3.0]], g, 2, qs[:1], 0, **kw)
+    assert _consensus_view(one) == _consensus_view(run_faqua([1.0, 2.0, 3.0], g, 2, qs[0], 0))
 
 
 def test_too_small_d_bound_fails_every_level():
