@@ -13,16 +13,19 @@ A round splits, delivers and audits, in exact integer arithmetic, behind a
 strict superstep barrier (what is sent in round lam is summed into its
 receivers before round lam's audit and stopping check).  d_bound >= diameter
 flood rounds bring every node the window-start extrema of the ratios, so the
-simulator reads those directly.  Only a trace (each round's M and m) floods,
-recomputing just the nodes that still lack an extremum, and it joins its rows
-from cached digit strings; an untraced call builds none of this.  Targets are
-drawn as random.Random.choice draws them, by inline getrandbits.  No unit
-count and no draw depends on y, so the one kernel, _run_lanes, runs several
-inputs (lanes: a sweep's levels) on one set of draws, each as it would run
-alone; run_faqua is its one-lane case, the only one that takes a trace or a
-tamper hook.  Each round the first live lane splits node by node, each piece
-drawn where it goes; the other lanes replay its recorded targets over their
-own y, and a tamper hook is handed the messages rebuilt from the same record.
+kernel reads those directly and never floods.  Targets are drawn as
+random.Random.choice draws them, by inline getrandbits.  No unit count and no
+draw depends on y, so the one kernel, _run_lanes, runs several inputs (lanes:
+a sweep's levels) on one set of draws, each as it would run alone; run_faqua
+is its one-lane case, the only one that takes a trace or a tamper hook.  Each
+round the first live lane splits node by node, each piece drawn where it
+goes; the other lanes replay its recorded targets over their own y, and a
+tamper hook is handed the messages rebuilt from the same record.  A trace is
+written by its own writer (_Rows), which the kernel hands lane 0's state and
+window-start extrema once per round: only it floods each round's M and m,
+recomputing just the nodes that still lack an extremum, checks the flood at
+each window end and joins the rows from cached digit strings; an untraced
+call builds none of this.
 """
 
 from __future__ import annotations
@@ -93,9 +96,9 @@ class ConsensusNonterminationError(RuntimeError):
 
     The protocol terminates with probability 1 but has no deterministic
     round bound; the budget converts pathological seeds into a diagnosable
-    error.  Carries the full state snapshot as .states (M and m as flooded
-    when traced, else as reseeded at the last window start); the message
-    shows the first few nodes only, so it stays short on large graphs.
+    error.  Carries the full state snapshot as .states, with M and m as
+    reseeded at the last window start (traced or not); the message shows the
+    first few nodes only, so it stays short on large graphs.
     """
 
     def __init__(self, rounds: int, states: list[ConsensusNodeState]):
@@ -132,15 +135,30 @@ def _flood(M: list[int], m: list[int], closed_in: list[Callable], pending):
 
 
 class _Rows(dict):
-    """A traced call's row formatter: rows(lam, *cols) joins round lam's rows
-    `lambda *cols` in C from the cached digits of each int it prints."""
+    """A traced call's trace writer, called once per round with lane 0's state
+    and the window-start M and m.  It floods its own copy of M and m,
+    recomputing only the pending nodes (those that lack the window's top or
+    bottom), writes the round's rows `lambda node y z y_s z_s M m`, joined in
+    C from the cached digits of each int it prints, and at a window end raises
+    if a node is still pending."""
+
+    def __init__(self, out, g: Digraph, d_bound: int):
+        self.write, self.closed_in, self.d_bound = out.write, g._closed_in, d_bound
 
     def __missing__(self, k: int) -> str:
         return self.setdefault(k, str(k))
 
-    def __call__(self, lam: int, *cols) -> str:
-        rows = zip(repeat(str(lam)), *[map(self.__getitem__, col) for col in cols])
-        return "\n".join(map("\t".join, rows)) + "\n"
+    def __call__(self, lam: int, ys, zs, ys_s, zs_s, M, m) -> None:
+        if (lam - 1) % self.d_bound == 0:  # what the window's flood delivers
+            self.top, self.bottom, self.M, self.m = max(M), min(m), M, m
+            self.pending = self.nodes = range(len(M))
+        M, m = self.M, self.m = _flood(self.M, self.m, self.closed_in, self.pending)
+        top, bottom = self.top, self.bottom
+        self.pending = [j for j in self.pending if M[j] != top or m[j] != bottom]
+        cols = [map(self.__getitem__, c) for c in (self.nodes, ys, zs, ys_s, zs_s, M, m)]
+        self.write("\n".join(map("\t".join, zip(repeat(str(lam)), *cols))) + "\n")
+        if lam % self.d_bound == 0 and self.pending:
+            raise RuntimeError(f"round {lam}: flood missed extrema {top}, {bottom}")
 
 
 def minmax_window_round(
@@ -176,14 +194,17 @@ def run_faqua(x_half: Sequence[float], g: Digraph, d_bound: int, q: Quantization
     rng is either an integer seed or a list of one random.Random per node;
     draws reproduce Random.choice through getrandbits (no override is used).
     trace, if given, is a writable text stream receiving one tab-separated
-    line `lambda node y z y_s z_s M m` per node per round and a final
-    `RESULT value rounds` line.  tamper is a test hook invoked on each
-    round's in-flight messages before delivery.
+    line `lambda node y z y_s z_s M m` per node per round, M and m as
+    flooded so far in the window, and a final `RESULT value rounds` line.
+    tamper is a test hook invoked on each round's in-flight messages before
+    delivery.
     """
-    [res] = _run_lanes([x_half], g, d_bound, [q], rng, max_rounds,
-                       trace=trace, tamper=tamper)
+    [res] = _run_lanes([x_half], g, d_bound, [q], rng, max_rounds, tamper=tamper,
+                       trace=None if trace is None else _Rows(trace, g, d_bound))
     if isinstance(res, ConsensusNonterminationError):
         raise res
+    if trace is not None:
+        trace.write(f"RESULT\t{res.value!r}\t{res.rounds_used}\n")
     return res
 
 
@@ -206,8 +227,11 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
                trace=None, tamper: Optional[TamperHook] = None) -> list:
     """The kernel, for one x_half per level.  Each lane stops at its own
     first settled window and gets what run_faqua gives it alone, a
-    ConsensusResult or the ConsensusNonterminationError it would raise.
-    trace and tamper take one lane only (run_faqua's), which they act on.
+    ConsensusResult or the ConsensusNonterminationError it would raise, whose
+    snapshot holds M and m as reseeded at the last window start.  trace and
+    tamper take one lane only (run_faqua's).  trace (a _Rows) is called once
+    per round, after delivery and tamper, with lane 0's y, z, y_s, z_s and the
+    window-start M and m, which the kernel does not overwrite within a window.
     Random.choice(t) is t[i], i the first getrandbits(len(t).bit_length())
     below len(t)."""
     if (trace is not None or tamper is not None) and len(levels) > 1:
@@ -216,11 +240,12 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
     d_actual = diameter(g)  # raises NotStronglyConnectedError on a witness pair
     if d_bound < d_actual:
         raise ValueError(f"d_bound={d_bound} is below the graph diameter {d_actual}")
+    max_rounds = 200 * d_bound * n if max_rounds is None else max_rounds
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     streams = node_streams(rng, n, 0) if isinstance(rng, int) else list(rng)
     if len(streams) != n:
         raise ValueError(f"expected {n} rng streams, got {len(streams)}")
-    if max_rounds is None:
-        max_rounds = 200 * d_bound * n
     draws = [(s.getrandbits, len(t).bit_length(), len(t), t)
              for s, t in zip(streams, g._targets)]
     # Per lane, one per level: y, y_s, the y total, per-round audits, M, m.
@@ -239,18 +264,11 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
 
     out: list = [None] * len(levels)
     live, z_ok = list(range(len(levels))), []
-    fmt = None if trace is None else _Rows()
     for lam in range(1, max_rounds + 1):
         if (lam - 1) % d_bound == 0:
             for lane in live:
                 lane_M[lane] = [-(-y // z) for y, z in zip(lane_ys_s[lane], zs_s)]
                 lane_m[lane] = [y // z for y, z in zip(lane_ys_s[lane], zs_s)]
-            if trace is not None:  # what the window's flood delivers
-                top, bottom, pending = max(lane_M[0]), min(lane_m[0]), range(n)
-        if trace is not None:  # flood only the nodes that lack an extremum
-            M, m = lane_M[0], lane_m[0]
-            pending = [j for j in pending if M[j] != top or m[j] != bottom]
-            M, m = lane_M[0], lane_m[0] = _flood(M, m, g._closed_in, pending)
 
         # live[0] splits, each piece drawn where it goes; only the other lanes'
         # replay and tamper read the (j, z, dests) records, so only they build them
@@ -315,22 +333,17 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
             for msg in tamper(lam, outbox):
                 ys[msg.receiver] += msg.c_y
                 zs[msg.receiver] += msg.c_z
+        if trace is not None:
+            trace(lam, lane_ys[0], zs, lane_ys_s[0], zs_s, lane_M[0], lane_m[0])
         z_ok.append(sum(zs) == 2 * n)
         for lane in live:
             lane_y_ok[lane].append(sum(lane_ys[lane]) == lane_total[lane])
 
-        if trace is not None:
-            trace.write(fmt(lam, range(n), lane_ys[0], zs, lane_ys_s[0], zs_s, M, m))
-
         if lam % d_bound == 0:
-            if trace is not None and M.count(top) + m.count(bottom) < 2 * n:
-                raise RuntimeError(f"round {lam}: flood missed extrema {top}, {bottom}")
             for lane in [l for l in live if max(lane_M[l]) - min(lane_m[l]) <= 1]:
                 lo, delta = min(lane_m[lane]), levels[lane].delta
                 audits = list(map(RoundAudit, range(1, lam + 1), lane_y_ok[lane], z_ok))
                 value, quantized_sum = float(lo * delta), lane_total[lane] // 2
-                if trace is not None:
-                    trace.write(f"RESULT\t{value!r}\t{lam}\n")
                 out[lane] = ConsensusResult(value, lo, delta, lam, [value] * n,
                                             quantized_sum, n, audits)
                 live.remove(lane)

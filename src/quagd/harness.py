@@ -195,7 +195,7 @@ def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
             residuals = entry.trace.residuals
             entry.plateau = plateau_level(residuals)
             entry.iters_to_plateau = iterations_to_plateau(residuals, entry.plateau)
-            if interval.contains(cfg.effective_alpha()):
+            if interval.contains(cfg.effective_alpha(interval)):
                 theory = default_theory(replace(cfg, delta=level))
                 try:
                     entry.theory_floor = float(theory.asymptotic_bound)

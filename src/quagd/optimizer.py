@@ -292,8 +292,15 @@ class OptRunConfig:
                     f"initial estimates must be finite and nonnegative, "
                     f"node {j} has {x}"
                 )
+        for name in ("max_outer", "master_seed", "d_bound", "max_rounds"):
+            value = getattr(self, name)
+            optional = name in ("d_bound", "max_rounds")  # None picks the default
+            if not (isinstance(value, int) or optional and value is None):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.max_outer < 0:
             raise ConfigError(f"max_outer must be >= 0, got {self.max_outer}")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.alpha is not None and not math.isfinite(self.alpha):
             raise ConfigError(f"step size must be finite, got {self.alpha}")
         if self.alpha is not None and self.alpha <= 0:
@@ -307,10 +314,14 @@ class OptRunConfig:
     def mu(self) -> float:
         return _sum(c.strong_convexity for c in self.costs)
 
-    def effective_alpha(self) -> float:
+    def effective_alpha(self, interval: Optional[StepSizeInterval] = None) -> float:
+        """alpha, or else the midpoint of the admissible interval (interval,
+        if given, is that interval, already built by the caller)."""
         if self.alpha is not None:
             return self.alpha
-        return step_size_interval(self.L, self.mu, self.graph.n).default_alpha()
+        if interval is None:
+            interval = step_size_interval(self.L, self.mu, self.graph.n)
+        return interval.default_alpha()
 
     def effective_d_bound(self) -> int:
         return self.d_bound if self.d_bound is not None else diameter(self.graph)
@@ -364,7 +375,7 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
     try:
         cfg.validate()
         interval = step_size_interval(cfg.L, cfg.mu, n)
-        alpha = cfg.alpha if cfg.alpha is not None else interval.default_alpha()
+        alpha = cfg.effective_alpha(interval)
         if interval.nonempty and not interval.contains(alpha):
             for _ in levels:  # as many warnings as separate runs give
                 warnings.warn(

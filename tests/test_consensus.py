@@ -233,6 +233,26 @@ class TestRunFaqua:
         assert "192 more nodes" in str(err.value)
         assert len(err.value.states) == 200
 
+    @pytest.mark.parametrize("max_rounds", [0, -1, -5])
+    def test_rejects_round_budget_below_one(self, max_rounds):
+        with pytest.raises(ValueError, match=f"max_rounds must be >= 1, got {max_rounds}"):
+            run_faqua([1.0] * 4, cycle(4), 3, QuantizationLevel("1"), 0, max_rounds=max_rounds)
+
+    def test_nontermination_snapshot_is_the_same_traced_or_not(self):
+        """M and m are as reseeded at the last window start on every path; a
+        trace floods its own copy of them."""
+        g, x = cycle(4), [1.0, 2.0, 3.0, 4.0]
+
+        def snapshot(**kw):
+            with pytest.raises(ConsensusNonterminationError) as err:
+                run_faqua(x, g, 3, QuantizationLevel("1"), 0, max_rounds=2, **kw)
+            return err.value.states
+
+        states = snapshot()
+        assert [(st.M, st.m) for st in states] == [(1, 1), (2, 2), (3, 3), (4, 4)]
+        assert snapshot(trace=io.StringIO()) == states
+        assert snapshot(tamper=lambda lam, msgs: msgs) == states
+
     def test_traced_flood_is_checked_against_window_extrema(self, monkeypatch):
         real_flood = consensus._flood
 

@@ -3,7 +3,6 @@ inside optimizer._run_levels); each level must still give exactly what its
 own run gives: the same consensus results, the same StepRecords, and the
 same failure, outer step and nontermination snapshot."""
 
-import io
 import warnings
 from dataclasses import replace
 
@@ -27,10 +26,10 @@ def _check_property(check, **strategies):
 
 
 def _consensus_view(res):
-    """A consensus result's numbers and audits, or a nontermination error's
-    message and full snapshot (M and m included)."""
-    if isinstance(res, ConsensusNonterminationError):
-        return str(res), res.states
+    """A consensus result's numbers and audits, or an error's type, message
+    and, for nontermination, full snapshot (M and m included)."""
+    if isinstance(res, Exception):
+        return type(res), str(res), getattr(res, "states", None)
     audits = [(a.round_index, a.y_conserved, a.z_conserved) for a in res.audits]
     return (res.value, res.value_count, res.rounds_used, res.per_node_values,
             res.quantized_sum, audits)
@@ -52,11 +51,14 @@ def test_each_lane_equals_its_solo_run():
               for _ in qs]
         seed = data.draw(st.integers(0, 2**32))
         max_rounds = data.draw(st.one_of(st.none(), st.integers(0, 30)))
-        lanes = _run_lanes(xs, g, d_bound, qs, node_streams(seed, n, 0), max_rounds)
+        try:
+            lanes = _run_lanes(xs, g, d_bound, qs, node_streams(seed, n, 0), max_rounds)
+        except ValueError as err:  # a zero round budget, refused as in a solo run
+            lanes = [err] * len(qs)
         for x, q, lane in zip(xs, qs, lanes):
             try:
                 solo = run_faqua(x, g, d_bound, q, seed, max_rounds)
-            except ConsensusNonterminationError as err:
+            except (ValueError, ConsensusNonterminationError) as err:
                 solo = err
             assert _consensus_view(lane) == _consensus_view(solo)
 
@@ -142,16 +144,26 @@ def test_inline_split_passes_on_while_a_third_lane_replays(monkeypatch):
 @pytest.mark.parametrize("hook", ["trace", "tamper"])
 def test_trace_and_tamper_take_one_lane_only(hook):
     """Both act on lane 0, which would go on being written or rebuilt after
-    it stopped while other lanes run, so several levels are refused."""
+    it stopped while other lanes run, so several levels are refused.  On one
+    lane, the trace writer and the tamper hook are each called once a round."""
     g = Digraph(3, [((j + 1) % 3, j) for j in range(3)])
     qs = [QuantizationLevel("1"), QuantizationLevel("0.1")]
-    text = io.StringIO()
-    kw = {"trace": text} if hook == "trace" else {"tamper": lambda lam, msgs: msgs}
+    calls = []
+
+    def writer(lam, ys, zs, ys_s, zs_s, M, m):
+        calls.append(lam)
+
+    def tamper(lam, msgs):
+        calls.append(lam)
+        return msgs
+
+    kw = {"trace": writer} if hook == "trace" else {"tamper": tamper}
     with pytest.raises(ValueError, match="trace and tamper act on one lane, got 2 levels"):
         _run_lanes([[1.0, 2.0, 3.0]] * 2, g, 2, qs, 0, **kw)
-    assert text.getvalue() == ""
+    assert calls == []
     [one] = _run_lanes([[1.0, 2.0, 3.0]], g, 2, qs[:1], 0, **kw)
     assert _consensus_view(one) == _consensus_view(run_faqua([1.0, 2.0, 3.0], g, 2, qs[0], 0))
+    assert calls == list(range(1, one.rounds_used + 1))
 
 
 def test_too_small_d_bound_fails_every_level():

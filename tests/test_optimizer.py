@@ -366,6 +366,19 @@ class TestQuagdRun:
             with pytest.raises(ConfigError, match="step size must be"):
                 quagd_run(small_config(alpha=alpha))
 
+    @pytest.mark.parametrize("max_rounds", [0, -5])
+    def test_round_budget_below_one_is_config_error(self, max_rounds):
+        with pytest.raises(ConfigError, match=f"max_rounds must be >= 1, got {max_rounds}") as err:
+            quagd_run(small_config(max_rounds=max_rounds))
+        assert not hasattr(err.value, "outer_step")  # refused before any step
+
+    @pytest.mark.parametrize("field, value", [("master_seed", 1.5), ("max_outer", 2.5),
+                                              ("d_bound", 10.5), ("max_rounds", 2.5),
+                                              ("master_seed", None), ("max_outer", "3")])
+    def test_non_integer_counts_are_config_errors(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            quagd_run(small_config(**{field: value}))
+
     def test_validation_rejects_negative_initials(self):
         cfg = small_config(x0=[1.0, -0.5, 2.0, 3.0])
         with pytest.raises(ConfigError, match="node 1"):
