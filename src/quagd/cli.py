@@ -77,6 +77,13 @@ def _levels(text: str) -> list[QuantizationLevel]:
     return [QuantizationLevel(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"must be in [0, 2**64), got {seed}")
+    return seed
+
+
 # One row per option, in echo order: (INI section, key, parser, default,
 # subcommands taking its --flag, help).  The key is the flag's dest.  Each
 # value is taken from the flag, else the INI, else the default; text goes
@@ -93,7 +100,7 @@ _OPTIONS = [
      "comma-separated quantization levels"),
     ("optimizer", "max_iters", int, 60, "run sweep", None),
     ("optimizer", "x0", _floats, None, "", None),
-    ("run", "seed", int, 0, "run sweep theory graph-gen", None),
+    ("run", "seed", _seed, 0, "run sweep theory graph-gen", None),
     ("run", "output_dir", str, "out", "run sweep", None),
     ("run", "trace", _flag, False, "run", "write inner-round trace"),
 ]

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import insort
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -41,7 +42,6 @@ class Digraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 2:
             raise GraphError(f"need at least 2 nodes, got {n}")
-        self.n = n
         edge_set = set()
         for recv, send in edges:
             if not (0 <= recv < n and 0 <= send < n):
@@ -49,12 +49,17 @@ class Digraph:
             if recv == send:
                 continue  # self-edges are implicit
             edge_set.add((recv, send))
-        self.edges = frozenset(edge_set)
-        self._out = [[] for _ in range(n)]
-        self._in = [[] for _ in range(n)]
+        out = [[] for _ in range(n)]
+        in_ = [[] for _ in range(n)]
         for recv, send in sorted(edge_set):
-            self._out[send].append(recv)
-            self._in[recv].append(send)
+            out[send].append(recv)
+            in_[recv].append(send)
+        self._lay_out(n, frozenset(edge_set), out, in_)
+
+    def _lay_out(self, n, edges, out, in_) -> Digraph:
+        """Set the edge set and each node's ascending out- and in-lists."""
+        self.n, self.edges, self._out, self._in = n, edges, out, in_
+        return self
 
     @cached_property
     def _structure(self) -> tuple[Optional[int], Optional[tuple[int, int]]]:
@@ -164,8 +169,15 @@ def generate_random_strongly_connected(
     getrandbits(64 * m) puts the first-drawn word lowest, so its
     little-endian bytes are m coins of 8 bytes, X's top byte being each
     coin's byte 3.  A coin is a hit exactly when X < T, T the ceiling of
-    extra_edge_prob * 2**53; only a coin whose top byte is T's needs X.
+    extra_edge_prob * 2**53, so only a coin whose top byte is at most T's
+    can hit: translate marks those, and find walks the marks in C.  A mark
+    below T's top byte is a hit; one at it is decided by X.  Coin c goes to
+    the c-th node that is neither the sender nor its cycle successor.  Each
+    hit is appended to its sender's and receiver's lists, which so come out
+    ascending, and the tables are laid out directly, not through __init__.
     """
+    if not (isinstance(n, int) and isinstance(seed, int) and seed >= 0):
+        raise GraphError(f"need an int node count and int seed >= 0, got {n!r}, {seed!r}")
     if n < 2:
         raise GraphError(f"need at least 2 nodes, got {n}")
     if not (0.0 <= extra_edge_prob <= 1.0):
@@ -176,27 +188,34 @@ def generate_random_strongly_connected(
     succ = [0] * n  # succ[s] receives from s on the cycle
     for idx in range(n):
         succ[perm[idx]] = perm[(idx + 1) % n]
-    edges = set(zip(succ, range(n)))
     threshold = math.ceil(Fraction(extra_edge_prob) * 2**53)
-    tie = threshold >> 45
-    below = bytes(top < tie for top in range(256))
-    at_tie = bytes(top == tie for top in range(256))
-    nodes = list(range(n))
+    tie = threshold >> 45  # 256 when extra_edge_prob is 1: every coin hits
+    mark = bytes(top <= tie for top in range(256))
+    nodes = list(range(n))  # receivers are these shared ints
+    out = [[] for _ in range(n)]
+    in_ = [[] for _ in range(n)]
     m = n - 2
     for sender, on_cycle in enumerate(succ):
-        receivers = nodes.copy()  # every receiver that gets a coin, in order
-        del receivers[max(sender, on_cycle)], receivers[min(sender, on_cycle)]
+        lo, hi = min(sender, on_cycle), max(sender, on_cycle)
         coins = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
         tops = coins[3::8]
-        edges.update(zip(compress(receivers, tops.translate(below)), repeat(sender)))
-        ties = tops.translate(at_tie)
-        c = ties.find(1)
+        find = tops.translate(mark).find
+        add = out[sender].append
+        c = find(1)
         while c >= 0:
-            word = int.from_bytes(coins[8 * c:8 * c + 8], "little")
-            if ((word & 0xFFFFFFFF) >> 5 << 26 | word >> 38) < threshold:
-                edges.add((receivers[c], sender))
-            c = ties.find(1, c + 1)
-    return Digraph(n, edges)
+            if tops[c] < tie or threshold > (
+                int.from_bytes(coins[8 * c:8 * c + 4], "little") >> 5 << 26
+                | int.from_bytes(coins[8 * c + 4:8 * c + 8], "little") >> 6
+            ):
+                r = c + (c >= lo)
+                r += r >= hi
+                add(nodes[r])
+                in_[r].append(sender)
+            c = find(1, c + 1)
+        insort(out[sender], on_cycle)
+        in_[on_cycle].append(sender)
+    edges = frozenset(chain.from_iterable(map(zip, out, map(repeat, nodes))))
+    return Digraph.__new__(Digraph)._lay_out(n, edges, out, in_)
 
 
 def write_edge_list(g: Digraph, path: str) -> None:

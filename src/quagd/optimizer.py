@@ -299,6 +299,8 @@ class OptRunConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.max_outer < 0:
             raise ConfigError(f"max_outer must be >= 0, got {self.max_outer}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.alpha is not None and not math.isfinite(self.alpha):

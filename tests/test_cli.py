@@ -214,6 +214,10 @@ UNREAD_INI = {
         (["run", "--nodes", "5", "--alpha", "-1", "--max-iters", "0"], None),
         (["run", "--alpha", "0"], None),
         (["run", "--config", "cfg.ini"], "[optimizer]\nalpha = 0\n"),
+        (["run", "--seed", "-1"], None),
+        (["graph-gen", "--nodes", "5", "--edge-prob", "0.3", "--seed", "-3",
+          "--output", "g.txt"], None),
+        (["sweep", "--seed", "18446744073709551616"], None),
         *[([cmd, flag, level], None) for cmd, flag in LEVEL_FLAGS for level in BAD_LEVELS],
         *[(["run", "--config", "cfg.ini"], ini) for ini, _ in UNREAD_INI.values()],
     ],
@@ -236,7 +240,8 @@ UNREAD_INI = {
          "theory-malformed-mu", "theory-malformed-young-delta",
          "theory-config-malformed-young-delta", "theory-negative-nodes",
          "theory-zero-nodes", "negative-alpha-without-iterations", "zero-alpha",
-         "ini-zero-alpha",
+         "ini-zero-alpha", "run-negative-seed", "graph-gen-negative-seed",
+         "sweep-seed-of-2-to-the-64",
          *[f"{cmd}-level-{level}" for cmd, _ in LEVEL_FLAGS for level in BAD_LEVELS],
          *UNREAD_INI],
 )
@@ -249,6 +254,18 @@ def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys, rec
     assert err.startswith("config error: ")
     assert "UserWarning" not in err  # the input is rejected before any warning
     assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "theory", "graph-gen"])
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_64_bits_names_the_option(command, seed, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    extra = ["--output", "g.txt"] if command == "graph-gen" else []
+    assert run_cli(command, "--seed", seed, *extra) == 2
+    assert capsys.readouterr().err == (
+        f"config error: [run] seed: must be in [0, 2**64), got {seed}\n"
+    )
+    assert not (tmp_path / "g.txt").exists()
 
 
 @pytest.mark.parametrize("nodes", ["-3", "0"])

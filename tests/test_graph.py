@@ -197,6 +197,29 @@ class TestGenerator:
         with pytest.raises(GraphError):
             generate_random_strongly_connected(4, 1.5, 0)
 
+    @pytest.mark.parametrize("n, seed", [(2.5, 0), (5, 1.5), (5, -3), (5, "3"), (5, None)])
+    def test_rejects_a_seed_or_node_count_that_would_alias(self, n, seed):
+        # random.Random seeds from abs() and accepts floats and strings
+        with pytest.raises(GraphError, match="int node count and int seed >= 0"):
+            generate_random_strongly_connected(n, 0.3, seed)
+
+    @pytest.mark.parametrize("n, p, seed", [(2, 0.0, 1), (9, 0.3, 77), (40, 0.05, 3),
+                                            (300, 37 / 256, 5), (60, 1.0, 2)])
+    def test_tables_match_the_constructor(self, n, p, seed):
+        g = generate_random_strongly_connected(n, p, seed)
+        built = Digraph(n, g.edges)
+        assert (g.n, g.edges, g._out, g._in, g._targets) == (
+            built.n, built.edges, built._out, built._in, built._targets)
+        assert (diameter(g), repr(g)) == (diameter(built), repr(built))
+
+    def test_does_not_go_through_the_constructor(self, monkeypatch):
+        def refuse(self, n, edges):
+            raise AssertionError("the generator went through Digraph.__init__")
+
+        monkeypatch.setattr(Digraph, "__init__", refuse)
+        g = generate_random_strongly_connected(50, 0.1, 4)
+        assert is_strongly_connected(g) and len(g.edges) >= 50
+
 
 def reference_generator(n, extra_edge_prob, seed):
     """The per-pair loop that generate_random_strongly_connected reproduces:
@@ -264,6 +287,24 @@ class TestGeneratorMatchesReferenceLoop:
             assert_generator_matches_reference(6, p, seed)
             checked += 1
         assert checked >= 10
+
+
+@pytest.mark.parametrize("p", [0.5, 1 - 2**-53, 37 / 256], ids=repr)
+def test_300_nodes_dense_coins(p):
+    # node ids above 255 and many marked coins per sender
+    assert_generator_matches_reference(300, p, seed=300)
+
+
+if given is not None:  # the property needs hypothesis
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(
+        n=st.integers(2, 80),
+        p=st.sampled_from(EDGE_PROBS) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_generator_matches_reference_property(n, p, seed):
+        assert_generator_matches_reference(n, p, seed)
 
 
 class TestDigraphBasics:

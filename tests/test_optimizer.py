@@ -379,6 +379,13 @@ class TestQuagdRun:
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
             quagd_run(small_config(**{field: value}))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_seed_outside_64_bits_is_config_error(self, seed):
+        # mix64 masks to 64 bits, so such a seed would alias one inside
+        with pytest.raises(ConfigError, match=rf"master_seed must be in \[0, 2\*\*64\), got {seed}"):
+            quagd_run(small_config(master_seed=seed))
+        small_config(master_seed=2**64 - 1).validate()
+
     def test_validation_rejects_negative_initials(self):
         cfg = small_config(x0=[1.0, -0.5, 2.0, 3.0])
         with pytest.raises(ConfigError, match="node 1"):
