@@ -82,10 +82,6 @@ class ConsensusResult:
     n: int
     audits: list[RoundAudit]
 
-    @property
-    def exact_value(self) -> Fraction:
-        return self.value_count * self.delta
-
     def within_accuracy_contract(self) -> bool:
         """Exact check of |output - (delta/n) * quantized_sum| <= delta."""
         return abs(self.value_count * self.n - self.quantized_sum) <= self.n

@@ -1,9 +1,9 @@
 """Directed graph representation, random generation, and structural queries.
 
-Edges are stored as ordered pairs ``(receiver, sender)``: the pair (j, i)
-means node i can transmit to node j.  Every node additionally holds an
-implicit self-edge, which is never stored explicitly; out-degree counts
-distinct out-neighbors excluding self.
+Edges are ordered pairs ``(receiver, sender)``: the pair (j, i) means node
+i can transmit to node j.  A digraph stores only each node's out-list;
+its edge set and in-lists are derived from those when first read.  Every
+node additionally holds an implicit self-edge, which is never stored.
 """
 
 from __future__ import annotations
@@ -40,45 +40,53 @@ class Digraph:
     """Immutable digraph on nodes 0..n-1 with implicit self-edges."""
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if not isinstance(n, int):
+            raise GraphError(f"need an int node count, got {n!r}")
         if n < 2:
             raise GraphError(f"need at least 2 nodes, got {n}")
-        edge_set = set()
+        out = [set() for _ in range(n)]
         for recv, send in edges:
+            if not (isinstance(recv, int) and isinstance(send, int)):
+                raise GraphError(f"edge ({recv!r}, {send!r}): node ids must be ints")
             if not (0 <= recv < n and 0 <= send < n):
                 raise GraphError(f"edge ({recv}, {send}) out of range for n={n}")
-            if recv == send:
-                continue  # self-edges are implicit
-            edge_set.add((recv, send))
-        out = [[] for _ in range(n)]
-        in_ = [[] for _ in range(n)]
-        for recv, send in sorted(edge_set):
-            out[send].append(recv)
-            in_[recv].append(send)
-        self._lay_out(n, frozenset(edge_set), out, in_)
+            out[send].add(recv)
+        # ascending receivers per sender; self-edges are implicit
+        self.n, self._out = n, [sorted(rs - {j}) for j, rs in enumerate(out)]
 
-    def _lay_out(self, n, edges, out, in_) -> Digraph:
-        """Set the edge set and each node's ascending out- and in-lists."""
-        self.n, self.edges, self._out, self._in = n, edges, out, in_
-        return self
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every (receiver, sender) pair."""
+        pairs = map(zip, self._out, map(repeat, range(self.n)))
+        return frozenset(chain.from_iterable(pairs))
+
+    @cached_property
+    def _in(self) -> list[list[int]]:
+        """Per node, the nodes that can transmit to it, ascending."""
+        in_ = [[] for _ in range(self.n)]
+        for send, receivers in enumerate(self._out):
+            for recv in receivers:
+                in_[recv].append(send)
+        return in_
 
     @cached_property
     def _structure(self) -> tuple[Optional[int], Optional[tuple[int, int]]]:
         """(diameter, None) if strongly connected, else (None, witness pair).
 
-        A synchronous BFS from every source at once, one bit per source:
-        reach[v] holds the sources with a path to v of at most `sweeps`
-        edges.  Each sweep ORs in the previous sweep's sets of v's
-        in-neighbours, so the sweeps that change something number the
-        diameter.  Computed on first use and kept, since the graph never
-        changes.
+        A synchronous BFS from every node at once, one bit per node:
+        reach[v] holds the nodes that v reaches within `sweeps` edges.  Each
+        sweep ORs in the previous sweep's sets of v's out-neighbours, so the
+        sweeps that change something number the diameter.  The witness is
+        the first v that misses a node and the lowest node it misses.
+        Computed on first use and kept, since the graph never changes.
         """
         reach = [1 << v for v in range(self.n)]
         sweeps = 0
         while True:
             new = []
-            for v, senders in enumerate(self._in):
+            for v, receivers in enumerate(self._out):
                 bits = reach[v]
-                for u in senders:
+                for u in receivers:
                     bits |= reach[u]
                 new.append(bits)
             if new == reach:
@@ -86,14 +94,11 @@ class Digraph:
             reach = new
             sweeps += 1
         full = (1 << self.n) - 1
-        missing = 0
-        for bits in reach:
-            missing |= full ^ bits
-        if not missing:
-            return sweeps, None
-        source = (missing & -missing).bit_length() - 1
-        target = next(v for v, bits in enumerate(reach) if not bits >> source & 1)
-        return None, (source, target)
+        for source, bits in enumerate(reach):
+            if bits != full:
+                missing = full ^ bits
+                return None, (source, (missing & -missing).bit_length() - 1)
+        return sweeps, None
 
     @cached_property
     def _targets(self) -> list[list[int]]:
@@ -111,22 +116,15 @@ class Digraph:
         """Nodes that can receive from j (self excluded)."""
         return self._out[j]
 
-    def in_neighbors(self, j: int) -> list[int]:
-        """Nodes that can transmit to j (self excluded)."""
-        return self._in[j]
-
-    def out_degree(self, j: int) -> int:
-        return len(self._out[j])
-
     def __eq__(self, other):
         return (
             isinstance(other, Digraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self._out == other._out
         )
 
     def __repr__(self):
-        return f"Digraph(n={self.n}, m={len(self.edges)})"
+        return f"Digraph(n={self.n}, m={sum(map(len, self._out))})"
 
 
 def find_unreachable_pair(g: Digraph) -> Optional[tuple[int, int]]:
@@ -173,8 +171,8 @@ def generate_random_strongly_connected(
     can hit: translate marks those, and find walks the marks in C.  A mark
     below T's top byte is a hit; one at it is decided by X.  Coin c goes to
     the c-th node that is neither the sender nor its cycle successor.  Each
-    hit is appended to its sender's and receiver's lists, which so come out
-    ascending, and the tables are laid out directly, not through __init__.
+    hit is appended to its sender's out-list, which so comes out ascending,
+    and the out-lists are set directly, not through __init__.
     """
     if not (isinstance(n, int) and isinstance(seed, int) and seed >= 0):
         raise GraphError(f"need an int node count and int seed >= 0, got {n!r}, {seed!r}")
@@ -193,7 +191,6 @@ def generate_random_strongly_connected(
     mark = bytes(top <= tie for top in range(256))
     nodes = list(range(n))  # receivers are these shared ints
     out = [[] for _ in range(n)]
-    in_ = [[] for _ in range(n)]
     m = n - 2
     for sender, on_cycle in enumerate(succ):
         lo, hi = min(sender, on_cycle), max(sender, on_cycle)
@@ -210,12 +207,11 @@ def generate_random_strongly_connected(
                 r = c + (c >= lo)
                 r += r >= hi
                 add(nodes[r])
-                in_[r].append(sender)
             c = find(1, c + 1)
         insort(out[sender], on_cycle)
-        in_[on_cycle].append(sender)
-    edges = frozenset(chain.from_iterable(map(zip, out, map(repeat, nodes))))
-    return Digraph.__new__(Digraph)._lay_out(n, edges, out, in_)
+    g = Digraph.__new__(Digraph)
+    g.n, g._out = n, out
+    return g
 
 
 def write_edge_list(g: Digraph, path: str) -> None:

@@ -353,7 +353,8 @@ def quagd_run(
 
     Residuals are filled when x_star is known.  Consensus nontermination
     propagates with the offending outer step attached as .outer_step; a
-    stepped value or residual that is not finite raises DivergenceError.
+    stepped value or residual that is not finite raises DivergenceError,
+    a gradient that raises a ConfigError with .outer_step, chained from it.
     inner_trace, if given, receives the per-round consensus debug trace,
     with an `OUTER <k>` marker line before each outer step.
     """
@@ -370,8 +371,8 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
     step runs the live levels on one stream set: run_faqua a lone level
     (inner_trace is for one level only), _run_lanes several.  Returns per
     level its RunTrace or the ValueError, ConsensusNonterminationError or
-    DivergenceError that ended it, a consensus error with .outer_step; any
-    other error propagates.
+    DivergenceError that ended it, with .outer_step once a step has begun;
+    a failing gradient is a ConfigError.  Any other error propagates.
     """
     n = cfg.graph.n
     try:
@@ -404,8 +405,12 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
                     if not all(map(math.isfinite, x_half)):
                         raise DivergenceError(k, "a stepped value is not finite")
                     stepped[lane] = x_half
-                except (ValueError, DivergenceError) as exc:
+                except DivergenceError as exc:
                     out[lane] = exc
+                except Exception as exc:  # a custom cost's own failure
+                    out[lane] = err = ConfigError(f"the gradient step at outer step {k} "
+                                                  f"failed: {type(exc).__name__}: {exc}")
+                    err.outer_step, err.__cause__ = k, exc
         if not stepped:
             break
         streams = run_streams.at(k)

@@ -5,13 +5,14 @@ gradient b (x - c) + sigma(x), with sigma(x) = (1 + tanh(x/2))/2 the logistic
 function, gives mu = b and L = b + 1/4.  It has no closed-form optimum.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
 import pytest
 
 from quagd import optimizer
-from quagd.harness import audit_invariants, default_theory, reference_instance
+from quagd.harness import audit_invariants, default_theory, delta_sweep, reference_instance
 from quagd.optimizer import CostFunction, quagd_run
 from test_cli import run_cli
 
@@ -88,3 +89,56 @@ def test_sweep_needs_the_closed_form_optimum(config, tmp_path, capsys):
 
 def test_theory_from_the_config(config, capsys):
     assert run_cli("theory", "--config", config) == 0
+
+
+def broken(gradient):
+    """The 6-node reference instance with every cost's gradient replaced."""
+    ref = reference_instance(n=6, max_outer=3)
+    return replace(ref, costs=[replace(c, gradient=gradient) for c in ref.costs])
+
+
+BROKEN_GRADIENTS = {
+    "ZeroDivisionError": lambda x: 1 / 0,
+    "TypeError": lambda x: "a",
+    "ValueError": lambda x: math.log(-1),
+}
+
+
+@pytest.mark.parametrize("kind", BROKEN_GRADIENTS)
+def test_failing_gradient_is_a_config_error_naming_its_outer_step(kind):
+    cfg = broken(BROKEN_GRADIENTS[kind])
+    with pytest.raises(optimizer.ConfigError, match=f"outer step 0 failed: {kind}") as err:
+        quagd_run(cfg)
+    assert err.value.outer_step == 0
+    assert type(err.value.__cause__).__name__ == kind
+    report = delta_sweep(cfg, ["0.1", "0.01"])
+    assert report.all_failed
+    for entry in report.entries:
+        assert isinstance(entry.exception, optimizer.ConfigError)
+        assert entry.exception.outer_step == 0
+        assert type(entry.exception.__cause__).__name__ == kind
+
+
+def test_failing_gradient_names_the_step_it_failed_in():
+    calls = itertools.count()
+    cfg = broken(lambda x: 1 / 0 if next(calls) >= 2 * 6 else x)  # 6 calls a step
+    with pytest.raises(optimizer.ConfigError, match="outer step 2 failed") as err:
+        quagd_run(cfg)
+    assert err.value.outer_step == 2
+
+
+def test_failing_registered_cost_exits_2_naming_the_outer_step(
+    monkeypatch, tmp_path, capsys
+):
+    def broken_quadratic(beta, center):
+        return replace(optimizer.quadratic_cost(beta, center), gradient=lambda x: 1 / 0)
+
+    monkeypatch.setitem(optimizer._COST_TYPES, "broken", broken_quadratic)
+    path = tmp_path / "broken.ini"
+    path.write_text(SOFTPLUS_INI.replace("softplus", "broken"))
+    assert run_cli(
+        "run", "--config", str(path), "--max-iters", "3", "--output-dir", str(tmp_path / "o")
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the gradient step at outer step 0 failed")
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 from decimal import Decimal
@@ -10,6 +11,7 @@ try:
 except ImportError:
     given = None
 
+from quagd.consensus import run_faqua
 from quagd.graph import (
     Digraph,
     GraphError,
@@ -21,6 +23,9 @@ from quagd.graph import (
     read_edge_list,
     write_edge_list,
 )
+from quagd.harness import reference_instance
+from quagd.optimizer import quagd_run
+from quagd.quantizer import QuantizationLevel
 
 
 def cycle(n):
@@ -311,7 +316,7 @@ class TestDigraphBasics:
     def test_self_edges_are_implicit(self):
         g = Digraph(3, [(1, 0), (0, 0), (0, 1), (2, 0), (0, 2)])
         assert (0, 0) not in g.edges
-        assert g.out_degree(0) == 2  # self excluded
+        assert g.out_neighbors(0) == [1, 2]  # self excluded
 
     def test_duplicate_edges_collapse(self):
         g = Digraph(2, [(1, 0), (1, 0), (0, 1)])
@@ -320,6 +325,48 @@ class TestDigraphBasics:
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphError):
             Digraph(3, [(0, 5)])
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(1.0, 0), (2, 1), (0, 2)]),
+        (2.5, [(1, 0), (0, 1)]),
+        (3, [("1", 0)]),
+    ], ids=["float-node-id", "float-node-count", "str-node-id"])
+    def test_rejects_a_node_count_or_id_that_is_not_an_int(self, n, edges):
+        with pytest.raises(GraphError, match="int"):
+            Digraph(n, edges)
+
+    def test_equal_when_node_count_and_out_lists_are(self):
+        edges = [(1, 0), (2, 1), (0, 2), (2, 0)]
+        g = Digraph(3, edges)
+        assert g == Digraph(3, [(1, 1), *edges[::-1], *edges[:2], (0, 0)])
+        generated = generate_random_strongly_connected(12, 0.3, 5)
+        assert generated == Digraph(12, generated.edges)
+        assert g != Digraph(4, edges)
+        assert g != Digraph(3, edges[:-1])
+        assert g != Digraph(3, [*edges[:-1], (1, 2)])
+
+
+class TestOutListsAreTheOnlyTable:
+    def test_every_constructor_stores_the_out_lists_only(self, tmp_path):
+        path = str(tmp_path / "g.txt")
+        write_edge_list(cycle(4), path)
+        for g in (
+            Digraph(3, [(1, 0), (2, 1), (0, 2), (2, 0)]),
+            generate_random_strongly_connected(30, 0.1, 2),
+            read_edge_list(path),
+        ):
+            assert set(vars(g)) == {"n", "_out"}
+
+    def test_runs_derive_only_the_tables_they_read(self):
+        g = generate_random_strongly_connected(8, 0.3, 1)
+        x_half = [float(i) for i in range(8)]
+        run_faqua(x_half, g, diameter(g), QuantizationLevel("0.1"), 3)
+        assert not {"edges", "_in"} & set(vars(g))
+        run_faqua(x_half, g, diameter(g), QuantizationLevel("0.1"), 3, trace=io.StringIO())
+        assert "_in" in vars(g) and "edges" not in vars(g)  # the flood reads _in
+        cfg = reference_instance()
+        quagd_run(cfg)
+        assert not {"edges", "_in"} & set(vars(cfg.graph))
 
 
 class TestEdgeListFormat:
