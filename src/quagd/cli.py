@@ -40,8 +40,8 @@ from .harness import (
     delta_sweep,
     level_name,
     level_slug,
-    reference_draws,
     reference_graph,
+    reference_problem,
     write_sweep_csv,
     write_trace_csv,
 )
@@ -187,6 +187,11 @@ class EffectiveConfig:
         vars(self).update(_resolve(args, ini))
 
         if self.graph_file:
+            given = _resolve(args, ini, defaults=False)
+            if (given["nodes"], given["edge_prob"]) != (None, None):
+                raise ConfigError(
+                    "[graph] graph_file fixes the graph; nodes and edge_prob must be unset"
+                )
             self.graph = read_edge_list(self.graph_file)
             self.nodes = self.edge_prob = None  # fixed by the file, not echoed
         else:
@@ -196,17 +201,13 @@ class EffectiveConfig:
         # costs and initial estimates: explicit entries win; otherwise the
         # reference instance's seeded draws
         n = self.graph.n
-        centers, x0 = reference_draws(n, self.seed)
+        self.cost_specs, x0 = reference_problem(n, self.seed)
         if ini.has_section("costs") and ini.options("costs"):
             keys = ini.options("costs")
             if sorted(int(k) if k.isdecimal() else -1 for k in keys) != list(range(n)):
                 raise ConfigError(f"[costs] must name nodes 0..{n - 1} once: {keys}")
             specs = {int(k): _parse_cost_line(int(k), ini["costs"][k]) for k in keys}
             self.cost_specs = [specs[j] for j in range(n)]
-        else:
-            self.cost_specs = [
-                {"type": "quadratic", "beta": 1.0, "center": c} for c in centers
-            ]
         self.costs = [build_cost(spec) for spec in self.cost_specs]
         if self.x0 is None:
             self.x0 = x0
@@ -385,8 +386,8 @@ def cmd_theory(args) -> int:
 def cmd_graph_gen(args) -> int:
     opt = _resolve(args)
     g = generate_random_strongly_connected(opt["nodes"], opt["edge_prob"], opt["seed"])
-    write_edge_list(g, args.output)
-    print(f"wrote {args.output}: n={g.n} edges={len(g.edges)} diameter={diameter(g)}")
+    edges = write_edge_list(g, args.output)
+    print(f"wrote {args.output}: n={g.n} edges={edges} diameter={diameter(g)}")
     return EXIT_OK
 
 

@@ -9,31 +9,23 @@ out-neighbors.  A diameter-windowed max/min flood over the node ratios
 detects when all ratios agree to within one unit; every node then outputs
 the common minimum times delta and stops.
 
-A round splits, delivers and audits, in exact integer arithmetic, behind a
-strict superstep barrier (what is sent in round lam is summed into its
-receivers before round lam's audit and stopping check).  d_bound >= diameter
-flood rounds bring every node the window-start extrema of the ratios, so the
-kernel reads those directly and never floods.  Targets are drawn as
-random.Random.choice draws them, by inline getrandbits.  No unit count and no
-draw depends on y, so the one kernel, _run_lanes, runs several inputs (lanes:
-a sweep's levels) on one set of draws, each as it would run alone; run_faqua
-is its one-lane case, the only one that takes a trace or a tamper hook.  Each
-round the first live lane splits node by node, each piece drawn where it
-goes; the other lanes replay its recorded targets over their own y, and a
-tamper hook is handed the messages rebuilt from the same record.  A trace is
-written by its own writer (_Rows), which the kernel hands lane 0's state and
-window-start extrema once per round: only it floods each round's M and m,
-recomputing just the nodes that still lack an extremum, checks the flood at
-each window end and joins the rows from cached digit strings; an untraced
-call builds none of this.
+A round splits, delivers and audits in exact integer arithmetic: what is
+sent in round lam reaches its receivers before round lam's audit and
+stopping check.  No unit count and no draw depends on y, so one kernel,
+_run_lanes, runs several inputs (lanes: a sweep's levels) on one set of
+draws, each as it would run alone.  It reads each window's extrema
+directly and never floods; only a traced call's writer (_Rows) floods.
+run_faqua is the kernel's one-lane case, the only one that takes a trace
+or a tamper hook.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .graph import Digraph, diameter
 from .quantizer import QuantizationLevel, quantize_floor
@@ -132,11 +124,9 @@ def _flood(M: list[int], m: list[int], closed_in: list[Callable], pending):
 
 class _Rows(dict):
     """A traced call's trace writer, called once per round with lane 0's state
-    and the window-start M and m.  It floods its own copy of M and m,
-    recomputing only the pending nodes (those that lack the window's top or
-    bottom), writes the round's rows `lambda node y z y_s z_s M m`, joined in
-    C from the cached digits of each int it prints, and at a window end raises
-    if a node is still pending."""
+    and the window-start M and m.  It floods its own copy of M and m over the
+    nodes that still lack the window's top or bottom, writes the round's rows
+    from cached digit strings, and raises if a window ends with such a node."""
 
     def __init__(self, out, g: Digraph, d_bound: int):
         self.write, self.closed_in, self.d_bound = out.write, g._closed_in, d_bound
@@ -222,16 +212,21 @@ def _outbox(ys_s: list[int], splits) -> list[MassMessage]:
 def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None, *,
                trace=None, tamper: Optional[TamperHook] = None) -> list:
     """The kernel, for one x_half per level.  Each lane stops at its own
-    first settled window and gets what run_faqua gives it alone, a
-    ConsensusResult or the ConsensusNonterminationError it would raise, whose
-    snapshot holds M and m as reseeded at the last window start.  trace and
-    tamper take one lane only (run_faqua's).  trace (a _Rows) is called once
-    per round, after delivery and tamper, with lane 0's y, z, y_s, z_s and the
-    window-start M and m, which the kernel does not overwrite within a window.
+    first settled window and gets what run_faqua gives it alone: a
+    ConsensusResult, or the ConsensusNonterminationError it would raise.
+    trace (a _Rows) is called once per round, after delivery and tamper.
     Random.choice(t) is t[i], i the first getrandbits(len(t).bit_length())
     below len(t)."""
     if (trace is not None or tamper is not None) and len(levels) > 1:
         raise ValueError(f"trace and tamper act on one lane, got {len(levels)} levels")
+    if not isinstance(d_bound, int):
+        raise ValueError(f"d_bound must be an int, got {d_bound!r}")
+    if not (max_rounds is None or isinstance(max_rounds, int)):
+        raise ValueError(f"max_rounds must be an int or None, got {max_rounds!r}")
+    if not isinstance(rng, (int, Sequence)):
+        raise ValueError(f"rng must be an int seed or a sequence of streams, got {rng!r}")
+    if isinstance(rng, int) and not 0 <= rng < 2**64:  # mix64 would alias it
+        raise ValueError(f"rng seed must be in [0, 2**64), got {rng}")
     n = g.n
     d_actual = diameter(g)  # raises NotStronglyConnectedError on a witness pair
     if d_bound < d_actual:

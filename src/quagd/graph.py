@@ -2,8 +2,9 @@
 
 Edges are ordered pairs ``(receiver, sender)``: the pair (j, i) means node
 i can transmit to node j.  A digraph stores only each node's out-list;
-its edge set and in-lists are derived from those when first read.  Every
-node additionally holds an implicit self-edge, which is never stored.
+its in-lists and the consensus kernel's tables are derived from those when
+first read.  Every node additionally holds an implicit self-edge, which is
+never stored.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import random
 from bisect import insort
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -53,12 +53,6 @@ class Digraph:
             out[send].add(recv)
         # ascending receivers per sender; self-edges are implicit
         self.n, self._out = n, [sorted(rs - {j}) for j, rs in enumerate(out)]
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """Every (receiver, sender) pair."""
-        pairs = map(zip, self._out, map(repeat, range(self.n)))
-        return frozenset(chain.from_iterable(pairs))
 
     @cached_property
     def _in(self) -> list[list[int]]:
@@ -214,13 +208,14 @@ def generate_random_strongly_connected(
     return g
 
 
-def write_edge_list(g: Digraph, path: str) -> None:
+def write_edge_list(g: Digraph, path: str) -> int:
     """Write the plain-text edge-list format: `n <count>` header, then one
-    `receiver sender` pair per line."""
+    `receiver sender` pair per line, ascending; return the pair count."""
     with open(path, "w") as fh:
         fh.write(f"n {g.n}\n")
-        for recv, send in sorted(g.edges):
-            fh.write(f"{recv} {send}\n")
+        for recv, senders in enumerate(g._in):
+            fh.write("".join([f"{recv} {send}\n" for send in senders]))
+    return sum(map(len, g._in))
 
 
 def read_edge_list(path: str) -> Digraph:

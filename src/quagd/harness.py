@@ -24,14 +24,14 @@ from .optimizer import (
     _residual,
     _run_levels,
     _sum,
+    build_cost,
     compute_theta_and_floor,
-    quadratic_cost,
     quadratic_optimum,
     step_size_interval,
 )
 from .quantizer import QuantizationLevel
 from .rng import mix64
-from .trace import RunTrace, StepRecord, residual_error  # noqa: F401  (public API)
+from .trace import RunTrace, StepRecord
 
 # Sub-seed domains derived from the master seed.
 _GRAPH_TAG = 1
@@ -44,13 +44,15 @@ def reference_graph(n: int, edge_prob: float, seed: int) -> Digraph:
     return generate_random_strongly_connected(n, edge_prob, mix64(seed, _GRAPH_TAG))
 
 
-def reference_draws(n: int, seed: int) -> tuple[list[float], list[float]]:
-    """The reference instance's unit-quadratic centers and initial estimates,
-    each uniform in [0, 10] from its own sub-seed."""
+def reference_problem(n: int, seed: int) -> tuple[list[dict], list[float]]:
+    """The reference instance's cost specs (unit quadratics) and initial
+    estimates; centers and estimates are uniform in [0, 10], each drawn
+    from its own sub-seed."""
     cost_rng = random.Random(mix64(seed, _COST_TAG))
     init_rng = random.Random(mix64(seed, _INIT_TAG))
-    centers = [cost_rng.uniform(0.0, 10.0) for _ in range(n)]
-    return centers, [init_rng.uniform(0.0, 10.0) for _ in range(n)]
+    specs = [{"type": "quadratic", "beta": 1.0, "center": cost_rng.uniform(0.0, 10.0)}
+             for _ in range(n)]
+    return specs, [init_rng.uniform(0.0, 10.0) for _ in range(n)]
 
 
 def reference_instance(
@@ -65,10 +67,10 @@ def reference_instance(
     """The documented desk-scale reference configuration: a random strongly
     connected digraph, unit quadratics with centers uniform in [0, 10], and
     initial estimates uniform in [0, 10]."""
-    centers, x0 = reference_draws(n, seed)
+    specs, x0 = reference_problem(n, seed)
     return OptRunConfig(
         graph=reference_graph(n, edge_prob, seed),
-        costs=[quadratic_cost(1.0, c) for c in centers],
+        costs=[build_cost(spec) for spec in specs],
         delta=QuantizationLevel(delta),
         x0=x0,
         max_outer=max_outer,

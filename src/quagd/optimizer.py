@@ -110,10 +110,13 @@ def build_cost(spec: dict) -> CostFunction:
     except KeyError:
         raise ConfigError(f"unknown cost type {kind!r}") from None
     try:
-        inspect.signature(builder).bind(**params)
-    except TypeError as exc:
-        raise ConfigError(f"cost type {kind!r}: {exc}") from None
-    return builder(**params)
+        return builder(**params)
+    except TypeError:  # bad parameters, or the builder's own error
+        try:
+            inspect.signature(builder).bind(**params)
+        except TypeError as exc:
+            raise ConfigError(f"cost type {kind!r}: {exc}") from None
+        raise
 
 
 def quadratic_optimum(costs: list[CostFunction]) -> Optional[float]:

@@ -218,6 +218,10 @@ UNREAD_INI = {
         (["graph-gen", "--nodes", "5", "--edge-prob", "0.3", "--seed", "-3",
           "--output", "g.txt"], None),
         (["sweep", "--seed", "18446744073709551616"], None),
+        (["run", "--graph-file", "g.txt", "--nodes", "99", "--edge-prob", "0.9"], None),
+        (["run", "--config", "cfg.ini"], "[graph]\ngraph_file = g.txt\nnodes = 50\n"),
+        (["sweep", "--config", "cfg.ini", "--edge-prob", "0.5", "--deltas", "0.1"],
+         "[graph]\ngraph_file = g.txt\n"),
         *[([cmd, flag, level], None) for cmd, flag in LEVEL_FLAGS for level in BAD_LEVELS],
         *[(["run", "--config", "cfg.ini"], ini) for ini, _ in UNREAD_INI.values()],
     ],
@@ -241,12 +245,14 @@ UNREAD_INI = {
          "theory-config-malformed-young-delta", "theory-negative-nodes",
          "theory-zero-nodes", "negative-alpha-without-iterations", "zero-alpha",
          "ini-zero-alpha", "run-negative-seed", "graph-gen-negative-seed",
-         "sweep-seed-of-2-to-the-64",
+         "sweep-seed-of-2-to-the-64", "graph-file-with-nodes-and-edge-prob-flags",
+         "ini-graph-file-with-nodes", "ini-graph-file-with-edge-prob-flag",
          *[f"{cmd}-level-{level}" for cmd, _ in LEVEL_FLAGS for level in BAD_LEVELS],
          *UNREAD_INI],
 )
 def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys, recwarn):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("n 3\n1 0\n2 1\n0 2\n")  # a valid graph file
     if ini is not None:
         (tmp_path / "cfg.ini").write_text(ini)
     assert run_cli(*argv) == 2

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import pytest
 
@@ -237,6 +238,28 @@ class TestRunFaqua:
     def test_rejects_round_budget_below_one(self, max_rounds):
         with pytest.raises(ValueError, match=f"max_rounds must be >= 1, got {max_rounds}"):
             run_faqua([1.0] * 4, cycle(4), 3, QuantizationLevel("1"), 0, max_rounds=max_rounds)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"d_bound": 4.0}, "d_bound must be an int, got 4.0"),
+        ({"d_bound": 4.5}, "d_bound must be an int, got 4.5"),
+        ({"max_rounds": 10.5}, "max_rounds must be an int or None, got 10.5"),
+        ({"rng": 2**64}, f"rng seed must be in [0, 2**64), got {2**64}"),
+        ({"rng": -1}, "rng seed must be in [0, 2**64), got -1"),
+        ({"rng": 1.5}, "rng must be an int seed or a sequence of streams, got 1.5"),
+        ({"rng": None}, "rng must be an int seed or a sequence of streams, got None"),
+    ], ids=["float-d-bound", "fractional-d-bound", "fractional-max-rounds",
+            "seed-of-2-to-the-64", "negative-seed", "float-seed", "no-seed"])
+    def test_rejects_a_non_int_bound_or_an_aliasing_seed(self, bad, message):
+        # mix64 masks to 64 bits: rng=2**64 would repeat rng=0's run
+        args = {"d_bound": 4, "rng": 0, "max_rounds": None, **bad}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_faqua([1.0, 2.0, 3.0, 4.0], cycle(4), args["d_bound"],
+                      QuantizationLevel("1"), args["rng"], args["max_rounds"])
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_accepts_the_ends_of_the_seed_range(self, seed):
+        res = run_faqua([1.0, 2.0, 3.0, 4.0], cycle(4), 4, QuantizationLevel("1"), seed)
+        assert res.within_accuracy_contract()
 
     def test_nontermination_snapshot_is_the_same_traced_or_not(self):
         """M and m are as reseeded at the last window start on every path; a

@@ -51,6 +51,15 @@ GRAPH_GOLDEN = {
 }
 
 
+# graph-gen's one stdout line, the output path substituted for {path}
+GRAPH_GEN_STDOUT = {
+    ("graph-gen", "--nodes", "600", "--edge-prob", "0.006", "--seed", "0"):
+        "wrote {path}: n=600 edges=2762 diameter=9\n",
+    ("graph-gen", "--nodes", "200", "--edge-prob", "0.3", "--seed", "5"):
+        "wrote {path}: n=200 edges=11943 diameter=2\n",
+}
+
+
 def graph_gen_id(argv):
     return f"n{argv[2]}-p{argv[4]}"
 
@@ -60,6 +69,7 @@ def test_graph_gen_matches_golden_digest(argv, tmp_path, capsys):
     path = tmp_path / "g.txt"
     assert main([*argv, "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GRAPH_GOLDEN[argv]
+    assert capsys.readouterr().out == GRAPH_GEN_STDOUT[argv].format(path=path)
 
 
 # An INI that exercises the echo paths the flag-only runs above leave out:

@@ -1,6 +1,8 @@
 import io
 import math
+import os
 import random
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
 
@@ -37,14 +39,20 @@ def complete(n):
     return Digraph(n, [(r, s) for r in range(n) for s in range(n) if r != s])
 
 
+def out_pairs(g):
+    """Every (receiver, sender) pair, read from the out-lists."""
+    return [(r, s) for s in range(g.n) for r in g.out_neighbors(s)]
+
+
 def floyd_warshall_dists(g):
     """Independent all-pairs shortest-path oracle: dist[source][target]."""
     inf = float("inf")
     dist = [[inf] * g.n for _ in range(g.n)]
     for i in range(g.n):
         dist[i][i] = 0
-    for recv, send in g.edges:
-        dist[send][recv] = 1
+    for send in range(g.n):
+        for recv in g.out_neighbors(send):
+            dist[send][recv] = 1
     for k in range(g.n):
         for i in range(g.n):
             for j in range(g.n):
@@ -176,7 +184,7 @@ if given is not None:  # the property needs hypothesis
 class TestGenerator:
     def test_two_nodes_no_extras_is_the_two_cycle(self):
         g = generate_random_strongly_connected(2, 0.0, 123)
-        assert g.edges == frozenset({(0, 1), (1, 0)})
+        assert g == Digraph(2, [(0, 1), (1, 0)])
 
     def test_always_strongly_connected(self):
         rnd = random.Random(5)
@@ -187,7 +195,7 @@ class TestGenerator:
 
     def test_p_one_gives_complete(self):
         g = generate_random_strongly_connected(5, 1.0, 9)
-        assert g.edges == complete(5).edges
+        assert g == complete(5)
         assert diameter(g) == 1
 
     def test_deterministic_in_seed(self):
@@ -212,9 +220,9 @@ class TestGenerator:
                                             (300, 37 / 256, 5), (60, 1.0, 2)])
     def test_tables_match_the_constructor(self, n, p, seed):
         g = generate_random_strongly_connected(n, p, seed)
-        built = Digraph(n, g.edges)
-        assert (g.n, g.edges, g._out, g._in, g._targets) == (
-            built.n, built.edges, built._out, built._in, built._targets)
+        built = Digraph(n, out_pairs(g))
+        assert (g.n, g._out, g._in, g._targets) == (
+            built.n, built._out, built._in, built._targets)
         assert (diameter(g), repr(g)) == (diameter(built), repr(built))
 
     def test_does_not_go_through_the_constructor(self, monkeypatch):
@@ -223,7 +231,7 @@ class TestGenerator:
 
         monkeypatch.setattr(Digraph, "__init__", refuse)
         g = generate_random_strongly_connected(50, 0.1, 4)
-        assert is_strongly_connected(g) and len(g.edges) >= 50
+        assert is_strongly_connected(g) and len(out_pairs(g)) >= 50
 
 
 def reference_generator(n, extra_edge_prob, seed):
@@ -250,7 +258,7 @@ def reference_generator(n, extra_edge_prob, seed):
 def assert_generator_matches_reference(n, p, seed):
     new = generate_random_strongly_connected(n, p, seed)
     old = reference_generator(n, p, seed)
-    assert (new.edges, new._out, new._in) == (old.edges, old._out, old._in), (n, p, seed)
+    assert (new._out, new._in) == (old._out, old._in), (n, p, seed)
 
 
 # k/256 puts the threshold's top byte at k with no lower bits, so every coin
@@ -315,12 +323,12 @@ if given is not None:  # the property needs hypothesis
 class TestDigraphBasics:
     def test_self_edges_are_implicit(self):
         g = Digraph(3, [(1, 0), (0, 0), (0, 1), (2, 0), (0, 2)])
-        assert (0, 0) not in g.edges
         assert g.out_neighbors(0) == [1, 2]  # self excluded
+        assert all(j not in g.out_neighbors(j) for j in range(3))
 
     def test_duplicate_edges_collapse(self):
         g = Digraph(2, [(1, 0), (1, 0), (0, 1)])
-        assert len(g.edges) == 2
+        assert (g.out_neighbors(0), g.out_neighbors(1)) == ([1], [0])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphError):
@@ -340,7 +348,7 @@ class TestDigraphBasics:
         g = Digraph(3, edges)
         assert g == Digraph(3, [(1, 1), *edges[::-1], *edges[:2], (0, 0)])
         generated = generate_random_strongly_connected(12, 0.3, 5)
-        assert generated == Digraph(12, generated.edges)
+        assert generated == Digraph(12, out_pairs(generated))
         assert g != Digraph(4, edges)
         assert g != Digraph(3, edges[:-1])
         assert g != Digraph(3, [*edges[:-1], (1, 2)])
@@ -356,17 +364,18 @@ class TestOutListsAreTheOnlyTable:
             read_edge_list(path),
         ):
             assert set(vars(g)) == {"n", "_out"}
+            assert not hasattr(g, "edges")  # the out-lists are the one view
 
     def test_runs_derive_only_the_tables_they_read(self):
         g = generate_random_strongly_connected(8, 0.3, 1)
         x_half = [float(i) for i in range(8)]
         run_faqua(x_half, g, diameter(g), QuantizationLevel("0.1"), 3)
-        assert not {"edges", "_in"} & set(vars(g))
+        assert "_in" not in vars(g)
         run_faqua(x_half, g, diameter(g), QuantizationLevel("0.1"), 3, trace=io.StringIO())
-        assert "_in" in vars(g) and "edges" not in vars(g)  # the flood reads _in
+        assert "_in" in vars(g)  # the flood reads _in
         cfg = reference_instance()
         quagd_run(cfg)
-        assert not {"edges", "_in"} & set(vars(cfg.graph))
+        assert "_in" not in vars(cfg.graph)
 
 
 class TestEdgeListFormat:
@@ -398,3 +407,28 @@ class TestEdgeListFormat:
         path.write_text("n 3\n1 0\noops\n")
         with pytest.raises(GraphError, match=":3"):
             read_edge_list(str(path))
+
+
+def edge_list_oracle(g):
+    """The edge-list file of g, from its out-lists: pairs ascending."""
+    return "".join([f"n {g.n}\n", *(f"{r} {s}\n" for r, s in sorted(out_pairs(g)))])
+
+
+if given is not None:  # the property needs hypothesis
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=3 * n * n))))
+    def test_written_file_matches_the_oracle_and_reads_back(case):
+        # pairs may repeat and include self-edges, which are dropped
+        n, pairs = case
+        g = Digraph(n, pairs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            count = write_edge_list(g, path)
+            with open(path) as fh:
+                text = fh.read()
+            assert text == edge_list_oracle(g)
+            assert count == text.count("\n") - 1
+            assert read_edge_list(path) == g
