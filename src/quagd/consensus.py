@@ -15,8 +15,8 @@ stopping check.  No unit count and no draw depends on y, so one kernel,
 _run_lanes, runs several inputs (lanes: a sweep's levels) on one set of
 draws, each as it would run alone.  It reads each window's extrema
 directly and never floods; only a traced call's writer (_Rows) floods.
-run_faqua is the kernel's one-lane case, the only one that takes a trace
-or a tamper hook.
+run_faqua is the kernel's one-lane case, and the only one that builds the
+kernel's per-round observer, from a trace and a tamper hook.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable
 
 from .graph import Digraph, diameter
 from .quantizer import QuantizationLevel, quantize_floor
@@ -123,10 +124,10 @@ def _flood(M: list[int], m: list[int], closed_in: list[Callable], pending):
 
 
 class _Rows(dict):
-    """A traced call's trace writer, called once per round with lane 0's state
-    and the window-start M and m.  It floods its own copy of M and m over the
-    nodes that still lack the window's top or bottom, writes the round's rows
-    from cached digit strings, and raises if a window ends with such a node."""
+    """A traced call's trace writer: an observer that ignores the draws.  It
+    floods its own copy of the window-start M and m over the nodes that still
+    lack the window's top or bottom, writes the round's rows from cached digit
+    strings, and raises if a window ends with such a node."""
 
     def __init__(self, out, g: Digraph, d_bound: int):
         self.write, self.closed_in, self.d_bound = out.write, g._closed_in, d_bound
@@ -134,7 +135,7 @@ class _Rows(dict):
     def __missing__(self, k: int) -> str:
         return self.setdefault(k, str(k))
 
-    def __call__(self, lam: int, ys, zs, ys_s, zs_s, M, m) -> None:
+    def __call__(self, lam: int, ys, zs, ys_s, zs_s, M, m, splits) -> None:
         if (lam - 1) % self.d_bound == 0:  # what the window's flood delivers
             self.top, self.bottom, self.M, self.m = max(M), min(m), M, m
             self.pending = self.nodes = range(len(M))
@@ -156,6 +157,9 @@ def minmax_window_round(
     m = floor(y_s/z_s); every round each node broadcasts (M, m) to its
     out-neighbors and takes the max/min over in-neighbors and itself.
     """
+    for name, value in (("round index", lam), ("d_bound", d_bound)):
+        if type(value) is not int:  # a bool or a float is not a round count
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if lam < 1:
         raise ValueError(f"round index must be >= 1, got {lam}")
     if d_bound < 1:
@@ -168,12 +172,8 @@ def minmax_window_round(
         st.M, st.m = big, small
 
 
-TamperHook = Callable[[int, list[MassMessage]], list[MassMessage]]
-
-
 def run_faqua(x_half: Sequence[float], g: Digraph, d_bound: int, q: QuantizationLevel,
-              rng, max_rounds: Optional[int] = None, *, trace=None,
-              tamper: Optional[TamperHook] = None) -> ConsensusResult:
+              rng, max_rounds=None, *, trace=None, tamper=None) -> ConsensusResult:
     """Run the full protocol until the distributed stopping rule fires (the
     kernel with one lane; its nontermination error is raised).
 
@@ -183,10 +183,12 @@ def run_faqua(x_half: Sequence[float], g: Digraph, d_bound: int, q: Quantization
     line `lambda node y z y_s z_s M m` per node per round, M and m as
     flooded so far in the window, and a final `RESULT value rounds` line.
     tamper is a test hook invoked on each round's in-flight messages before
-    delivery.
+    delivery (and before the round is traced).
     """
-    [res] = _run_lanes([x_half], g, d_bound, [q], rng, max_rounds, tamper=tamper,
-                       trace=None if trace is None else _Rows(trace, g, d_bound))
+    observer = None if trace is None else _Rows(trace, g, d_bound)
+    if tamper is not None:
+        observer = partial(_tamper_observer, tamper, observer)
+    [res] = _run_lanes([x_half], g, d_bound, [q], rng, max_rounds, observer)
     if isinstance(res, ConsensusNonterminationError):
         raise res
     if trace is not None:
@@ -194,10 +196,10 @@ def run_faqua(x_half: Sequence[float], g: Digraph, d_bound: int, q: Quantization
     return res
 
 
-def _outbox(ys_s: list[int], splits) -> list[MassMessage]:
-    """A round's messages rebuilt from its recorded draws: per sender and per
-    destination other than the sender, the sum of its pieces, in sender and
-    then destination order (ys_s[j] is the mass sender j split)."""
+def _tamper_observer(tamper, then, lam, ys, zs, ys_s, zs_s, M, m, splits) -> None:
+    """A tamper hook as an observer: it rebuilds lane 0's messages from the
+    draws (per sender and other destination, its pieces' sum, sorted), takes
+    them back, delivers tamper's, and hands the round on to then, if set."""
     sums: dict[tuple[int, int], list[int]] = {}
     for j, z, dests in splits:
         base, r = divmod(ys_s[j], z)
@@ -206,26 +208,36 @@ def _outbox(ys_s: list[int], splits) -> list[MassMessage]:
                 acc = sums.setdefault((j, dest), [0, 0])
                 acc[0] += base + (piece <= r)
                 acc[1] += 1
-    return [MassMessage(cy, cz, j, dest) for (j, dest), (cy, cz) in sorted(sums.items())]
+    outbox = [MassMessage(cy, cz, j, dest) for (j, dest), (cy, cz) in sorted(sums.items())]
+    for msg in outbox:
+        ys[msg.receiver] -= msg.c_y
+        zs[msg.receiver] -= msg.c_z
+    for msg in tamper(lam, outbox):
+        ys[msg.receiver] += msg.c_y
+        zs[msg.receiver] += msg.c_z
+    if then is not None:
+        then(lam, ys, zs, ys_s, zs_s, M, m, splits)
 
 
-def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None, *,
-               trace=None, tamper: Optional[TamperHook] = None) -> list:
+def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
+               observer=None) -> list:
     """The kernel, for one x_half per level.  Each lane stops at its own
     first settled window and gets what run_faqua gives it alone: a
     ConsensusResult, or the ConsensusNonterminationError it would raise.
-    trace (a _Rows) is called once per round, after delivery and tamper.
+    observer, if set, is called once a round after delivery with lane 0's
+    (ys, zs, ys_s, zs_s), the window-start M and m, and the round's draws.
     Random.choice(t) is t[i], i the first getrandbits(len(t).bit_length())
     below len(t)."""
-    if (trace is not None or tamper is not None) and len(levels) > 1:
-        raise ValueError(f"trace and tamper act on one lane, got {len(levels)} levels")
-    if not isinstance(d_bound, int):
+    if observer is not None and len(levels) > 1:
+        raise ValueError(f"an observer acts on one lane, got {len(levels)} levels")
+    if type(d_bound) is not int:  # type, not isinstance: a bool is refused
         raise ValueError(f"d_bound must be an int, got {d_bound!r}")
-    if not (max_rounds is None or isinstance(max_rounds, int)):
+    if not (max_rounds is None or type(max_rounds) is int):
         raise ValueError(f"max_rounds must be an int or None, got {max_rounds!r}")
-    if not isinstance(rng, (int, Sequence)):
+    seq = isinstance(rng, Sequence) and not isinstance(rng, (str, bytes))
+    if not (type(rng) is int or seq and all(hasattr(s, "getrandbits") for s in rng)):
         raise ValueError(f"rng must be an int seed or a sequence of streams, got {rng!r}")
-    if isinstance(rng, int) and not 0 <= rng < 2**64:  # mix64 would alias it
+    if type(rng) is int and not 0 <= rng < 2**64:  # mix64 would alias it
         raise ValueError(f"rng seed must be in [0, 2**64), got {rng}")
     n = g.n
     d_actual = diameter(g)  # raises NotStronglyConnectedError on a witness pair
@@ -262,8 +274,8 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
                 lane_m[lane] = [y // z for y, z in zip(lane_ys_s[lane], zs_s)]
 
         # live[0] splits, each piece drawn where it goes; only the other lanes'
-        # replay and tamper read the (j, z, dests) records, so only they build them
-        record, splits = tamper is not None or len(live) > 1, []
+        # replay and the observer read the (j, z, dests) records: only they build them
+        record, splits = observer is not None or len(live) > 1, []
         ys, ys_s = lane_ys[live[0]], lane_ys_s[live[0]]
         ny, nz = ys[:], zs[:]
         for j, z in enumerate(zs):
@@ -316,16 +328,8 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
                     ny[dest] += base + (piece <= r)
             lane_ys[lane] = ny
 
-        if tamper is not None:  # take lane 0's messages back, deliver tamper's
-            ys, outbox = lane_ys[0], _outbox(lane_ys_s[0], splits)
-            for msg in outbox:
-                ys[msg.receiver] -= msg.c_y
-                zs[msg.receiver] -= msg.c_z
-            for msg in tamper(lam, outbox):
-                ys[msg.receiver] += msg.c_y
-                zs[msg.receiver] += msg.c_z
-        if trace is not None:
-            trace(lam, lane_ys[0], zs, lane_ys_s[0], zs_s, lane_M[0], lane_m[0])
+        if observer is not None:
+            observer(lam, lane_ys[0], zs, lane_ys_s[0], zs_s, lane_M[0], lane_m[0], splits)
         z_ok.append(sum(zs) == 2 * n)
         for lane in live:
             lane_y_ok[lane].append(sum(lane_ys[lane]) == lane_total[lane])

@@ -272,29 +272,27 @@ def audit_invariants(trace: RunTrace) -> AuditReport:
 
 # --- CSV emission ---
 
-TRACE_CSV_HEADER = "k,residual,inner_rounds,centroid_err,max_node_dev"
-SWEEP_CSV_HEADER = "delta,plateau,iters_to_plateau,theory_floor"
+TRACE_CSV_COLUMNS = ("k", "residual", "inner_rounds", "centroid_err", "max_node_dev")
+SWEEP_CSV_COLUMNS = ("delta", "plateau", "iters_to_plateau", "theory_floor")
 
 
 def _cell(value) -> str:
+    if isinstance(value, Fraction):  # a quantization level
+        return level_name(value)
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
-def write_trace_csv(trace: RunTrace, path: str) -> None:
+def _write_csv(path: str, columns: tuple[str, ...], records) -> None:
+    """A header of the column names, then one row of each record's cells."""
     with open(path, "w") as fh:
-        fh.write(TRACE_CSV_HEADER + "\n")
-        for s in trace.steps:
-            fh.write(
-                f"{s.k},{_cell(s.residual)},{s.inner_rounds},"
-                f"{_cell(s.centroid_err)},{_cell(s.max_node_dev)}\n"
-            )
+        fh.write(",".join(columns) + "\n")
+        for rec in records:
+            fh.write(",".join(_cell(getattr(rec, col)) for col in columns) + "\n")
+
+
+def write_trace_csv(trace: RunTrace, path: str) -> None:
+    _write_csv(path, TRACE_CSV_COLUMNS, trace.steps)
 
 
 def write_sweep_csv(report: SweepReport, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for e in report.entries:
-            fh.write(
-                f"{level_name(e.delta)},{_cell(e.plateau)},"
-                f"{_cell(e.iters_to_plateau)},{_cell(e.theory_floor)}\n"
-            )
+    _write_csv(path, SWEEP_CSV_COLUMNS, report.entries)

@@ -298,7 +298,7 @@ class OptRunConfig:
         for name in ("max_outer", "master_seed", "d_bound", "max_rounds"):
             value = getattr(self, name)
             optional = name in ("d_bound", "max_rounds")  # None picks the default
-            if not (isinstance(value, int) or optional and value is None):
+            if not (type(value) is int or optional and value is None):  # True is no count
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.max_outer < 0:
             raise ConfigError(f"max_outer must be >= 0, got {self.max_outer}")

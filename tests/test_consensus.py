@@ -144,6 +144,19 @@ class TestMinMaxWindow:
         with pytest.raises(ValueError):
             minmax_window_round(states, g, 0, 1)
 
+    @pytest.mark.parametrize("lam, d_bound, message", [
+        (1.5, 3, "round index must be an int, got 1.5"),
+        (True, 3, "round index must be an int, got True"),
+        (1, 2.5, "d_bound must be an int, got 2.5"),
+        (1, True, "d_bound must be an int, got True"),
+    ], ids=["float-round", "bool-round", "float-d-bound", "bool-d-bound"])
+    def test_rejects_a_non_int_round_index_or_window(self, lam, d_bound, message):
+        g = cycle(2)
+        states = self._states(g, [0, 0], [1, 1])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            minmax_window_round(states, g, lam, d_bound)
+        assert [(st.M, st.m) for st in states] == [(0, 0), (0, 0)]
+
     @pytest.mark.parametrize("d_bound", [0, -1, -5])
     def test_rejects_window_below_one_round(self, d_bound):
         g = cycle(2)
@@ -247,8 +260,18 @@ class TestRunFaqua:
         ({"rng": -1}, "rng seed must be in [0, 2**64), got -1"),
         ({"rng": 1.5}, "rng must be an int seed or a sequence of streams, got 1.5"),
         ({"rng": None}, "rng must be an int seed or a sequence of streams, got None"),
+        ({"d_bound": True}, "d_bound must be an int, got True"),
+        ({"max_rounds": True}, "max_rounds must be an int or None, got True"),
+        ({"rng": True}, "rng must be an int seed or a sequence of streams, got True"),
+        ({"rng": "abcd"}, "rng must be an int seed or a sequence of streams, got 'abcd'"),
+        ({"rng": ""}, "rng must be an int seed or a sequence of streams, got ''"),
+        ({"rng": b"abcd"}, "rng must be an int seed or a sequence of streams, got b'abcd'"),
+        ({"rng": [1, 2, 3, 4]},
+         "rng must be an int seed or a sequence of streams, got [1, 2, 3, 4]"),
     ], ids=["float-d-bound", "fractional-d-bound", "fractional-max-rounds",
-            "seed-of-2-to-the-64", "negative-seed", "float-seed", "no-seed"])
+            "seed-of-2-to-the-64", "negative-seed", "float-seed", "no-seed",
+            "bool-d-bound", "bool-max-rounds", "bool-seed", "str-seed", "empty-str-seed",
+            "bytes-seed", "ints-as-streams"])
     def test_rejects_a_non_int_bound_or_an_aliasing_seed(self, bad, message):
         # mix64 masks to 64 bits: rng=2**64 would repeat rng=0's run
         args = {"d_bound": 4, "rng": 0, "max_rounds": None, **bad}
@@ -294,7 +317,7 @@ class TestRunFaqua:
         def forbidden(*args, **kwargs):
             raise AssertionError("called on the untraced, untampered path")
 
-        for name in ("_flood", "_outbox", "MassMessage", "_Rows"):
+        for name in ("_flood", "_tamper_observer", "MassMessage", "_Rows"):
             monkeypatch.setattr(consensus, name, forbidden)
         res = run_faqua([1.0, 2.0, 3.0, 4.0], cycle(4), 3, QuantizationLevel("1"), 0)
         assert res.within_accuracy_contract()

@@ -143,27 +143,41 @@ def test_inline_split_passes_on_while_a_third_lane_replays(monkeypatch):
 
 @pytest.mark.parametrize("hook", ["trace", "tamper"])
 def test_trace_and_tamper_take_one_lane_only(hook):
-    """Both act on lane 0, which would go on being written or rebuilt after
-    it stopped while other lanes run, so several levels are refused.  On one
-    lane, the trace writer and the tamper hook are each called once a round."""
+    """The kernel's one observer acts on lane 0, which would go on being
+    observed after it stopped while other lanes run, so several levels are
+    refused.  On one lane it is called once a round, and so are run_faqua's
+    trace writer and tamper hook, which it is built from."""
     g = Digraph(3, [((j + 1) % 3, j) for j in range(3)])
     qs = [QuantizationLevel("1"), QuantizationLevel("0.1")]
     calls = []
 
-    def writer(lam, ys, zs, ys_s, zs_s, M, m):
+    def observer(lam, ys, zs, ys_s, zs_s, M, m, splits):
         calls.append(lam)
+
+    with pytest.raises(ValueError, match="an observer acts on one lane, got 2 levels"):
+        _run_lanes([[1.0, 2.0, 3.0]] * 2, g, 2, qs, 0, observer=observer)
+    assert calls == []
+    [one] = _run_lanes([[1.0, 2.0, 3.0]], g, 2, qs[:1], 0, observer=observer)
+    solo = run_faqua([1.0, 2.0, 3.0], g, 2, qs[0], 0)
+    assert _consensus_view(one) == _consensus_view(solo)
+    assert calls == list(range(1, one.rounds_used + 1))
+
+    writes, hooked = [], []
 
     def tamper(lam, msgs):
-        calls.append(lam)
+        hooked.append(lam)
         return msgs
 
-    kw = {"trace": writer} if hook == "trace" else {"tamper": tamper}
-    with pytest.raises(ValueError, match="trace and tamper act on one lane, got 2 levels"):
-        _run_lanes([[1.0, 2.0, 3.0]] * 2, g, 2, qs, 0, **kw)
-    assert calls == []
-    [one] = _run_lanes([[1.0, 2.0, 3.0]], g, 2, qs[:1], 0, **kw)
-    assert _consensus_view(one) == _consensus_view(run_faqua([1.0, 2.0, 3.0], g, 2, qs[0], 0))
-    assert calls == list(range(1, one.rounds_used + 1))
+    class Stream:
+        write = writes.append
+
+    kw = {"trace": Stream()} if hook == "trace" else {"tamper": tamper}
+    res = run_faqua([1.0, 2.0, 3.0], g, 2, qs[0], 0, **kw)
+    assert _consensus_view(res) == _consensus_view(solo)
+    if hook == "trace":  # one write per round, then the RESULT line
+        assert [w.split("\t", 1)[0] for w in writes] == [*map(str, calls), "RESULT"]
+    else:
+        assert hooked == calls
 
 
 def test_too_small_d_bound_fails_every_level():

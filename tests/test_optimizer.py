@@ -379,6 +379,12 @@ class TestQuagdRun:
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
             quagd_run(small_config(**{field: value}))
 
+    @pytest.mark.parametrize("field", ["max_outer", "master_seed", "d_bound", "max_rounds"])
+    def test_bool_counts_are_config_errors(self, field):
+        # True would read as 1: one outer step, seed 1, a budget of one round
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got True"):
+            quagd_run(small_config(**{field: True}))
+
     @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
     def test_seed_outside_64_bits_is_config_error(self, seed):
         # mix64 masks to 64 bits, so such a seed would alias one inside
