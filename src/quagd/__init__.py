@@ -39,7 +39,6 @@ from .optimizer import (
     CostFunction,
     DivergenceError,
     OptRunConfig,
-    ParameterViolationError,
     StepSizeInterval,
     TheoryConstants,
     build_cost,

@@ -66,7 +66,10 @@ EXIT_DIVERGENCE = 5
 
 
 def _flag(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not 1/true/yes/on or 0/false/no/off: {text!r}") from None
 
 
 def _floats(text: str) -> list[float]:
@@ -253,9 +256,7 @@ class EffectiveConfig:
 def _plot_residuals(path: str, traces, title: str) -> None:
     """One residual curve per RunTrace, labelled with its level, on shared axes."""
     labelled = [(f"delta={level_name(t.delta)}", t.residuals) for t in traces]
-    write_line_plot(
-        path, labelled, title=title, xlabel="outer iteration k", ylabel="residual"
-    )
+    write_line_plot(path, labelled, title)
 
 
 def cmd_run(args) -> int:

@@ -40,13 +40,13 @@ class Digraph:
     """Immutable digraph on nodes 0..n-1 with implicit self-edges."""
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if not isinstance(n, int):
+        if type(n) is not int:  # True is no count
             raise GraphError(f"need an int node count, got {n!r}")
         if n < 2:
             raise GraphError(f"need at least 2 nodes, got {n}")
         out = [set() for _ in range(n)]
         for recv, send in edges:
-            if not (isinstance(recv, int) and isinstance(send, int)):
+            if not (type(recv) is int and type(send) is int):
                 raise GraphError(f"edge ({recv!r}, {send!r}): node ids must be ints")
             if not (0 <= recv < n and 0 <= send < n):
                 raise GraphError(f"edge ({recv}, {send}) out of range for n={n}")
@@ -168,11 +168,11 @@ def generate_random_strongly_connected(
     hit is appended to its sender's out-list, which so comes out ascending,
     and the out-lists are set directly, not through __init__.
     """
-    if not (isinstance(n, int) and isinstance(seed, int) and seed >= 0):
+    if not (type(n) is int and type(seed) is int and seed >= 0):
         raise GraphError(f"need an int node count and int seed >= 0, got {n!r}, {seed!r}")
     if n < 2:
         raise GraphError(f"need at least 2 nodes, got {n}")
-    if not (0.0 <= extra_edge_prob <= 1.0):
+    if isinstance(extra_edge_prob, bool) or not 0.0 <= extra_edge_prob <= 1.0:
         raise GraphError(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob}")
     rng = random.Random(seed)
     perm = list(range(n))

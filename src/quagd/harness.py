@@ -126,12 +126,6 @@ class SweepEntry:
         exc = self.exception
         return None if exc is None else f"{type(exc).__name__}: {exc}"
 
-    @property
-    def quantization_dominated(self) -> bool:
-        """True when the residual saturates immediately: the quantization
-        grid is coarser than the initial distance to the optimum."""
-        return self.iters_to_plateau == 0
-
 
 @dataclass
 class SweepReport:

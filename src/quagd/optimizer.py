@@ -32,12 +32,9 @@ def _sum(values) -> float:
     return functools.reduce(operator.add, values, 0)
 
 
-class ParameterViolationError(ValueError):
-    """A theory parameter lies outside its admissible interval."""
-
-
 class ConfigError(ValueError):
-    """Invalid run configuration."""
+    """Invalid run configuration or theory input: a theory parameter
+    outside its admissible interval included."""
 
 
 class DivergenceError(RuntimeError):
@@ -66,7 +63,8 @@ class CostFunction:
     center: Optional[float] = None
 
     def __post_init__(self):
-        if not (0 < self.strong_convexity <= self.lipschitz):
+        mu, L = self.strong_convexity, self.lipschitz
+        if bool in (type(mu), type(L)) or not 0 < mu <= L:  # True is no number
             raise ConfigError(
                 f"need 0 < strong_convexity <= lipschitz, got "
                 f"mu={self.strong_convexity}, L={self.lipschitz}"
@@ -75,7 +73,8 @@ class CostFunction:
 
 def quadratic_cost(beta: float, center: float) -> CostFunction:
     """f(x) = beta/2 * (x - center)^2 with gradient beta*(x - center)."""
-    if not (0 < beta < math.inf and math.isfinite(center)):
+    finite = 0 < beta < math.inf and math.isfinite(center)
+    if bool in (type(beta), type(center)) or not finite:  # True is no number
         raise ConfigError(
             f"quadratic needs a finite positive beta and a finite center, "
             f"got beta={beta}, center={center}"
@@ -139,8 +138,10 @@ def gradient_step(x: float, alpha: float, f: CostFunction) -> float:
 
 
 def _exact(name: str, value) -> Fraction:
-    """value as an exact rational; ConfigError if it is not finite."""
+    """value as an exact rational; ConfigError if it is a bool or not finite."""
     try:
+        if isinstance(value, bool):  # True is no number
+            raise ValueError
         return Fraction(value)
     except (OverflowError, ValueError):
         raise ConfigError(f"{name} must be finite, got {value!r}") from None
@@ -170,11 +171,11 @@ def step_size_interval(L, mu, n: int) -> StepSizeInterval:
 
     Step sizes are floats, so constants that are not finite or put a bound
     beyond the float range are a ConfigError, as is a node count below 1."""
-    if n < 1:
+    if isinstance(n, bool) or n < 1:
         raise ConfigError(f"need at least 1 node, got n={n}")
     L, mu = _exact("L", L), _exact("mu", mu)
     if L <= 0 or mu <= 0:
-        raise ParameterViolationError(f"need positive constants, got mu={mu}, L={L}")
+        raise ConfigError(f"need positive constants, got mu={mu}, L={L}")
     lower = n * (mu + L) / (4 * mu * L)
     upper = Fraction(2 * n) / (mu + L)
     try:
@@ -199,7 +200,7 @@ def young_delta_interval(alpha, L, mu, n: int) -> tuple[Fraction, Fraction]:
     a, L, mu = _exact("alpha", alpha), _exact("L", L), _exact("mu", mu)
     interval = step_size_interval(L, mu, n)
     if not interval.contains(a):
-        raise ParameterViolationError(
+        raise ConfigError(
             f"alpha={float(a)} outside the admissible interval "
             f"({float(interval.lower)}, {float(interval.upper)})"
         )
@@ -240,17 +241,15 @@ def compute_theta_and_floor(
         Delta = Delta.delta
     Delta = _exact("Delta", Delta)
     if Delta < 0:
-        raise ParameterViolationError(f"quantization level must be >= 0, got {Delta}")
+        raise ConfigError(f"quantization level must be >= 0, got {Delta}")
     _, d_upper = young_delta_interval(a, L, mu, n)
     d = d_upper / 2 if delta_young is None else _exact("delta_young", delta_young)
     if not (0 < d < d_upper):
-        raise ParameterViolationError(
-            f"delta_young={float(d)} outside (0, {float(d_upper)})"
-        )
+        raise ConfigError(f"delta_young={float(d)} outside (0, {float(d_upper)})")
     a_hat = a / n
     theta = 2 * (1 + a * d / n) * (1 - 2 * a * mu * L / (n * (mu + L)))
     if not (0 < theta < 1):
-        raise ParameterViolationError(f"contraction factor {float(theta)} not in (0, 1)")
+        raise ConfigError(f"contraction factor {float(theta)} not in (0, 1)")
     error_floor = (8 + 32 * a_hat**2 * L**2 + 32 * a_hat * L**2 / d) * Delta**2
     return TheoryConstants(
         L=L,
@@ -290,7 +289,7 @@ class OptRunConfig:
         if len(self.x0) != n:
             raise ConfigError(f"expected {n} initial estimates, got {len(self.x0)}")
         for j, x in enumerate(self.x0):
-            if not 0 <= x < math.inf:
+            if isinstance(x, bool) or not 0 <= x < math.inf:
                 raise ConfigError(
                     f"initial estimates must be finite and nonnegative, "
                     f"node {j} has {x}"
@@ -306,10 +305,11 @@ class OptRunConfig:
             raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.alpha is not None and not math.isfinite(self.alpha):
-            raise ConfigError(f"step size must be finite, got {self.alpha}")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ConfigError(f"step size must be positive, got {self.alpha}")
+        if self.alpha is not None:
+            if isinstance(self.alpha, bool) or not math.isfinite(self.alpha):
+                raise ConfigError(f"step size must be finite, got {self.alpha}")
+            if self.alpha <= 0:
+                raise ConfigError(f"step size must be positive, got {self.alpha}")
 
     @property
     def L(self) -> float:

@@ -32,7 +32,7 @@ class QuantizationLevel:
         try:
             if isinstance(delta, (str, float)):
                 delta = Decimal(repr(delta) if isinstance(delta, float) else delta)
-            in_range = 0 < float(delta) < math.inf
+            in_range = not isinstance(delta, bool) and 0 < float(delta) < math.inf
         except ArithmeticError:  # not a decimal number, or beyond the float range
             in_range = False
         if not in_range:

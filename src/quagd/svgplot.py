@@ -15,18 +15,15 @@ _MARGIN = 54
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _FLOOR = 1e-300  # clamp for log scale; residuals can be exactly zero
+_XLABEL = "outer iteration k"
+_YLABEL = "residual"
 
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def line_plot_svg(
-    curves: Sequence[tuple[str, Sequence[float]]],
-    title: str,
-    xlabel: str,
-    ylabel: str,
-) -> str:
+def line_plot_svg(curves: Sequence[tuple[str, Sequence[float]]], title: str) -> str:
     """Render labeled curves (y on a log10 scale, x = sample index)."""
     if not curves:
         raise ValueError("need at least one curve")
@@ -55,10 +52,10 @@ def line_plot_svg(
         f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
         f'font-family="monospace" font-size="14">{title}</text>',
         f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">{xlabel}</text>',
+        f'font-family="monospace" font-size="12">{_XLABEL}</text>',
         f'<text x="16" y="{_HEIGHT // 2}" text-anchor="middle" '
         f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 16 {_HEIGHT // 2})">{ylabel} (log10)</text>',
+        f'transform="rotate(-90 16 {_HEIGHT // 2})">{_YLABEL} (log10)</text>',
     ]
     # horizontal gridlines at integer log10 levels
     for level in range(math.ceil(lo), math.floor(hi) + 1):
@@ -87,6 +84,6 @@ def line_plot_svg(
     return "\n".join(parts) + "\n"
 
 
-def write_line_plot(path: str, curves, title: str, xlabel: str, ylabel: str) -> None:
+def write_line_plot(path: str, curves, title: str) -> None:
     with open(path, "w") as fh:
-        fh.write(line_plot_svg(curves, title, xlabel, ylabel))
+        fh.write(line_plot_svg(curves, title))

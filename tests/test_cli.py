@@ -222,6 +222,8 @@ UNREAD_INI = {
         (["run", "--config", "cfg.ini"], "[graph]\ngraph_file = g.txt\nnodes = 50\n"),
         (["sweep", "--config", "cfg.ini", "--edge-prob", "0.5", "--deltas", "0.1"],
          "[graph]\ngraph_file = g.txt\n"),
+        (["run", "--config", "cfg.ini"], "[run]\ntrace = ture\n"),
+        (["run", "--config", "cfg.ini"], "[run]\ntrace = 2\n"),
         *[([cmd, flag, level], None) for cmd, flag in LEVEL_FLAGS for level in BAD_LEVELS],
         *[(["run", "--config", "cfg.ini"], ini) for ini, _ in UNREAD_INI.values()],
     ],
@@ -247,6 +249,7 @@ UNREAD_INI = {
          "ini-zero-alpha", "run-negative-seed", "graph-gen-negative-seed",
          "sweep-seed-of-2-to-the-64", "graph-file-with-nodes-and-edge-prob-flags",
          "ini-graph-file-with-nodes", "ini-graph-file-with-edge-prob-flag",
+         "misspelled-ini-boolean", "ini-boolean-of-2",
          *[f"{cmd}-level-{level}" for cmd, _ in LEVEL_FLAGS for level in BAD_LEVELS],
          *UNREAD_INI],
 )
@@ -260,6 +263,25 @@ def test_bad_input_is_config_error(argv, ini, tmp_path, monkeypatch, capsys, rec
     assert err.startswith("config error: ")
     assert "UserWarning" not in err  # the input is rejected before any warning
     assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
+@pytest.mark.parametrize("text, traced", [("no", False), ("0", False), (" OFF ", False),
+                                          ("false", False), ("yes", True), ("On", True)])
+def test_ini_boolean_vocabulary(text, traced, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.ini").write_text(
+        f"[graph]\nnodes = 4\n[optimizer]\nmax_iters = 1\n[run]\ntrace = {text}\n")
+    assert run_cli("run", "--config", "cfg.ini") == 0
+    assert (tmp_path / "out" / "faqua_trace.txt").exists() is traced
+    assert f"trace = {str(traced).lower()}\n" in capsys.readouterr().out
+
+
+def test_malformed_ini_boolean_names_its_entry(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.ini").write_text("[run]\ntrace = ture\n")
+    assert run_cli("run", "--config", "cfg.ini") == 2
+    assert capsys.readouterr().err == (
+        "config error: [run] trace: not 1/true/yes/on or 0/false/no/off: 'ture'\n")
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "theory", "graph-gen"])

@@ -210,11 +210,17 @@ class TestGenerator:
         with pytest.raises(GraphError):
             generate_random_strongly_connected(4, 1.5, 0)
 
-    @pytest.mark.parametrize("n, seed", [(2.5, 0), (5, 1.5), (5, -3), (5, "3"), (5, None)])
+    @pytest.mark.parametrize("n, seed", [(2.5, 0), (5, 1.5), (5, -3), (5, "3"), (5, None),
+                                         (True, 0), (5, True)])
     def test_rejects_a_seed_or_node_count_that_would_alias(self, n, seed):
-        # random.Random seeds from abs() and accepts floats and strings
+        # random.Random seeds from abs() and accepts floats, strings and bools
         with pytest.raises(GraphError, match="int node count and int seed >= 0"):
             generate_random_strongly_connected(n, 0.3, seed)
+
+    def test_rejects_a_bool_edge_probability(self):
+        # True would read as 1.0: the complete graph
+        with pytest.raises(GraphError, match="extra_edge_prob must be in"):
+            generate_random_strongly_connected(4, True, 0)
 
     @pytest.mark.parametrize("n, p, seed", [(2, 0.0, 1), (9, 0.3, 77), (40, 0.05, 3),
                                             (300, 37 / 256, 5), (60, 1.0, 2)])
@@ -338,7 +344,10 @@ class TestDigraphBasics:
         (3, [(1.0, 0), (2, 1), (0, 2)]),
         (2.5, [(1, 0), (0, 1)]),
         (3, [("1", 0)]),
-    ], ids=["float-node-id", "float-node-count", "str-node-id"])
+        (3, [(True, 0), (2, 1), (0, 2)]),
+        (True, [(0, 0)]),
+    ], ids=["float-node-id", "float-node-count", "str-node-id", "bool-node-id",
+            "bool-node-count"])
     def test_rejects_a_node_count_or_id_that_is_not_an_int(self, n, edges):
         with pytest.raises(GraphError, match="int"):
             Digraph(n, edges)

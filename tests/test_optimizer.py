@@ -1,4 +1,5 @@
 import math
+import re
 import random
 import warnings
 from fractions import Fraction
@@ -11,7 +12,6 @@ from quagd.optimizer import (
     CostFunction,
     DivergenceError,
     OptRunConfig,
-    ParameterViolationError,
     build_cost,
     compute_theta_and_floor,
     gradient_step,
@@ -35,6 +35,15 @@ class TestCostFunctions:
         assert f.evaluate(3.0) == 4.0
         assert f.gradient(3.0) == 4.0
         assert f.lipschitz == f.strong_convexity == 2.0
+
+    @pytest.mark.parametrize("beta, center", [(True, 1.0), (1.0, False)])
+    def test_bool_quadratic_parameters_rejected(self, beta, center):
+        with pytest.raises(ConfigError, match="quadratic needs a finite positive beta"):
+            quadratic_cost(beta, center)
+
+    def test_bool_smoothness_constants_rejected(self):
+        with pytest.raises(ConfigError, match="need 0 < strong_convexity <= lipschitz"):
+            CostFunction(abs, abs, lipschitz=True, strong_convexity=True)
 
     def test_gradient_matches_finite_differences(self):
         rnd = random.Random(13)
@@ -174,11 +183,6 @@ class TestYoungDeltaInterval:
         assert lo == 0
         assert hi == Fraction(80, 3)
 
-    def test_rejects_endpoints_and_outside(self):
-        for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            with pytest.raises(ParameterViolationError):
-                young_delta_interval(alpha, 20, 20, 20)
-
     def test_non_finite_alpha_is_config_error(self):
         with pytest.raises(ConfigError, match="alpha must be finite"):
             young_delta_interval(math.inf, 20, 20, 20)
@@ -212,22 +216,12 @@ class TestThetaAndFloor:
         big = compute_theta_and_floor(Fraction(3, 4), 1, 20, 20, 20, 1)
         assert small.error_floor > 10**5 * big.error_floor
 
-    def test_rejects_out_of_interval_parameters(self):
-        with pytest.raises(ParameterViolationError):
-            compute_theta_and_floor(Fraction(3, 4), 100, 20, 20, 20, 1)  # young too big
-        with pytest.raises(ParameterViolationError):
-            compute_theta_and_floor(2, 1, 20, 20, 20, 1)  # alpha outside
-
     @pytest.mark.parametrize(
         "alpha, young", [(math.inf, None), (math.nan, None), (0.75, math.inf)]
     )
     def test_non_finite_inputs_are_config_errors(self, alpha, young):
         with pytest.raises(ConfigError, match="must be finite"):
             compute_theta_and_floor(alpha, young, 20, 20, 20, "0.01")
-
-    def test_negative_quantization_level_rejected(self):
-        with pytest.raises(ParameterViolationError, match="quantization level"):
-            compute_theta_and_floor(0.75, None, 20, 20, 20, -0.01)
 
     def test_default_young_parameter_is_half_its_bound(self):
         c = compute_theta_and_floor(Fraction(3, 4), None, 20, 20, 20, 0)
@@ -263,6 +257,52 @@ def small_config(**overrides):
     )
     params.update(overrides)
     return OptRunConfig(**params)
+
+
+# the reference constants, with an alpha inside (1/2, 1) and young's bound 80/3
+_THEORY = dict(L=20, mu=20, n=20, alpha=Fraction(3, 4), young=None, Delta=1)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"mu": 0}, "need positive constants, got mu=0, L=20"),
+        ({"mu": -2.5}, "need positive constants, got mu=-5/2, L=20"),
+        ({"L": -1}, "need positive constants, got mu=20, L=-1"),
+        ({"n": 0}, "need at least 1 node, got n=0"),
+        ({"alpha": math.inf}, "alpha must be finite, got inf"),
+        ({"alpha": math.nan}, "alpha must be finite, got nan"),
+        ({"alpha": Fraction(1, 2)}, "alpha=0.5 outside the admissible interval (0.5, 1.0)"),
+        ({"alpha": 1}, "alpha=1.0 outside the admissible interval (0.5, 1.0)"),
+        ({"alpha": 2}, "alpha=2.0 outside the admissible interval (0.5, 1.0)"),
+        ({"Delta": Fraction(-1, 100)}, "quantization level must be >= 0, got -1/100"),
+        ({"young": 0}, "delta_young=0.0 outside (0, 26.666666666666668)"),
+        ({"young": Fraction(80, 3)},
+         "delta_young=26.666666666666668 outside (0, 26.666666666666668)"),
+        ({"young": 100}, "delta_young=100.0 outside (0, 26.666666666666668)"),
+        ({"L": True}, "L must be finite, got True"),
+        ({"n": True}, "need at least 1 node, got n=True"),
+        ({"alpha": True}, "alpha must be finite, got True"),
+    ],
+    ids=["zero-mu", "negative-mu", "negative-L", "no-nodes", "infinite-alpha",
+         "nan-alpha", "alpha-at-lower-end", "alpha-at-upper-end", "alpha-above",
+         "negative-level", "zero-young", "young-at-its-bound", "young-above-its-bound",
+         "bool-L", "bool-n", "bool-alpha"],
+)
+def test_bad_theory_input_is_config_error(bad, message):
+    """Every calculator that reads a bad theory input raises one error type,
+    ConfigError, with the same message."""
+    p = {**_THEORY, **bad}
+    reads = {  # each calculator's inputs, in argument order
+        compute_theta_and_floor: ("alpha", "young", "L", "mu", "n", "Delta"),
+        young_delta_interval: ("alpha", "L", "mu", "n"),
+        step_size_interval: ("L", "mu", "n"),
+    }
+    for calc, names in reads.items():
+        if bad.keys() <= set(names):
+            with pytest.raises(ConfigError) as info:
+                calc(*(p[name] for name in names))
+            assert type(info.value) is ConfigError and str(info.value) == message
 
 
 class TestQuagdRun:
@@ -384,6 +424,19 @@ class TestQuagdRun:
         # True would read as 1: one outer step, seed 1, a budget of one round
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got True"):
             quagd_run(small_config(**{field: True}))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"alpha": True}, "step size must be finite, got True"),
+         ({"x0": [5.0, True, 7.0, 8.0]},
+          "initial estimates must be finite and nonnegative, node 1 has True")],
+        ids=["bool-alpha", "bool-initial-estimate"],
+    )
+    def test_bool_step_size_or_initial_estimate_is_config_error(self, overrides, message):
+        # True would read as 1: a step size of 1, outside (0.5, 1), or an estimate of 1;
+        # refused before the interval warning, which the test settings make an error
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            quagd_run(small_config(**overrides))
 
     @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
     def test_seed_outside_64_bits_is_config_error(self, seed):

@@ -87,6 +87,12 @@ class TestQuantizationLevel:
         with pytest.raises(ValueError):
             QuantizationLevel("-0.5")
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_a_bool(self, flag):
+        # True would equal level 1
+        with pytest.raises(ValueError, match="0 < float"):
+            QuantizationLevel(flag)
+
     def test_rejects_non_finite_input(self):
         q = QuantizationLevel("1")
         with pytest.raises(ValueError):
