@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from typing import Callable
@@ -68,7 +67,6 @@ class RoundAudit:
 class ConsensusResult:
     value: float  # the common output m * delta
     value_count: int  # the integer m
-    delta: Fraction
     rounds_used: int
     per_node_values: list[float]
     quantized_sum: int  # sum of floor(x_half_i / delta) over nodes
@@ -336,11 +334,11 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
 
         if lam % d_bound == 0:
             for lane in [l for l in live if max(lane_M[l]) - min(lane_m[l]) <= 1]:
-                lo, delta = min(lane_m[lane]), levels[lane].delta
+                lo = min(lane_m[lane])
                 audits = list(map(RoundAudit, range(1, lam + 1), lane_y_ok[lane], z_ok))
-                value, quantized_sum = float(lo * delta), lane_total[lane] // 2
-                out[lane] = ConsensusResult(value, lo, delta, lam, [value] * n,
-                                            quantized_sum, n, audits)
+                value, quantized_sum = float(lo * levels[lane].delta), lane_total[lane] // 2
+                out[lane] = ConsensusResult(value, lo, lam, [value] * n, quantized_sum,
+                                            n, audits)
                 live.remove(lane)
             if not live:
                 return out

@@ -172,8 +172,12 @@ def generate_random_strongly_connected(
         raise GraphError(f"need an int node count and int seed >= 0, got {n!r}, {seed!r}")
     if n < 2:
         raise GraphError(f"need at least 2 nodes, got {n}")
-    if isinstance(extra_edge_prob, bool) or not 0.0 <= extra_edge_prob <= 1.0:
-        raise GraphError(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob}")
+    try:  # True would read as 1.0
+        in_range = type(extra_edge_prob) is not bool and 0.0 <= extra_edge_prob <= 1.0
+    except TypeError:  # not a number: text, say
+        in_range = False
+    if not in_range:
+        raise GraphError(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob!r}")
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -30,6 +31,12 @@ def _sum(values) -> float:
     """Left-to-right sum.  From CPython 3.12 the builtin sum() of floats is
     compensated, which changes last bits; this is the same on 3.10-3.13."""
     return functools.reduce(operator.add, values, 0)
+
+
+def _real(x) -> bool:
+    """Whether x is a real number; a bool is not one (True would read as 1).
+    A float is tested first: the ABC check costs five times as much."""
+    return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class ConfigError(ValueError):
@@ -64,20 +71,20 @@ class CostFunction:
 
     def __post_init__(self):
         mu, L = self.strong_convexity, self.lipschitz
-        if bool in (type(mu), type(L)) or not 0 < mu <= L:  # True is no number
+        if not (_real(mu) and _real(L) and 0 < mu <= L):
             raise ConfigError(
                 f"need 0 < strong_convexity <= lipschitz, got "
-                f"mu={self.strong_convexity}, L={self.lipschitz}"
+                f"mu={self.strong_convexity!r}, L={self.lipschitz!r}"
             )
 
 
 def quadratic_cost(beta: float, center: float) -> CostFunction:
     """f(x) = beta/2 * (x - center)^2 with gradient beta*(x - center)."""
-    finite = 0 < beta < math.inf and math.isfinite(center)
-    if bool in (type(beta), type(center)) or not finite:  # True is no number
+    real = _real(beta) and _real(center)
+    if not (real and 0 < beta < math.inf and math.isfinite(center)):
         raise ConfigError(
             f"quadratic needs a finite positive beta and a finite center, "
-            f"got beta={beta}, center={center}"
+            f"got beta={beta!r}, center={center!r}"
         )
     return CostFunction(
         evaluate=lambda x: 0.5 * beta * (x - center) ** 2,
@@ -171,8 +178,8 @@ def step_size_interval(L, mu, n: int) -> StepSizeInterval:
 
     Step sizes are floats, so constants that are not finite or put a bound
     beyond the float range are a ConfigError, as is a node count below 1."""
-    if isinstance(n, bool) or n < 1:
-        raise ConfigError(f"need at least 1 node, got n={n}")
+    if type(n) is not int or n < 1:  # a bool or a float is not a node count
+        raise ConfigError(f"need at least 1 node, got n={n!r}")
     L, mu = _exact("L", L), _exact("mu", mu)
     if L <= 0 or mu <= 0:
         raise ConfigError(f"need positive constants, got mu={mu}, L={L}")
@@ -216,9 +223,6 @@ class TheoryConstants:
     plateau bound error_floor / (1 - theta) from unrolling the per-step
     contraction as a geometric series."""
 
-    L: Fraction
-    mu: Fraction
-    alpha: Fraction
     alpha_hat: Fraction  # alpha / n
     delta_young: Fraction
     young_upper: Fraction  # delta_young's admissible upper bound
@@ -252,9 +256,6 @@ def compute_theta_and_floor(
         raise ConfigError(f"contraction factor {float(theta)} not in (0, 1)")
     error_floor = (8 + 32 * a_hat**2 * L**2 + 32 * a_hat * L**2 / d) * Delta**2
     return TheoryConstants(
-        L=L,
-        mu=mu,
-        alpha=a,
         alpha_hat=a_hat,
         delta_young=d,
         young_upper=d_upper,
@@ -289,10 +290,10 @@ class OptRunConfig:
         if len(self.x0) != n:
             raise ConfigError(f"expected {n} initial estimates, got {len(self.x0)}")
         for j, x in enumerate(self.x0):
-            if isinstance(x, bool) or not 0 <= x < math.inf:
+            if not (_real(x) and 0 <= x < math.inf):
                 raise ConfigError(
                     f"initial estimates must be finite and nonnegative, "
-                    f"node {j} has {x}"
+                    f"node {j} has {x!r}"
                 )
         for name in ("max_outer", "master_seed", "d_bound", "max_rounds"):
             value = getattr(self, name)
@@ -306,8 +307,8 @@ class OptRunConfig:
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.alpha is not None:
-            if isinstance(self.alpha, bool) or not math.isfinite(self.alpha):
-                raise ConfigError(f"step size must be finite, got {self.alpha}")
+            if not (_real(self.alpha) and math.isfinite(self.alpha)):
+                raise ConfigError(f"step size must be finite, got {self.alpha!r}")
             if self.alpha <= 0:
                 raise ConfigError(f"step size must be positive, got {self.alpha}")
 
@@ -394,7 +395,7 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
         r0 = _residual(cfg.x0, cfg.x0, x_star, None)
     except ValueError as exc:
         return [exc] * len(levels)
-    out: list = [RunTrace(x0=list(cfg.x0), delta=q.delta, x_star=x_star) for q in levels]
+    out: list = [RunTrace(delta=q.delta) for q in levels]
     for trace in out:
         trace.steps.append(StepRecord(k=0, estimates=list(cfg.x0), residual=r0))
     run_streams = NodeStreams(cfg.master_seed, n)  # reseeded in place each step
@@ -437,21 +438,20 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
                 result.outer_step = k
                 out[lane] = result
                 continue
-            x = list(result.per_node_values)
+            x = result.per_node_values  # every node holds result.value
             x_hat = _sum(x) / n
             try:
                 out[lane].steps.append(StepRecord(
                     k=k + 1,
-                    estimates=list(x),
+                    estimates=x,
                     residual=_residual(x, cfg.x0, x_star, k),
                     inner_rounds=result.rounds_used,
                     centroid_err=abs(x_hat - _sum(x_half) / n),
-                    max_node_dev=max(abs(xi - x_hat) for xi in x),
+                    max_node_dev=abs(result.value - x_hat),
                     conservation_ok=all(
                         a.y_conserved and a.z_conserved for a in result.audits
                     ),
                     accuracy_ok=result.within_accuracy_contract(),
-                    agreement_ok=len(set(result.per_node_values)) == 1,
                 ))
             except DivergenceError as exc:
                 out[lane] = exc

@@ -36,8 +36,9 @@ class StepRecord:
     Observer values (centroid_err = |mean estimate - mean stepped value|,
     max_node_dev = max_i |x_i - mean estimate|) are computed from global
     state by `optimizer.quagd_run`, never by nodes; they are None at k = 0.
-    agreement_ok holds by construction (the kernel gives every node one
-    value); only a traced run floods each node's extrema and checks them.
+    conservation_ok and accuracy_ok are the step's consensus audits.
+    Agreement is not recorded: the kernel gives every node one value, and
+    only a traced run floods each node's extrema and checks them.
     """
 
     k: int
@@ -48,17 +49,14 @@ class StepRecord:
     max_node_dev: Optional[float] = None
     conservation_ok: bool = True
     accuracy_ok: bool = True
-    agreement_ok: bool = True
 
 
 @dataclass
 class RunTrace:
-    """Full history of one optimization run."""
+    """Full history of one run at level delta; steps[0] holds the initial estimates."""
 
-    x0: list[float]
     delta: Fraction
     steps: list[StepRecord] = field(default_factory=list)
-    x_star: Optional[float] = None
 
     @property
     def residuals(self) -> list[Optional[float]]:

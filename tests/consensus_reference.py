@@ -99,7 +99,7 @@ def reference_run(x_half, g, d_bound, q, rng, max_rounds=None, *, trace=None,
             if trace is not None:
                 trace.write(f"RESULT\t{value!r}\t{lam}\n")
             return ConsensusResult(
-                value, lo, q.delta, lam, [value] * n, total // 2, n, audits
+                value, lo, lam, [value] * n, total // 2, n, audits
             )
     for st, y, z in zip(states, ys, zs):
         st.y, st.z = y, z

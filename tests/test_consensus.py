@@ -8,6 +8,7 @@ from consensus_reference import reference_run, split_mass
 from quagd import consensus
 from quagd.consensus import (
     ConsensusNonterminationError,
+    ConsensusResult,
     init_consensus,
     minmax_window_round,
     run_faqua,
@@ -199,6 +200,14 @@ class TestRunFaqua:
             assert res.within_accuracy_contract()
             assert all(a.y_conserved and a.z_conserved for a in res.audits)
             assert len(set(res.per_node_values)) == 1
+
+    def test_accuracy_contract_allows_exactly_n_counts(self):
+        # |m*n - quantized_sum| <= n: the output is within delta of the quantized mean
+        def result(quantized_sum):  # m = 2 on 4 nodes, so m*n = 8
+            return ConsensusResult(2.0, 2, 1, [2.0] * 4, quantized_sum, 4, [])
+
+        assert all(result(s).within_accuracy_contract() for s in (4, 8, 12))
+        assert not any(result(s).within_accuracy_contract() for s in (3, 13))
 
     def test_wrong_number_of_streams_rejected(self):
         streams = node_streams(0, 3, 0)  # one short

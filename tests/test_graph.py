@@ -218,9 +218,10 @@ class TestGenerator:
             generate_random_strongly_connected(n, 0.3, seed)
 
     def test_rejects_a_bool_edge_probability(self):
-        # True would read as 1.0: the complete graph
-        with pytest.raises(GraphError, match="extra_edge_prob must be in"):
-            generate_random_strongly_connected(4, True, 0)
+        # True would read as 1.0: the complete graph; text is no number either
+        for p in (True, "0.5"):
+            with pytest.raises(GraphError, match="extra_edge_prob must be in"):
+                generate_random_strongly_connected(4, p, 0)
 
     @pytest.mark.parametrize("n, p, seed", [(2, 0.0, 1), (9, 0.3, 77), (40, 0.05, 3),
                                             (300, 37 / 256, 5), (60, 1.0, 2)])

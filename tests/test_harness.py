@@ -231,7 +231,7 @@ class TestAuditInvariants:
         assert audit_invariants(trace).clean
 
     def test_manufactured_violations_reported(self):
-        trace = RunTrace(x0=[1.0, 2.0], delta=Fraction(1, 100))
+        trace = RunTrace(delta=Fraction(1, 100))
         trace.steps.append(StepRecord(k=0, estimates=[1.0, 2.0]))
         trace.steps.append(
             StepRecord(
@@ -239,7 +239,6 @@ class TestAuditInvariants:
                 estimates=[1.5, 1.5],
                 conservation_ok=False,
                 accuracy_ok=False,
-                agreement_ok=False,
                 centroid_err=1.0,  # way above 2*delta
                 max_node_dev=1.0,  # way above 4*delta
             )
@@ -249,11 +248,20 @@ class TestAuditInvariants:
         assert kinds == {
             "conservation",
             "accuracy",
-            "agreement",
             "centroid_bound",
             "deviation_bound",
         }
         assert all(v.step == 1 for v in report.violations)
+
+    @pytest.mark.parametrize("field, kind, bound", [("centroid_err", "centroid_bound", 2),
+                                                    ("max_node_dev", "deviation_bound", 4)])
+    def test_observer_bound_is_exact(self, field, kind, bound):
+        # at the bound passes; a millionth past it, far beyond the roundoff slack, fails
+        trace = RunTrace(delta=Fraction(1, 100))
+        trace.steps.append(StepRecord(k=0, estimates=[1.0, 2.0]))
+        for k, value in enumerate((bound * 0.01, bound * 0.01 * (1 + 1e-6)), 1):
+            trace.steps.append(StepRecord(k=k, estimates=[1.5, 1.5], **{field: value}))
+        assert [(v.kind, v.step) for v in audit_invariants(trace).violations] == [(kind, 2)]
 
     def test_observed_bounds_shrink_with_delta(self):
         # halving delta should shrink the observed centroid error roughly

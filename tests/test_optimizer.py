@@ -36,14 +36,15 @@ class TestCostFunctions:
         assert f.gradient(3.0) == 4.0
         assert f.lipschitz == f.strong_convexity == 2.0
 
-    @pytest.mark.parametrize("beta, center", [(True, 1.0), (1.0, False)])
+    @pytest.mark.parametrize("beta, center", [(True, 1.0), (1.0, False), ("1", 2.0), (1.0, "2")])
     def test_bool_quadratic_parameters_rejected(self, beta, center):
         with pytest.raises(ConfigError, match="quadratic needs a finite positive beta"):
             quadratic_cost(beta, center)
 
     def test_bool_smoothness_constants_rejected(self):
-        with pytest.raises(ConfigError, match="need 0 < strong_convexity <= lipschitz"):
-            CostFunction(abs, abs, lipschitz=True, strong_convexity=True)
+        for bad in (True, "1"):  # neither is a number, though True would read as 1
+            with pytest.raises(ConfigError, match="need 0 < strong_convexity <= lipschitz"):
+                CostFunction(abs, abs, lipschitz=bad, strong_convexity=bad)
 
     def test_gradient_matches_finite_differences(self):
         rnd = random.Random(13)
@@ -152,8 +153,9 @@ class TestStepSizeInterval:
         with pytest.raises(ConfigError):
             step_size_interval(L, mu, 2)
 
-    @pytest.mark.parametrize("n", [-3, 0])
+    @pytest.mark.parametrize("n", [-3, 0, 2.5, 20.0])
     def test_node_count_below_one_is_config_error(self, n):
+        # a float node count would give a float alpha_hat in compute_theta_and_floor
         with pytest.raises(ConfigError, match=f"need at least 1 node, got n={n}"):
             step_size_interval(10, 1, n)
 
@@ -351,6 +353,27 @@ class TestQuagdRun:
         alpha = real(4.0, 4.0, 4).default_alpha()
         assert trace.steps == quagd_run(small_config(alpha=alpha)).steps
 
+    def test_a_z_leak_alone_fails_conservation(self, monkeypatch):
+        import quagd.optimizer as optimizer
+        from quagd.consensus import run_faqua
+        from quagd.harness import reference_instance
+
+        def add_z(lam, msgs):  # one extra mass unit in round 1's first message
+            if lam == 1:
+                msgs[0].c_z += 1
+            return msgs
+
+        results = []
+
+        def tampered(*args, **kwargs):
+            results.append(run_faqua(*args, tamper=add_z, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(optimizer, "run_faqua", tampered)
+        trace = quagd_run(reference_instance(n=6, max_outer=2))
+        assert all(a.y_conserved for a in results[0].audits)  # only z leaks
+        assert not trace.steps[1].conservation_ok
+
     def test_empty_interval_needs_an_explicit_alpha(self):
         flat = CostFunction(lambda x: 0.0, lambda x: 0.0, 3.0, 0.5)  # L=6, mu=1, n=2
         cfg = small_config(graph=complete(2), costs=[flat] * 2, x0=[1.0, 2.0])
@@ -429,8 +452,11 @@ class TestQuagdRun:
         "overrides, message",
         [({"alpha": True}, "step size must be finite, got True"),
          ({"x0": [5.0, True, 7.0, 8.0]},
-          "initial estimates must be finite and nonnegative, node 1 has True")],
-        ids=["bool-alpha", "bool-initial-estimate"],
+          "initial estimates must be finite and nonnegative, node 1 has True"),
+         ({"alpha": "0.5"}, "step size must be finite, got '0.5'"),
+         ({"x0": ["1"] * 4},
+          "initial estimates must be finite and nonnegative, node 0 has '1'")],
+        ids=["bool-alpha", "bool-initial-estimate", "str-alpha", "str-initial-estimate"],
     )
     def test_bool_step_size_or_initial_estimate_is_config_error(self, overrides, message):
         # True would read as 1: a step size of 1, outside (0.5, 1), or an estimate of 1;

@@ -3,7 +3,8 @@
 Every import that runs when a module is imported (outside a function, and
 outside the body of a try that catches ImportError) must name a standard
 library module or quagd itself; an optional dependency is imported lazily
-or behind such a guard.
+or behind such a guard.  And every name a module imports, it reads: the
+package's __init__, whose imports are its public names, aside.
 """
 
 import ast
@@ -50,3 +51,24 @@ def test_eager_imports_are_standard_library():
     assert seen, "no imports found"
     allowed = sys.stdlib_module_names | {"quagd"}
     assert sorted((name, root) for name, root in seen if root not in allowed) == []
+
+
+def _unused_imports(tree) -> list[str]:
+    """The names the module's imports bind that no expression reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+def test_every_imported_name_is_read():
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            unused[path.name] = _unused_imports(tree)
+    assert len(unused) > 1, "no modules found"
+    assert {name: names for name, names in unused.items() if names} == {}
