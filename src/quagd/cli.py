@@ -335,15 +335,6 @@ def cmd_theory(args) -> int:
         delta = given["delta"] or 0  # no quantization
 
     interval = step_size_interval(big_l, mu, n)
-    print(f"n = {n}, mu = {float(mu)!r}, L = {float(big_l)!r}")
-    print(
-        f"step-size interval: ({float(interval.lower)!r}, {float(interval.upper)!r})"
-        f" [{'nonempty' if interval.nonempty else 'EMPTY'}]"
-    )
-    print(
-        "sufficient condition L < 3*mu: "
-        + ("holds" if interval.sufficient_condition else "does not hold")
-    )
     record = {
         "n": n,
         "mu": float(mu),
@@ -353,6 +344,15 @@ def cmd_theory(args) -> int:
         "interval_nonempty": interval.nonempty,
         "sufficient_condition_L_lt_3mu": interval.sufficient_condition,
     }
+    print(f"n = {n}, mu = {record['mu']!r}, L = {record['L']!r}")
+    print(
+        f"step-size interval: ({record['alpha_lower']!r}, {record['alpha_upper']!r})"
+        f" [{'nonempty' if interval.nonempty else 'EMPTY'}]"
+    )
+    print(
+        "sufficient condition L < 3*mu: "
+        + ("holds" if interval.sufficient_condition else "does not hold")
+    )
     if not interval.nonempty:
         print(json.dumps(record, sort_keys=True))
         print("step-size interval is empty", file=sys.stderr)
@@ -360,26 +360,20 @@ def cmd_theory(args) -> int:
     if alpha is None:
         alpha = interval.default_alpha()
     consts = compute_theta_and_floor(alpha, young, big_l, mu, n, delta)
+    rows = [  # (JSON key, exact value, its printed line or None)
+        ("alpha", alpha, "alpha = {!r}"),
+        ("young_upper", consts.young_upper, "young-parameter interval: (0, {!r})"),
+        ("young_delta", consts.delta_young, "young parameter = {!r}"),
+        ("theta", consts.theta, "theta = {!r}"),
+        ("error_floor", consts.error_floor, "error floor = {!r}"),
+        ("asymptotic_bound", consts.asymptotic_bound, "asymptotic bound = {!r}"),
+        ("delta", delta, None),
+    ]
     try:
-        record.update(
-            {
-                "alpha": float(alpha),
-                "young_upper": float(consts.young_upper),
-                "young_delta": float(consts.delta_young),
-                "theta": float(consts.theta),
-                "error_floor": float(consts.error_floor),
-                "asymptotic_bound": float(consts.asymptotic_bound),
-                "delta": float(delta),
-            }
-        )
+        record.update((key, float(value)) for key, value, _ in rows)
     except OverflowError:
         raise ConfigError("a theory constant lies beyond the float range") from None
-    print(f"alpha = {record['alpha']!r}")
-    print(f"young-parameter interval: (0, {record['young_upper']!r})")
-    print(f"young parameter = {record['young_delta']!r}")
-    print(f"theta = {record['theta']!r}")
-    print(f"error floor = {record['error_floor']!r}")
-    print(f"asymptotic bound = {record['asymptotic_bound']!r}")
+    print("\n".join(line.format(record[key]) for key, _, line in rows if line))
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 

@@ -62,7 +62,6 @@ def reference_instance(
     delta="0.01",
     max_outer: int = 60,
     alpha: Optional[float] = None,
-    d_bound: Optional[int] = None,
 ) -> OptRunConfig:
     """The documented desk-scale reference configuration: a random strongly
     connected digraph, unit quadratics with centers uniform in [0, 10], and
@@ -76,7 +75,6 @@ def reference_instance(
         max_outer=max_outer,
         master_seed=seed,
         alpha=alpha,
-        d_bound=d_bound,
     )
 
 
@@ -144,11 +142,9 @@ def plateau_level(residuals: Sequence[float]) -> float:
 
 
 def iterations_to_plateau(residuals: Sequence[float], plateau: float) -> int:
-    """First iteration whose residual is within 2x of the plateau level."""
-    for k, r in enumerate(residuals):
-        if r <= 2 * plateau:
-            return k
-    return len(residuals) - 1
+    """First iteration whose residual is within 2x of the plateau level.
+    plateau is plateau_level(residuals), a median of them, so one always is."""
+    return next(k for k, r in enumerate(residuals) if r <= 2 * plateau)
 
 
 def level_name(delta) -> str:

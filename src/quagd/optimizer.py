@@ -145,12 +145,13 @@ def gradient_step(x: float, alpha: float, f: CostFunction) -> float:
 
 
 def _exact(name: str, value) -> Fraction:
-    """value as an exact rational; ConfigError if it is a bool or not finite."""
+    """value as an exact rational; ConfigError if it is a bool, not finite
+    or no number at all (None, a list)."""
     try:
         if isinstance(value, bool):  # True is no number
             raise ValueError
         return Fraction(value)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         raise ConfigError(f"{name} must be finite, got {value!r}") from None
 
 
@@ -223,7 +224,6 @@ class TheoryConstants:
     plateau bound error_floor / (1 - theta) from unrolling the per-step
     contraction as a geometric series."""
 
-    alpha_hat: Fraction  # alpha / n
     delta_young: Fraction
     young_upper: Fraction  # delta_young's admissible upper bound
     theta: Fraction
@@ -256,7 +256,6 @@ def compute_theta_and_floor(
         raise ConfigError(f"contraction factor {float(theta)} not in (0, 1)")
     error_floor = (8 + 32 * a_hat**2 * L**2 + 32 * a_hat * L**2 / d) * Delta**2
     return TheoryConstants(
-        alpha_hat=a_hat,
         delta_young=d,
         young_upper=d_upper,
         theta=theta,
@@ -329,9 +328,6 @@ class OptRunConfig:
             interval = step_size_interval(self.L, self.mu, self.graph.n)
         return interval.default_alpha()
 
-    def effective_d_bound(self) -> int:
-        return self.d_bound if self.d_bound is not None else diameter(self.graph)
-
 
 def _residual(x, x0, x_star: Optional[float], k: Optional[int]):
     """residual_error of estimates x, or None without x_star.  One that is
@@ -391,7 +387,7 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
                     f"convergence is not guaranteed",
                     stacklevel=3,  # the caller of quagd_run or delta_sweep
                 )
-        d_bound = cfg.effective_d_bound()
+        d_bound = diameter(cfg.graph) if cfg.d_bound is None else cfg.d_bound
         r0 = _residual(cfg.x0, cfg.x0, x_star, None)
     except ValueError as exc:
         return [exc] * len(levels)

@@ -32,13 +32,12 @@ class QuantizationLevel:
         try:
             if isinstance(delta, (str, float)):
                 delta = Decimal(repr(delta) if isinstance(delta, float) else delta)
-            in_range = not isinstance(delta, bool) and 0 < float(delta) < math.inf
-        except ArithmeticError:  # not a decimal number, or beyond the float range
-            in_range = False
-        if not in_range:
+            if isinstance(delta, bool) or not 0 < float(delta) < math.inf:
+                raise ValueError
+            self.delta: Fraction = Fraction(delta)
+        except (ArithmeticError, TypeError, ValueError):  # no number, or out of range
             raise ValueError("quantization level must be a decimal with "
-                             f"0 < float(level) < inf, got {self._text!r}")
-        self.delta: Fraction = Fraction(delta)
+                             f"0 < float(level) < inf, got {self._text!r}") from None
         self._ratio = self.delta.as_integer_ratio()  # (a, b) for quantize_floor
 
     def __float__(self):
@@ -67,7 +66,12 @@ def quantize_floor(xi, q: QuantizationLevel) -> int:
             raise ValueError(f"cannot quantize non-finite value {xi}")
         num, den = xi.as_integer_ratio()  # exact binary value
     else:
-        num, den = Fraction(xi).as_integer_ratio()
+        try:
+            if isinstance(xi, (bool, str)):  # True or "1e400" is no estimate
+                raise TypeError
+            num, den = Fraction(xi).as_integer_ratio()
+        except TypeError:
+            raise ValueError(f"cannot quantize {xi!r}: not a number") from None
     a, b = q._ratio
     return num * b // (den * a)
 

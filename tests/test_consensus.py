@@ -288,6 +288,14 @@ class TestRunFaqua:
             run_faqua([1.0, 2.0, 3.0, 4.0], cycle(4), args["d_bound"],
                       QuantizationLevel("1"), args["rng"], args["max_rounds"])
 
+    @pytest.mark.parametrize("estimate", [True, "1e400", None],
+                             ids=["bool", "str", "none"])
+    def test_rejects_an_estimate_that_is_no_number(self, estimate):
+        # True would read as 1, and "1e400" as a mass no round budget settles
+        g = Digraph(3, [(1, 0), (2, 1), (0, 2)])
+        with pytest.raises(ValueError, match="cannot quantize .*: not a number"):
+            run_faqua([estimate, 2.0, 3.0], g, 2, QuantizationLevel("0.1"), 0)
+
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_accepts_the_ends_of_the_seed_range(self, seed):
         res = run_faqua([1.0, 2.0, 3.0, 4.0], cycle(4), 4, QuantizationLevel("1"), seed)

@@ -155,7 +155,7 @@ class TestStepSizeInterval:
 
     @pytest.mark.parametrize("n", [-3, 0, 2.5, 20.0])
     def test_node_count_below_one_is_config_error(self, n):
-        # a float node count would give a float alpha_hat in compute_theta_and_floor
+        # a float node count would give a float alpha / n in compute_theta_and_floor
         with pytest.raises(ConfigError, match=f"need at least 1 node, got n={n}"):
             step_size_interval(10, 1, n)
 
@@ -163,7 +163,8 @@ class TestStepSizeInterval:
         iv = step_size_interval(1e-300, 1e-300, 2)
         assert iv.default_alpha() == pytest.approx(1.5e300)
 
-    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, None, [0.75]],
+                             ids=["inf", "-inf", "nan", "none", "list"])
     def test_contains_rejects_non_finite_alpha(self, alpha):
         with pytest.raises(ConfigError, match="alpha must be finite"):
             step_size_interval(20, 20, 20).contains(alpha)
@@ -206,7 +207,6 @@ class TestThetaAndFloor:
     def test_reference_theta_exact(self):
         c = compute_theta_and_floor(Fraction(3, 4), 1, 20, 20, 20, 0)
         assert c.theta == Fraction(83, 160)
-        assert c.alpha_hat == Fraction(3, 80)
 
     def test_floor_vanishes_with_delta_zero(self):
         c = compute_theta_and_floor(Fraction(3, 4), 1, 20, 20, 20, 0)
@@ -285,11 +285,18 @@ _THEORY = dict(L=20, mu=20, n=20, alpha=Fraction(3, 4), young=None, Delta=1)
         ({"L": True}, "L must be finite, got True"),
         ({"n": True}, "need at least 1 node, got n=True"),
         ({"alpha": True}, "alpha must be finite, got True"),
+        ({"L": None}, "L must be finite, got None"),
+        ({"L": [20]}, "L must be finite, got [20]"),
+        ({"mu": [20]}, "mu must be finite, got [20]"),
+        ({"alpha": None}, "alpha must be finite, got None"),
+        ({"young": [1]}, "delta_young must be finite, got [1]"),
+        ({"Delta": None}, "Delta must be finite, got None"),
     ],
     ids=["zero-mu", "negative-mu", "negative-L", "no-nodes", "infinite-alpha",
          "nan-alpha", "alpha-at-lower-end", "alpha-at-upper-end", "alpha-above",
          "negative-level", "zero-young", "young-at-its-bound", "young-above-its-bound",
-         "bool-L", "bool-n", "bool-alpha"],
+         "bool-L", "bool-n", "bool-alpha", "none-L", "list-L", "list-mu", "none-alpha",
+         "list-young", "none-level"],
 )
 def test_bad_theory_input_is_config_error(bad, message):
     """Every calculator that reads a bad theory input raises one error type,

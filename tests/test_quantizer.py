@@ -65,8 +65,8 @@ class TestQuantizationLevel:
         assert str(QuantizationLevel(QuantizationLevel("1e-3"))) == "1e-3"
 
     def test_rejects_non_decimal_or_infinite_text(self):
-        for bad in ("abc", "inf", "nan", "", math.inf):
-            with pytest.raises(ValueError):
+        for bad in ("abc", "inf", "nan", "", math.inf, None, [1], 1 + 2j, b"0.1"):
+            with pytest.raises(ValueError, match="0 < float"):
                 QuantizationLevel(bad)
 
     def test_rejects_levels_outside_the_float_range(self):
@@ -80,6 +80,9 @@ class TestQuantizationLevel:
     def test_keeps_levels_at_the_ends_of_the_float_range(self):
         for text in ("5e-324", "1.7976931348623157e308"):
             assert QuantizationLevel(text).delta == Fraction(Decimal(text))
+
+    def test_repr_shows_the_exact_level(self):
+        assert repr(QuantizationLevel("0.1")) == "QuantizationLevel('1/10')"
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -99,3 +102,15 @@ class TestQuantizationLevel:
             quantize_floor(math.inf, q)
         with pytest.raises(ValueError):
             quantize_floor(math.nan, q)
+
+    @pytest.mark.parametrize("xi", [True, False, "1", "1e400", b"1"],
+                             ids=["true", "false", "str", "huge-str", "bytes"])
+    def test_rejects_a_bool_or_text(self, xi):
+        # True would quantize as 1, and "1e400" as an exact 10**400
+        with pytest.raises(ValueError, match="not a number"):
+            quantize_floor(xi, QuantizationLevel("1"))
+
+    def test_keeps_ints_fractions_and_decimals(self):
+        q = QuantizationLevel("0.1")
+        exact = (3, Fraction(1, 3), Decimal("0.35"))
+        assert [quantize_floor(x, q) for x in exact] == [30, 3, 3]
