@@ -17,7 +17,6 @@ from .graph import (
     NotStronglyConnectedError,
     diameter,
     generate_random_strongly_connected,
-    is_strongly_connected,
     read_edge_list,
     write_edge_list,
 )
@@ -51,7 +50,7 @@ from .optimizer import (
     step_size_interval,
     young_delta_interval,
 )
-from .quantizer import QuantizationLevel, quantize_floor, quantized_value
+from .quantizer import QuantizationLevel, quantize_floor
 from .rng import mix64, node_streams
 from .trace import RunTrace, StepRecord, residual_error
 

@@ -37,6 +37,10 @@ from .graph import (
     write_edge_list,
 )
 from .harness import (
+    REFERENCE_DELTA,
+    REFERENCE_EDGE_PROB,
+    REFERENCE_NODES,
+    REFERENCE_OUTER,
     delta_sweep,
     level_name,
     level_slug,
@@ -89,19 +93,20 @@ def _seed(text: str) -> int:
 
 # One row per option, in echo order: (INI section, key, parser, default,
 # subcommands taking its --flag, help).  The key is the flag's dest.  Each
-# value is taken from the flag, else the INI, else the default; text goes
-# through the parser, and an empty value counts as unset.
+# value is taken from the flag, else the INI, else the default (the
+# reference instance's, where it has one); text goes through the parser,
+# and an empty value counts as unset.
 _OPTIONS = [
     ("graph", "graph_file", str, None, "run sweep", "edge-list file"),
-    ("graph", "nodes", int, 20, "run sweep theory graph-gen", None),
-    ("graph", "edge_prob", float, 0.2, "run sweep theory graph-gen", None),
+    ("graph", "nodes", int, REFERENCE_NODES, "run sweep theory graph-gen", None),
+    ("graph", "edge_prob", float, REFERENCE_EDGE_PROB, "run sweep theory graph-gen", None),
     ("graph", "d_bound", int, None, "run sweep", None),
     ("optimizer", "alpha", float, None, "run sweep theory", None),
-    ("optimizer", "delta", QuantizationLevel, "0.01", "run theory",
+    ("optimizer", "delta", QuantizationLevel, REFERENCE_DELTA, "run theory",
      "quantization level (decimal string)"),
     ("optimizer", "deltas", _levels, None, "sweep",
      "comma-separated quantization levels"),
-    ("optimizer", "max_iters", int, 60, "run sweep", None),
+    ("optimizer", "max_iters", int, REFERENCE_OUTER, "run sweep", None),
     ("optimizer", "x0", _floats, None, "", None),
     ("run", "seed", _seed, 0, "run sweep theory graph-gen", None),
     ("run", "output_dir", str, "out", "run sweep", None),
@@ -117,21 +122,25 @@ _CONSTANTS = [
 ]
 
 
-def _resolve(args, ini=None, defaults=True, rows=_OPTIONS) -> dict:
-    """Every rows value by key: its flag, else its INI entry, else (with
-    defaults) its default, else None."""
-    resolved = {}
+def _resolve(args, ini=None, rows=_OPTIONS) -> tuple[dict, set]:
+    """Every rows value by key (its flag, else its INI entry, else its
+    default), and the set of keys that a flag or INI entry set."""
+    resolved, given = {}, set()
     for section, key, parse, default, _, _ in rows:
         entry = ini.get(section, key, fallback=None) if ini is not None else None
-        candidates = (getattr(args, key, None), entry, default if defaults else None)
+        candidates = (getattr(args, key, None), entry)
         value = next((v for v in candidates if v not in (None, "")), None)
+        if value is None:
+            value = default
+        else:
+            given.add(key)
         if isinstance(value, str):
             try:
                 value = parse(value)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
         resolved[key] = value
-    return resolved
+    return resolved, given
 
 
 def _echo(value) -> str:
@@ -183,15 +192,16 @@ def _load_ini(path: str) -> configparser.ConfigParser:
 
 
 class EffectiveConfig:
-    """Fully resolved run configuration, reproducible from its own echo."""
+    """Fully resolved run configuration, reproducible from its own echo; .cfg
+    is the validated OptRunConfig it describes."""
 
     def __init__(self, args):
         ini = _load_ini(args.config) if args.config else configparser.ConfigParser()
-        vars(self).update(_resolve(args, ini))
+        resolved, given = _resolve(args, ini)
+        vars(self).update(resolved)
 
         if self.graph_file:
-            given = _resolve(args, ini, defaults=False)
-            if (given["nodes"], given["edge_prob"]) != (None, None):
+            if given & {"nodes", "edge_prob"}:
                 raise ConfigError(
                     "[graph] graph_file fixes the graph; nodes and edge_prob must be unset"
                 )
@@ -214,9 +224,7 @@ class EffectiveConfig:
         self.costs = [build_cost(spec) for spec in self.cost_specs]
         if self.x0 is None:
             self.x0 = x0
-
-    def to_opt_config(self) -> OptRunConfig:
-        cfg = OptRunConfig(
+        self.cfg = OptRunConfig(
             graph=self.graph,
             costs=self.costs,
             delta=self.delta,
@@ -226,8 +234,7 @@ class EffectiveConfig:
             alpha=self.alpha,
             d_bound=self.d_bound,
         )
-        cfg.validate()
-        return cfg
+        self.cfg.validate()
 
     def echo_text(self) -> str:
         """Resolved configuration as an ini document; rerunning from this
@@ -261,12 +268,11 @@ def _plot_residuals(path: str, traces, title: str) -> None:
 
 def cmd_run(args) -> int:
     eff = EffectiveConfig(args)
-    cfg = eff.to_opt_config()
     os.makedirs(eff.output_dir, exist_ok=True)
-    x_star = quadratic_optimum(cfg.costs)
+    x_star = quadratic_optimum(eff.cfg.costs)
     trace_path = os.path.join(eff.output_dir, "faqua_trace.txt") if eff.trace else None
     with open(trace_path, "w") if trace_path else contextlib.nullcontext() as fh:
-        trace = quagd_run(cfg, x_star=x_star, inner_trace=fh)
+        trace = quagd_run(eff.cfg, x_star=x_star, inner_trace=fh)
     csv_path = os.path.join(eff.output_dir, "trace.csv")
     write_trace_csv(trace, csv_path)
     svg_path = None
@@ -287,9 +293,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     eff = EffectiveConfig(args)
-    cfg = eff.to_opt_config()
     os.makedirs(eff.output_dir, exist_ok=True)
-    report = delta_sweep(cfg, eff.deltas or [])
+    report = delta_sweep(eff.cfg, eff.deltas or [])
     traces = []
     for entry in report.entries:
         name = level_name(entry.delta)
@@ -319,20 +324,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_theory(args) -> int:
     # the same floats a run uses; the theory takes their exact values
-    mu, big_l, young = _resolve(args, defaults=False, rows=_CONSTANTS).values()
+    mu, big_l, young = _resolve(args, rows=_CONSTANTS)[0].values()
     if mu is None and big_l is None:
-        cfg = EffectiveConfig(args).to_opt_config()
+        cfg = EffectiveConfig(args).cfg
         n, mu, big_l, alpha, delta = cfg.graph.n, cfg.mu, cfg.L, cfg.alpha, cfg.delta
     else:
-        given = _resolve(args, defaults=False)
-        unread = (given["seed"], given["edge_prob"]) != (None, None) or args.config
-        if unread or None in (mu, big_l, given["nodes"]):
+        opt, given = _resolve(args)
+        unread = args.config or given & {"seed", "edge_prob"}
+        if unread or None in (mu, big_l) or "nodes" not in given:
             raise ConfigError(
                 "theory takes --mu, --lipschitz and --nodes together, without "
                 "--config, --seed or --edge-prob"
             )
-        n, alpha = given["nodes"], given["alpha"]
-        delta = given["delta"] or 0  # no quantization
+        n, alpha = opt["nodes"], opt["alpha"]
+        delta = opt["delta"] if "delta" in given else 0  # else no quantization
 
     interval = step_size_interval(big_l, mu, n)
     record = {
@@ -379,7 +384,7 @@ def cmd_theory(args) -> int:
 
 
 def cmd_graph_gen(args) -> int:
-    opt = _resolve(args)
+    opt = _resolve(args)[0]
     g = generate_random_strongly_connected(opt["nodes"], opt["edge_prob"], opt["seed"])
     edges = write_edge_list(g, args.output)
     print(f"wrote {args.output}: n={g.n} edges={edges} diameter={diameter(g)}")

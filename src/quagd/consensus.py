@@ -21,6 +21,7 @@ kernel's per-round observer, from a trace and a tamper hook.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -107,10 +108,16 @@ def init_consensus(
 
 
 def _masses(x_half: Sequence[float], g: Digraph, q: QuantizationLevel) -> list[int]:
-    """Each node's initial mass, 2*floor(x/delta) (it starts with two units)."""
+    """Each node's initial mass, 2*floor(x/delta) (it starts with two units).
+    The output is a float, so an exact estimate beyond the float range is
+    refused; a finite float never is."""
     if len(x_half) != g.n:
         raise ValueError(f"expected {g.n} inputs, got {len(x_half)}")
-    return [2 * quantize_floor(x, q) for x in x_half]
+    masses = [2 * quantize_floor(x, q) for x in x_half]
+    for j, x in enumerate(x_half):
+        if not isinstance(x, float) and abs(x) > sys.float_info.max:
+            raise ValueError(f"node {j}'s estimate lies beyond the float range")
+    return masses
 
 
 def _flood(M: list[int], m: list[int], closed_in: list[Callable], pending):

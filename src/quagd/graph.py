@@ -129,11 +129,6 @@ def find_unreachable_pair(g: Digraph) -> Optional[tuple[int, int]]:
     return g._structure[1]
 
 
-def is_strongly_connected(g: Digraph) -> bool:
-    """True iff a directed path exists between every ordered node pair."""
-    return find_unreachable_pair(g) is None
-
-
 def diameter(g: Digraph) -> int:
     """Longest shortest directed path over all ordered node pairs.
 

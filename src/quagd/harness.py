@@ -38,6 +38,12 @@ _GRAPH_TAG = 1
 _COST_TAG = 2
 _INIT_TAG = 3
 
+# The reference instance's defaults, which the CLI's options default to.
+REFERENCE_NODES = 20
+REFERENCE_EDGE_PROB = 0.2
+REFERENCE_DELTA = "0.01"
+REFERENCE_OUTER = 60
+
 
 def reference_graph(n: int, edge_prob: float, seed: int) -> Digraph:
     """The reference instance's random strongly connected digraph."""
@@ -56,11 +62,11 @@ def reference_problem(n: int, seed: int) -> tuple[list[dict], list[float]]:
 
 
 def reference_instance(
-    n: int = 20,
-    edge_prob: float = 0.2,
+    n: int = REFERENCE_NODES,
+    edge_prob: float = REFERENCE_EDGE_PROB,
     seed: int = 0,
-    delta="0.01",
-    max_outer: int = 60,
+    delta=REFERENCE_DELTA,
+    max_outer: int = REFERENCE_OUTER,
     alpha: Optional[float] = None,
 ) -> OptRunConfig:
     """The documented desk-scale reference configuration: a random strongly
@@ -226,33 +232,19 @@ def audit_invariants(trace: RunTrace) -> AuditReport:
     # strict bounds in exact arithmetic; tiny slack absorbs float roundoff
     slack = 1e-9 * delta + 1e-15
     for step in trace.steps[1:]:
-        if not step.conservation_ok:
-            report.violations.append(
-                Violation("conservation", step.k, "mass total changed during consensus")
-            )
-        if not step.accuracy_ok:
-            report.violations.append(
-                Violation(
-                    "accuracy", step.k, "output further than delta from quantized mean"
-                )
-            )
-        if step.centroid_err is not None and step.centroid_err > 2 * delta + slack:
-            report.violations.append(
-                Violation(
-                    "centroid_bound",
-                    step.k,
-                    f"|mean estimate - mean stepped value| = {step.centroid_err} "
-                    f"> 2*delta = {2 * delta}",
-                )
-            )
-        if step.max_node_dev is not None and step.max_node_dev > 4 * delta + slack:
-            report.violations.append(
-                Violation(
-                    "deviation_bound",
-                    step.k,
-                    f"max node deviation {step.max_node_dev} > 4*delta = {4 * delta}",
-                )
-            )
+        centroid, dev = step.centroid_err, step.max_node_dev
+        for kind, violated, detail in (
+            ("conservation", not step.conservation_ok,
+             "mass total changed during consensus"),
+            ("accuracy", not step.accuracy_ok,
+             "output further than delta from quantized mean"),
+            ("centroid_bound", centroid is not None and centroid > 2 * delta + slack,
+             f"|mean estimate - mean stepped value| = {centroid} > 2*delta = {2 * delta}"),
+            ("deviation_bound", dev is not None and dev > 4 * delta + slack,
+             f"max node deviation {dev} > 4*delta = {4 * delta}"),
+        ):
+            if violated:
+                report.violations.append(Violation(kind, step.k, detail))
     return report
 
 

@@ -72,10 +72,7 @@ def quantize_floor(xi, q: QuantizationLevel) -> int:
             num, den = Fraction(xi).as_integer_ratio()
         except TypeError:
             raise ValueError(f"cannot quantize {xi!r}: not a number") from None
+        except (OverflowError, ValueError):  # a Decimal infinity or NaN
+            raise ValueError(f"cannot quantize non-finite value {xi!r}") from None
     a, b = q._ratio
     return num * b // (den * a)
-
-
-def quantized_value(xi, q: QuantizationLevel) -> Fraction:
-    """The quantized value itself: floor(xi/delta) * delta, exact."""
-    return quantize_floor(xi, q) * q.delta

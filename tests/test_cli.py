@@ -201,6 +201,8 @@ UNREAD_INI = {
           "--seed", "5"], None),
         (["theory", "--mu", "20", "--lipschitz", "20", "--nodes", "20",
           "--seed", "5", "--edge-prob", "0.9"], None),
+        (["theory", "--mu", "20", "--lipschitz", "20", "--nodes", "20",
+          "--edge-prob", "0.5"], None),
         (["run", "--nodes", "abc"], None),
         (["run", "--max-iters", "-1"], None),
         (["theory", "--mu", "-1", "--lipschitz", "5", "--nodes", "3"], None),
@@ -219,6 +221,7 @@ UNREAD_INI = {
           "--output", "g.txt"], None),
         (["sweep", "--seed", "18446744073709551616"], None),
         (["run", "--graph-file", "g.txt", "--nodes", "99", "--edge-prob", "0.9"], None),
+        (["run", "--graph-file", "g.txt", "--nodes", "20"], None),
         (["run", "--config", "cfg.ini"], "[graph]\ngraph_file = g.txt\nnodes = 50\n"),
         (["sweep", "--config", "cfg.ini", "--edge-prob", "0.5", "--deltas", "0.1"],
          "[graph]\ngraph_file = g.txt\n"),
@@ -241,13 +244,15 @@ UNREAD_INI = {
          "theory-mu-lipschitz-without-nodes", "levels-sharing-a-name",
          "costs-naming-other-nodes", "costs-naming-a-node-twice",
          "costs-naming-a-non-integer-key", "theory-mu-lipschitz-with-seed",
-         "theory-mu-lipschitz-with-seed-and-edge-prob", "non-integer-nodes-flag",
+         "theory-mu-lipschitz-with-seed-and-edge-prob",
+         "theory-mu-lipschitz-with-edge-prob", "non-integer-nodes-flag",
          "negative-max-iters", "theory-negative-mu", "theory-empty-mu-is-unset",
          "theory-malformed-mu", "theory-malformed-young-delta",
          "theory-config-malformed-young-delta", "theory-negative-nodes",
          "theory-zero-nodes", "negative-alpha-without-iterations", "zero-alpha",
          "ini-zero-alpha", "run-negative-seed", "graph-gen-negative-seed",
          "sweep-seed-of-2-to-the-64", "graph-file-with-nodes-and-edge-prob-flags",
+         "graph-file-with-nodes-flag-at-its-default",
          "ini-graph-file-with-nodes", "ini-graph-file-with-edge-prob-flag",
          "misspelled-ini-boolean", "ini-boolean-of-2",
          *[f"{cmd}-level-{level}" for cmd, _ in LEVEL_FLAGS for level in BAD_LEVELS],
@@ -346,14 +351,14 @@ def test_non_integer_cost_key_names_the_section(tmp_path, monkeypatch, capsys):
 class TestEffectiveConfig:
     def test_flag_only_config_is_reference_instance(self):
         args = build_parser().parse_args(["run", "--nodes", "7", "--seed", "5"])
-        cfg = EffectiveConfig(args).to_opt_config()
+        cfg = EffectiveConfig(args).cfg
         ref = reference_instance(n=7, seed=5)
         assert cfg.graph == ref.graph
         assert [c.center for c in cfg.costs] == [c.center for c in ref.costs]
         assert cfg.x0 == ref.x0
 
     def test_no_flags_resolve_to_reference_instance(self):
-        cfg = EffectiveConfig(build_parser().parse_args(["run"])).to_opt_config()
+        cfg = EffectiveConfig(build_parser().parse_args(["run"])).cfg
         ref = reference_instance()
         assert cfg.graph == ref.graph
         assert [(c.beta, c.center) for c in cfg.costs] == [
@@ -482,9 +487,9 @@ class TestGraphGen:
         assert code == 0
         g = read_edge_list(str(out))
         assert g.n == 12
-        from quagd.graph import is_strongly_connected
+        from quagd.graph import find_unreachable_pair
 
-        assert is_strongly_connected(g)
+        assert find_unreachable_pair(g) is None
 
 
 class TestFlags:

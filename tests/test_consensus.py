@@ -1,6 +1,8 @@
 import io
 import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -295,6 +297,19 @@ class TestRunFaqua:
         g = Digraph(3, [(1, 0), (2, 1), (0, 2)])
         with pytest.raises(ValueError, match="cannot quantize .*: not a number"):
             run_faqua([estimate, 2.0, 3.0], g, 2, QuantizationLevel("0.1"), 0)
+
+    def test_rejects_a_non_finite_decimal_estimate(self):
+        g = Digraph(3, [(1, 0), (2, 1), (0, 2)])
+        with pytest.raises(ValueError, match="cannot quantize non-finite value"):
+            run_faqua([Decimal("Infinity"), 2.0, 3.0], g, 2, QuantizationLevel("0.1"), 0)
+
+    @pytest.mark.parametrize("estimate", [Fraction(10**400), 10**400, Decimal("1e400")],
+                             ids=["fraction", "int", "decimal"])
+    def test_rejects_an_exact_estimate_beyond_the_float_range(self, estimate):
+        # the output is a float, which cannot hold it; refused before round 1
+        g = Digraph(3, [(1, 0), (2, 1), (0, 2)])
+        with pytest.raises(ValueError, match="node 0's estimate lies beyond the float"):
+            run_faqua([estimate, 2.0, 3.0], g, 2, QuantizationLevel("0.1"), 0, max_rounds=1)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_accepts_the_ends_of_the_seed_range(self, seed):

@@ -21,7 +21,6 @@ from quagd.graph import (
     diameter,
     find_unreachable_pair,
     generate_random_strongly_connected,
-    is_strongly_connected,
     read_edge_list,
     write_edge_list,
 )
@@ -79,15 +78,14 @@ def floyd_warshall_pair(g):
 
 class TestStrongConnectivity:
     def test_three_cycle(self):
-        assert is_strongly_connected(cycle(3))
+        assert find_unreachable_pair(cycle(3)) is None
 
     def test_directed_path_is_not(self):
         g = Digraph(3, [(1, 0), (2, 1)])
-        assert not is_strongly_connected(g)
         assert find_unreachable_pair(g) is not None
 
     def test_complete_five(self):
-        assert is_strongly_connected(complete(5))
+        assert find_unreachable_pair(complete(5)) is None
 
     def test_unreachable_pair_is_a_witness(self):
         g = Digraph(4, [(1, 0), (2, 1), (3, 2)])
@@ -153,9 +151,9 @@ class TestDiameter:
 
 def _structure_outcome(g):
     try:
-        return diameter(g), find_unreachable_pair(g), is_strongly_connected(g)
+        return diameter(g), find_unreachable_pair(g)
     except NotStronglyConnectedError as exc:
-        return ("raised", exc.pair), find_unreachable_pair(g), is_strongly_connected(g)
+        return ("raised", exc.pair), find_unreachable_pair(g)
 
 
 if given is not None:  # the property needs hypothesis
@@ -175,9 +173,9 @@ if given is not None:  # the property needs hypothesis
         first = _structure_outcome(g)
         pair = floyd_warshall_pair(g)
         if pair is None:
-            assert first == (floyd_warshall_diameter(g), None, True)
+            assert first == (floyd_warshall_diameter(g), None)
         else:
-            assert first == (("raised", pair), pair, False)
+            assert first == (("raised", pair), pair)
         assert _structure_outcome(g) == first  # the stored answer
 
 
@@ -191,7 +189,7 @@ class TestGenerator:
         for seed in range(100):
             n = rnd.randint(2, 30)
             g = generate_random_strongly_connected(n, rnd.random(), seed)
-            assert is_strongly_connected(g)
+            assert find_unreachable_pair(g) is None
 
     def test_p_one_gives_complete(self):
         g = generate_random_strongly_connected(5, 1.0, 9)
@@ -238,7 +236,7 @@ class TestGenerator:
 
         monkeypatch.setattr(Digraph, "__init__", refuse)
         g = generate_random_strongly_connected(50, 0.1, 4)
-        assert is_strongly_connected(g) and len(out_pairs(g)) >= 50
+        assert find_unreachable_pair(g) is None and len(out_pairs(g)) >= 50
 
 
 def reference_generator(n, extra_edge_prob, seed):

@@ -243,15 +243,14 @@ class TestAuditInvariants:
                 max_node_dev=1.0,  # way above 4*delta
             )
         )
-        report = audit_invariants(trace)
-        kinds = {v.kind for v in report.violations}
-        assert kinds == {
-            "conservation",
-            "accuracy",
-            "centroid_bound",
-            "deviation_bound",
-        }
-        assert all(v.step == 1 for v in report.violations)
+        # every kind, in the audit's order, with its detail
+        assert [(v.kind, v.step, v.detail) for v in audit_invariants(trace).violations] == [
+            ("conservation", 1, "mass total changed during consensus"),
+            ("accuracy", 1, "output further than delta from quantized mean"),
+            ("centroid_bound", 1,
+             "|mean estimate - mean stepped value| = 1.0 > 2*delta = 0.02"),
+            ("deviation_bound", 1, "max node deviation 1.0 > 4*delta = 0.04"),
+        ]
 
     @pytest.mark.parametrize("field, kind, bound", [("centroid_err", "centroid_bound", 2),
                                                     ("max_node_dev", "deviation_bound", 4)])

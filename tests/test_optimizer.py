@@ -22,7 +22,7 @@ from quagd.optimizer import (
     step_size_interval,
     young_delta_interval,
 )
-from quagd.quantizer import QuantizationLevel, quantized_value
+from quagd.quantizer import QuantizationLevel, quantize_floor
 
 
 def complete(n):
@@ -328,7 +328,8 @@ class TestQuagdRun:
         )
         trace = quagd_run(cfg)
         stepped = 6.0 - 0.6 * (6.0 - 2.0)
-        expected = float(quantized_value(stepped, QuantizationLevel("0.5")))
+        q = QuantizationLevel("0.5")
+        expected = float(quantize_floor(stepped, q) * q.delta)
         assert trace.steps[1].estimates == [expected] * n
 
     def test_zero_iterations(self):

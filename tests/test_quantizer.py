@@ -5,24 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from quagd.quantizer import QuantizationLevel, quantize_floor, quantized_value
+from quagd.quantizer import QuantizationLevel, quantize_floor
 
 
 class TestExamples:
     def test_positive(self):
         q = QuantizationLevel("0.5")
         assert quantize_floor(2.7, q) == 5
-        assert quantized_value(2.7, q) == Fraction(5, 2)
+        assert quantize_floor(2.7, q) * q.delta == Fraction(5, 2)
 
     def test_negative_floors_toward_minus_infinity(self):
         q = QuantizationLevel("0.5")
         assert quantize_floor(-1.3, q) == -3
-        assert quantized_value(-1.3, q) == Fraction(-3, 2)
+        assert quantize_floor(-1.3, q) * q.delta == Fraction(-3, 2)
 
     def test_exact_multiple(self):
         q = QuantizationLevel("1")
         assert quantize_floor(3.0, q) == 3
-        assert quantized_value(3.0, q) == 3
+        assert quantize_floor(3.0, q) * q.delta == 3
 
 
 class TestProperties:
@@ -32,7 +32,7 @@ class TestProperties:
             delta = Fraction(rnd.randint(1, 50), rnd.randint(1, 50))
             q = QuantizationLevel(delta)
             xi = rnd.uniform(-100, 100)
-            err = Fraction(xi) - quantized_value(xi, q)
+            err = Fraction(xi) - quantize_floor(xi, q) * q.delta
             assert 0 <= err < delta
 
     def test_monotone(self):
@@ -48,7 +48,7 @@ class TestProperties:
         for count in range(-20, 21):
             xi = count * Fraction(3, 7)
             assert quantize_floor(xi, q) == count
-            assert quantized_value(xi, q) == xi
+            assert quantize_floor(xi, q) * q.delta == xi
 
 
 class TestQuantizationLevel:
@@ -109,6 +109,11 @@ class TestQuantizationLevel:
         # True would quantize as 1, and "1e400" as an exact 10**400
         with pytest.raises(ValueError, match="not a number"):
             quantize_floor(xi, QuantizationLevel("1"))
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "sNaN"])
+    def test_rejects_a_non_finite_decimal(self, text):
+        with pytest.raises(ValueError, match="cannot quantize non-finite value Decimal"):
+            quantize_floor(Decimal(text), QuantizationLevel("0.1"))
 
     def test_keeps_ints_fractions_and_decimals(self):
         q = QuantizationLevel("0.1")
