@@ -99,7 +99,7 @@ def _seed(text: str) -> int:
 _OPTIONS = [
     ("graph", "graph_file", str, None, "run sweep", "edge-list file"),
     ("graph", "nodes", int, REFERENCE_NODES, "run sweep theory graph-gen", None),
-    ("graph", "edge_prob", float, REFERENCE_EDGE_PROB, "run sweep theory graph-gen", None),
+    ("graph", "edge_prob", float, REFERENCE_EDGE_PROB, "run sweep graph-gen", None),
     ("graph", "d_bound", int, None, "run sweep", None),
     ("optimizer", "alpha", float, None, "run sweep theory", None),
     ("optimizer", "delta", QuantizationLevel, REFERENCE_DELTA, "run theory",
@@ -108,7 +108,7 @@ _OPTIONS = [
      "comma-separated quantization levels"),
     ("optimizer", "max_iters", int, REFERENCE_OUTER, "run sweep", None),
     ("optimizer", "x0", _floats, None, "", None),
-    ("run", "seed", _seed, 0, "run sweep theory graph-gen", None),
+    ("run", "seed", _seed, 0, "run sweep graph-gen", None),
     ("run", "output_dir", str, "out", "run sweep", None),
     ("run", "trace", _flag, False, "run", "write inner-round trace"),
 ]
@@ -205,15 +205,15 @@ class EffectiveConfig:
                 raise ConfigError(
                     "[graph] graph_file fixes the graph; nodes and edge_prob must be unset"
                 )
-            self.graph = read_edge_list(self.graph_file)
+            graph = read_edge_list(self.graph_file)
             self.nodes = self.edge_prob = None  # fixed by the file, not echoed
         else:
-            self.graph = reference_graph(self.nodes, self.edge_prob, self.seed)
-        diameter(self.graph)  # raises NotStronglyConnectedError with a witness
+            graph = reference_graph(self.nodes, self.edge_prob, self.seed)
+        diameter(graph)  # raises NotStronglyConnectedError with a witness
 
         # costs and initial estimates: explicit entries win; otherwise the
         # reference instance's seeded draws
-        n = self.graph.n
+        n = graph.n
         self.cost_specs, x0 = reference_problem(n, self.seed)
         if ini.has_section("costs") and ini.options("costs"):
             keys = ini.options("costs")
@@ -221,12 +221,11 @@ class EffectiveConfig:
                 raise ConfigError(f"[costs] must name nodes 0..{n - 1} once: {keys}")
             specs = {int(k): _parse_cost_line(int(k), ini["costs"][k]) for k in keys}
             self.cost_specs = [specs[j] for j in range(n)]
-        self.costs = [build_cost(spec) for spec in self.cost_specs]
         if self.x0 is None:
             self.x0 = x0
         self.cfg = OptRunConfig(
-            graph=self.graph,
-            costs=self.costs,
+            graph=graph,
+            costs=[build_cost(spec) for spec in self.cost_specs],
             delta=self.delta,
             x0=self.x0,
             max_outer=self.max_iters,
@@ -330,11 +329,9 @@ def cmd_theory(args) -> int:
         n, mu, big_l, alpha, delta = cfg.graph.n, cfg.mu, cfg.L, cfg.alpha, cfg.delta
     else:
         opt, given = _resolve(args)
-        unread = args.config or given & {"seed", "edge_prob"}
-        if unread or None in (mu, big_l) or "nodes" not in given:
+        if args.config or None in (mu, big_l) or "nodes" not in given:
             raise ConfigError(
-                "theory takes --mu, --lipschitz and --nodes together, without "
-                "--config, --seed or --edge-prob"
+                "theory takes --mu, --lipschitz and --nodes together, without --config"
             )
         n, alpha = opt["nodes"], opt["alpha"]
         delta = opt["delta"] if "delta" in given else 0  # else no quantization

@@ -67,7 +67,6 @@ def reference_instance(
     seed: int = 0,
     delta=REFERENCE_DELTA,
     max_outer: int = REFERENCE_OUTER,
-    alpha: Optional[float] = None,
 ) -> OptRunConfig:
     """The documented desk-scale reference configuration: a random strongly
     connected digraph, unit quadratics with centers uniform in [0, 10], and
@@ -80,7 +79,6 @@ def reference_instance(
         x0=x0,
         max_outer=max_outer,
         master_seed=seed,
-        alpha=alpha,
     )
 
 

@@ -4,8 +4,8 @@ Each outer step k, every node takes a local gradient step and the network
 jointly runs the quantized average-consensus protocol on the stepped
 values; the identical consensus output becomes every node's next estimate.
 The theory functions evaluate the step-size interval, the auxiliary
-Young-parameter interval, the contraction factor, and the quantization
-error floor, all in exact rational arithmetic.
+Young-parameter interval, the per-step contraction theta, and the
+quantization error floor, all in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ class TheoryConstants:
     contraction as a geometric series."""
 
     delta_young: Fraction
-    young_upper: Fraction  # delta_young's admissible upper bound
+    young_upper: Fraction  # delta_young's upper bound, n(2s - 1) / (2a(1 - s))
     theta: Fraction
     error_floor: Fraction
     asymptotic_bound: Fraction
@@ -234,12 +234,13 @@ class TheoryConstants:
 def compute_theta_and_floor(
     alpha, delta_young, L, mu, n: int, Delta
 ) -> TheoryConstants:
-    """Evaluate theta = 2(1 + a d/n)(1 - 2 a mu L / (n(mu+L))) and the floor
-    (8 + 32 a_hat^2 L^2 + 32 a_hat L^2 / d) * Delta^2, exactly.
+    """Evaluate theta = 2(1 + a d/n)(1 - s), s = 2 a mu L / (n(mu+L)), and the
+    floor (8 + 32 a_hat^2 L^2 + 32 a_hat L^2 / d) * Delta^2, exactly.
 
     Every number must be finite and is taken at its exact value (a float at
-    its binary value); a None delta_young means half its admissible upper
-    bound."""
+    its binary value); a None delta_young means half its upper bound.  No
+    theta check is needed: alpha inside the step-size interval gives
+    1/2 < s < 1, so theta > 0, and theta < 1 exactly when d < young_upper."""
     a, L, mu = _exact("alpha", alpha), _exact("L", L), _exact("mu", mu)
     if isinstance(Delta, QuantizationLevel):
         Delta = Delta.delta
@@ -252,8 +253,6 @@ def compute_theta_and_floor(
         raise ConfigError(f"delta_young={float(d)} outside (0, {float(d_upper)})")
     a_hat = a / n
     theta = 2 * (1 + a * d / n) * (1 - 2 * a * mu * L / (n * (mu + L)))
-    if not (0 < theta < 1):
-        raise ConfigError(f"contraction factor {float(theta)} not in (0, 1)")
     error_floor = (8 + 32 * a_hat**2 * L**2 + 32 * a_hat * L**2 / d) * Delta**2
     return TheoryConstants(
         delta_young=d,
@@ -332,13 +331,15 @@ class OptRunConfig:
 def _residual(x, x0, x_star: Optional[float], k: Optional[int]):
     """residual_error of estimates x, or None without x_star.  One that is
     not finite raises DivergenceError at outer step k, or ConfigError for
-    the initial estimates (k None)."""
+    the initial estimates (k None); an x0 equal to x_star is a ConfigError."""
     if x_star is None:
         return None
     try:
         r = residual_error(x, x0, x_star)
     except OverflowError:
         r = math.inf
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if math.isfinite(r):
         return r
     if k is None:

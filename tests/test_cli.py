@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,12 +199,8 @@ UNREAD_INI = {
          TWO_COSTS.format("beta=1.0 center=1.0")
          + "01 = quadratic beta=3.0 center=2.0\n"),
         (["run", "--config", "cfg.ini"], NON_INTEGER_COST_KEY),
-        (["theory", "--mu", "20", "--lipschitz", "20", "--nodes", "20",
-          "--seed", "5"], None),
-        (["theory", "--mu", "20", "--lipschitz", "20", "--nodes", "20",
-          "--seed", "5", "--edge-prob", "0.9"], None),
-        (["theory", "--mu", "20", "--lipschitz", "20", "--nodes", "20",
-          "--edge-prob", "0.5"], None),
+        (["theory", "--config", "cfg.ini", "--mu", "20", "--lipschitz", "20",
+          "--nodes", "20"], "[graph]\nnodes = 20\n"),
         (["run", "--nodes", "abc"], None),
         (["run", "--max-iters", "-1"], None),
         (["theory", "--mu", "-1", "--lipschitz", "5", "--nodes", "3"], None),
@@ -243,9 +241,8 @@ UNREAD_INI = {
          "cost-item-without-equals", "ini-syntax-error", "costs-missing-a-node",
          "theory-mu-lipschitz-without-nodes", "levels-sharing-a-name",
          "costs-naming-other-nodes", "costs-naming-a-node-twice",
-         "costs-naming-a-non-integer-key", "theory-mu-lipschitz-with-seed",
-         "theory-mu-lipschitz-with-seed-and-edge-prob",
-         "theory-mu-lipschitz-with-edge-prob", "non-integer-nodes-flag",
+         "costs-naming-a-non-integer-key", "theory-mu-lipschitz-nodes-with-config",
+         "non-integer-nodes-flag",
          "negative-max-iters", "theory-negative-mu", "theory-empty-mu-is-unset",
          "theory-malformed-mu", "theory-malformed-young-delta",
          "theory-config-malformed-young-delta", "theory-negative-nodes",
@@ -293,8 +290,11 @@ def test_malformed_ini_boolean_names_its_entry(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
 def test_seed_outside_64_bits_names_the_option(command, seed, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    # theory reads a seed from an INI only
+    (tmp_path / "cfg.ini").write_text(f"[run]\nseed = {seed}\n")
+    given = ["--config", "cfg.ini"] if command == "theory" else ["--seed", seed]
     extra = ["--output", "g.txt"] if command == "graph-gen" else []
-    assert run_cli(command, "--seed", seed, *extra) == 2
+    assert run_cli(command, *given, *extra) == 2
     assert capsys.readouterr().err == (
         f"config error: [run] seed: must be in [0, 2**64), got {seed}\n"
     )
@@ -346,6 +346,28 @@ def test_non_integer_cost_key_names_the_section(tmp_path, monkeypatch, capsys):
     (tmp_path / "cfg.ini").write_text(NON_INTEGER_COST_KEY)
     assert run_cli("run", "--config", "cfg.ini") == 2
     assert "[costs] must name nodes 0..1 once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--deltas", "0.1"]],
+                         ids=["run", "sweep"])
+def test_initial_estimate_at_the_optimum_is_config_error(argv, tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.ini").write_text(
+        TWO_COSTS.format("beta=1.0 center=2.0") + "[optimizer]\nx0 = 2.0,3.0\n")
+    assert run_cli(*argv, "--config", "cfg.ini") == 2
+    assert capsys.readouterr().err.endswith(
+        "config error: node 0: initial estimate equals the optimum, residual undefined\n")
+
+
+def test_module_runs_as_a_script(tmp_path, monkeypatch):
+    out = tmp_path / "g.txt"
+    monkeypatch.setattr(sys, "argv", ["quagd", "graph-gen", "--output", str(out)])
+    # runpy warns that quagd.cli is run a second time, after its import here
+    with pytest.warns(RuntimeWarning, match="quagd.cli"), pytest.raises(SystemExit) as exc:
+        runpy.run_module("quagd.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert read_edge_list(str(out)).n == 20
 
 
 class TestEffectiveConfig:
@@ -476,6 +498,17 @@ class TestTheory:
         record = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert record["error_floor"] == 0.0
 
+    def test_config_seed_and_edge_prob_do_not_change_the_output(self, tmp_path, capsys):
+        # they draw the graph and the centers, and the guarantees read neither
+        outputs = []
+        for seed, edge_prob in (("0", "0.2"), ("7", "0.0"), ("99", "1.0")):
+            cfgfile = tmp_path / f"cfg{seed}.ini"
+            cfgfile.write_text(f"[graph]\nnodes = 12\nedge_prob = {edge_prob}\n"
+                               f"[run]\nseed = {seed}\n")
+            assert run_cli("theory", "--config", str(cfgfile)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestGraphGen:
     def test_writes_readable_strongly_connected_graph(self, tmp_path, capsys):
@@ -519,7 +552,8 @@ class TestFlags:
         assert run_cli("theory", *argv) == 2
         assert "config error: [theory] young_delta: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--max-iters", "--d-bound", "--output-dir"])
+    @pytest.mark.parametrize(
+        "flag", ["--max-iters", "--d-bound", "--output-dir", "--seed", "--edge-prob"])
     def test_theory_rejects_flags_it_does_not_read(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("theory", "--nodes", "20", flag, "3")

@@ -2,9 +2,9 @@
 
 Whatever the argv and INI file, `main` returns a documented exit code
 (0, 2, 3, 4 or 5), and the only exception that escapes it is argparse's own
-SystemExit(2) for an unparsable command line.  `theory` given only one of
---mu/--lipschitz, or either of them with --config, --seed or --edge-prob,
-is a config error.
+SystemExit(2) for an unparsable command line, --seed or --edge-prob given
+to `theory` included (it reads them from an INI only).  `theory` given only
+one of --mu/--lipschitz, or either of them with --config, is a config error.
 """
 
 import contextlib
@@ -58,10 +58,11 @@ def cli_inputs(draw):
 
     ini: dict[str, list[str]] = {}
 
-    def option(flag, section, values):
+    def option(flag, section, values, by_flag=True):
         """Set the option by flag, in the INI, both, or not at all."""
         key = flag[2:].replace("-", "_")
-        where = draw(st.sampled_from(["flag", "ini", "both", "unset", "unset"]))
+        places = ["flag", "ini", "both"] if by_flag else ["ini"]
+        where = draw(st.sampled_from([*places, "unset", "unset"]))
         if where in ("flag", "both"):
             argv.extend([flag, draw(values)])
         if where in ("ini", "both"):
@@ -70,7 +71,7 @@ def cli_inputs(draw):
     option("--nodes", "graph", st.integers(2, 6).map(str))
     option("--max-iters", "optimizer", st.integers(0, 3).map(str))
     option("--alpha", "optimizer", st.sampled_from(ALPHAS))
-    option("--seed", "run", st.integers(0, 3).map(str))
+    option("--seed", "run", st.integers(0, 3).map(str), command != "theory")
     if command == "sweep":
         option("--deltas", "optimizer", st.lists(
             st.sampled_from(DELTAS), min_size=1, max_size=2).map(",".join))
@@ -80,8 +81,7 @@ def cli_inputs(draw):
         for flag in ("--mu", "--lipschitz", "--young-delta"):
             if draw(st.booleans()):
                 argv += [flag, draw(st.sampled_from(CONSTANTS))]
-        if draw(st.booleans()):
-            argv += ["--edge-prob", draw(st.sampled_from(["0.3", "2"]))]
+        option("--edge-prob", "graph", st.sampled_from(["0.3", "2"]), False)
     else:
         option("--graph-file", "graph", st.sampled_from(GRAPH_FILES))
         option("--output-dir", "run", st.sampled_from(OUTPUT_DIRS))

@@ -60,6 +60,24 @@ class TestResidualError:
             residual_error([1.0, 2.0], [5.0], 2.0)
 
 
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: quagd_run(cfg, x_star=4.0),
+    lambda cfg: _raise(delta_sweep(cfg, ["0.1"]).entries[0].exception),
+    centralized_baseline,
+], ids=["quagd_run", "delta_sweep", "centralized_baseline"])
+def test_initial_estimate_at_the_optimum_is_config_error(call):
+    # node 0 starts at x* = 4, where residual_error is undefined
+    cfg = OptRunConfig(graph=complete(4), costs=[quadratic_cost(1.0, 4.0)] * 4,
+                       delta="0.01", x0=[4.0, 5.0, 6.0, 7.0], max_outer=3, master_seed=0)
+    with pytest.raises(ConfigError) as exc:
+        call(cfg)
+    assert str(exc.value) == "node 0: initial estimate equals the optimum, residual undefined"
+
+
 class TestCentralizedBaseline:
     def test_identical_quadratics_linear_recursion(self):
         n, alpha, c = 4, 0.6, 3.0
@@ -112,7 +130,7 @@ class TestCentralizedBaseline:
 
     @pytest.mark.filterwarnings("ignore:alpha=50.0 outside")
     def test_divergence_carries_the_outer_step_of_quagd_run(self):
-        cfg = reference_instance(n=10, alpha=50.0, max_outer=200)
+        cfg = replace(reference_instance(n=10, max_outer=200), alpha=50.0)
         with pytest.raises(DivergenceError) as baseline:
             centralized_baseline(cfg)
         with pytest.raises(DivergenceError) as run:
@@ -179,7 +197,7 @@ class TestDeltaSweep:
     def test_theory_floor_only_inside_the_open_interval(self):
         # the reference interval at n=10 is (0.5, 1.0)
         for alpha, inside in ((0.5, False), (0.6, True)):
-            cfg = reference_instance(n=10, alpha=alpha, max_outer=10)
+            cfg = replace(reference_instance(n=10, max_outer=10), alpha=alpha)
             entry = delta_sweep(cfg, ["0.1"]).entries[0]
             assert entry.error is None and entry.plateau is not None
             if inside:
@@ -197,7 +215,7 @@ class TestDeltaSweep:
 
     @pytest.mark.filterwarnings("ignore:alpha=50.0 outside")
     def test_divergence_recorded_programming_error_raised(self, monkeypatch):
-        cfg = reference_instance(n=10, alpha=50.0, max_outer=200)
+        cfg = replace(reference_instance(n=10, max_outer=200), alpha=50.0)
         entry = delta_sweep(cfg, ["0.1"]).entries[0]
         assert isinstance(entry.exception, DivergenceError)
         assert entry.error.startswith("DivergenceError: divergence at outer step")

@@ -188,7 +188,7 @@ def test_too_small_d_bound_fails_every_level():
 
 
 def test_divergence_and_warnings_match_solo_runs():
-    cfg = reference_instance(n=10, alpha=50.0, max_outer=200)
+    cfg = replace(reference_instance(n=10, max_outer=200), alpha=50.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = _assert_entries_equal_solo_runs(cfg, ["0.1", "0.01"])

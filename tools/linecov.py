@@ -10,11 +10,8 @@ and disables each code location after its first event, so the tests run
 at close to their usual speed.  An executable line is one that a code
 object compiled from the module lists in co_lines(), line 0 (a code
 object's entry) aside.  Lines reached only in a subprocess do not count.
-
-ALLOWED names, by file and source text, the lines that are unreachable on
-purpose.  An entry that matches no unreached line fails the gate too, so
-the list stays exact.  The exit code is pytest's if the tests fail, else 1
-for a stray or a stale line, else 0.
+No line is exempt.  The exit code is pytest's if the tests fail, else 1 if
+some line is unreached, else 0.
 """
 
 from __future__ import annotations
@@ -28,15 +25,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "quagd"
 PYTEST_ARGS = ["-q", "--continue-on-collection-errors"]  # the tier-1 command's
-
-ALLOWED = {  # (file name, stripped source line)
-    # the module run as a script; the tests call main() itself
-    ("cli.py", "sys.exit(main())"),
-    # a safety check: theta < 1 exactly when the Young parameter is below its
-    # bound, and alpha < 2n/(mu+L) gives theta > 0
-    ("optimizer.py",
-     'raise ConfigError(f"contraction factor {float(theta)} not in (0, 1)")'),
-}
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -94,22 +82,16 @@ def main() -> int:
     if status != 0:
         print(f"linecov: the tests failed (pytest exit code {status})")
         return status
-    unreached = []
+    unreached = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
         for line in sorted(executable_lines(path) - hits.get(str(path), set())):
-            unreached.append((path.name, line, source[line - 1].strip()))
-    stray = [(name, line, text) for name, line, text in unreached
-             if (name, text) not in ALLOWED]
-    stale = ALLOWED - {(name, text) for name, _, text in unreached}
-    for name, line, text in stray:
-        print(f"src/quagd/{name}:{line}: no test reaches this line: {text}")
-    for name, text in sorted(stale):
-        print(f"src/quagd/{name}: allowlisted but not an unreached line: {text}")
-    if stray or stale:
+            print(f"src/quagd/{path.name}:{line}: no test reaches this line: "
+                  f"{source[line - 1].strip()}")
+            unreached += 1
+    if unreached:
         return 1
-    print(f"linecov: every executable line of src/quagd is reached, "
-          f"but the {len(ALLOWED)} allowlisted")
+    print("linecov: every executable line of src/quagd is reached")
     return 0
 
 

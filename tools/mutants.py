@@ -1,0 +1,123 @@
+"""Mutation runner: every listed mutant must make its named test fail.
+
+    python tools/mutants.py
+
+MUTANTS holds (file, old text, new text, pytest node id) rows.  Each old
+text must occur exactly once in its file.  The runner copies the repository
+to a temporary directory, checks that the named tests pass there unmutated,
+then applies one mutant at a time and runs only its node id with the
+current interpreter.  A mutant is killed when that run reports a failing
+test (pytest's exit code 1).  The exit code is 1 if an old text matches zero
+times or more than once, if a named test fails unmutated, or if a mutant
+survives; else 0.  Only the standard library is used (pytest runs as a
+subprocess).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPY_IGNORE = shutil.ignore_patterns(
+    ".git", ".perfbench_work", "__pycache__", ".pytest_cache", ".hypothesis")
+
+CLI_CASE = "tests/test_cli.py::test_bad_input_is_config_error[{}]"
+OBSERVER_BOUND = "tests/test_harness.py::TestAuditInvariants::test_observer_bound_is_exact"
+MANUFACTURED = ("tests/test_harness.py::TestAuditInvariants::"
+                "test_manufactured_violations_reported")
+
+MUTANTS = [
+    # the accuracy contract, the conservation flag and the observer bounds
+    ("src/quagd/consensus.py", "self.quantized_sum) <= self.n",
+     "self.quantized_sum) <= 2 * self.n",
+     "tests/test_consensus.py::TestRunFaqua::"
+     "test_accuracy_contract_allows_exactly_n_counts"),
+    ("src/quagd/optimizer.py", "a.y_conserved and a.z_conserved for a",
+     "a.y_conserved for a",
+     "tests/test_optimizer.py::TestQuagdRun::test_a_z_leak_alone_fails_conservation"),
+    ("src/quagd/harness.py", "centroid > 2 * delta + slack", "centroid > 3 * delta + slack",
+     OBSERVER_BOUND),
+    ("src/quagd/harness.py", "dev > 4 * delta + slack", "dev > 5 * delta + slack",
+     OBSERVER_BOUND),
+    ("src/quagd/harness.py", '("accuracy", not step.accuracy_ok,', '("accuracy", False,',
+     MANUFACTURED),
+    ("src/quagd/harness.py", '("conservation", not step.conservation_ok,',
+     '("conservation", False,', MANUFACTURED),
+    # the kernel's round audit and its default round budget
+    ("src/quagd/consensus.py", "z_ok.append(sum(zs) == 2 * n)", "z_ok.append(True)",
+     "tests/test_kernel_properties.py"),
+    ("src/quagd/consensus.py", "max_rounds = 200 * d_bound * n",
+     "max_rounds = 100 * d_bound * n", "tests/test_kernel_properties.py"),
+    # which options count as set
+    ("src/quagd/cli.py", "        else:\n            given.add(key)",
+     '        elif getattr(args, key, None) not in (None, ""):\n            given.add(key)',
+     CLI_CASE.format("ini-graph-file-with-nodes")),
+    ("src/quagd/cli.py", "    return resolved, given",
+     "        if value == default:\n            given.discard(key)\n"
+     "    return resolved, given",
+     CLI_CASE.format("graph-file-with-nodes-flag-at-its-default")),
+    ("src/quagd/cli.py", 'if given & {"nodes", "edge_prob"}:', 'if given & {"nodes"}:',
+     CLI_CASE.format("ini-graph-file-with-edge-prob-flag")),
+    # theory's flag path
+    ("src/quagd/cli.py", 'None in (mu, big_l) or "nodes" not in given:',
+     "None in (mu, big_l):", CLI_CASE.format("theory-mu-lipschitz-without-nodes")),
+    ("src/quagd/cli.py", "if args.config or None in (mu, big_l)", "if None in (mu, big_l)",
+     CLI_CASE.format("theory-mu-lipschitz-nodes-with-config")),
+    ("src/quagd/cli.py", 'delta = opt["delta"] if "delta" in given else 0',
+     'delta = opt["delta"]',
+     "tests/test_cli.py::TestTheory::test_zero_quantization_gives_zero_floor"),
+    ("src/quagd/cli.py", 'delta = opt["delta"] if "delta" in given else 0', "delta = 0",
+     "tests/test_cli.py::TestTheory::test_flag_and_config_paths_agree"),
+    # an undefined initial residual is a ConfigError
+    ("src/quagd/optimizer.py",
+     "    except ValueError as exc:\n        raise ConfigError(str(exc)) from None\n", "",
+     "tests/test_harness.py::test_initial_estimate_at_the_optimum_is_config_error"),
+]
+
+
+def pytest_status(tree: Path, node_ids: list[str]) -> int:
+    """pytest's exit code for node_ids run in tree (pyproject.toml puts src
+    on its path), without bytecode caches: a restored file can share a
+    mutant's size and mtime."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    return subprocess.run(argv + node_ids, cwd=tree, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    counts = [(path, old, (ROOT / path).read_text().count(old))
+              for path, old, _, _ in MUTANTS]
+    ambiguous = [(path, old, count) for path, old, count in counts if count != 1]
+    for path, old, count in ambiguous:
+        print(f"mutants: {path}: old text matches {count} times: {old!r}")
+    if ambiguous:
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=COPY_IGNORE)
+        node_ids = list(dict.fromkeys(node_id for *_, node_id in MUTANTS))
+        if pytest_status(tree, node_ids) != 0:
+            print("mutants: the named tests do not all pass on the unmutated tree")
+            return 1
+        survivors = 0
+        for path, old, new, node_id in MUTANTS:
+            target = tree / path
+            original = target.read_text()
+            target.write_text(original.replace(old, new))
+            killed = pytest_status(tree, [node_id]) == 1
+            target.write_text(original)
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED'}: {path}: {old.strip()!r} -> "
+                  f"{new.strip()!r} ({node_id})")
+    print(f"mutants: {len(MUTANTS) - survivors} of {len(MUTANTS)} killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
