@@ -14,14 +14,16 @@ sent in round lam reaches its receivers before round lam's audit and
 stopping check.  No unit count and no draw depends on y, so one kernel,
 _run_lanes, runs several inputs (lanes: a sweep's levels) on one set of
 draws, each as it would run alone.  It reads each window's extrema
-directly and never floods; only a traced call's writer (_Rows) floods.
-run_faqua is the kernel's one-lane case, and the only one that builds the
-kernel's per-round observer, from a trace and a tamper hook.
+directly and never floods; only a traced call's writer (_Rows) floods.  The
+writer ignores the draws, so the kernel records them only for the other
+lanes' replay and the tamper hook.  run_faqua is the kernel's one-lane case,
+and the only one to build an observer, from a trace and a tamper hook.
 """
 
 from __future__ import annotations
 
 import sys
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -128,17 +130,25 @@ def _flood(M: list[int], m: list[int], closed_in: list[Callable], pending):
     return big, small
 
 
-class _Rows(dict):
+class _Digits(dict):  # int -> str, filled on first use
+    def __missing__(self, k: int) -> str:
+        return self.setdefault(k, str(k))
+
+
+class _Rows:
     """A traced call's trace writer: an observer that ignores the draws.  It
     floods its own copy of the window-start M and m over the nodes that still
-    lack the window's top or bottom, writes the round's rows from cached digit
-    strings, and raises if a window ends with such a node."""
+    lack the window's top or bottom, writes the round's rows from its stream's
+    digit cache, and raises if a window ends with such a node."""
+
+    streams = weakref.WeakKeyDictionary()  # out -> its _Digits, dropped with it
 
     def __init__(self, out, g: Digraph, d_bound: int):
         self.write, self.closed_in, self.d_bound = out.write, g._closed_in, d_bound
-
-    def __missing__(self, k: int) -> str:
-        return self.setdefault(k, str(k))
+        try:
+            self.digit = _Rows.streams.setdefault(out, _Digits()).__getitem__
+        except TypeError:  # out cannot be weakly referenced: a cache of its own
+            self.digit = _Digits().__getitem__
 
     def __call__(self, lam: int, ys, zs, ys_s, zs_s, M, m, splits) -> None:
         if (lam - 1) % self.d_bound == 0:  # what the window's flood delivers
@@ -147,7 +157,7 @@ class _Rows(dict):
         M, m = self.M, self.m = _flood(self.M, self.m, self.closed_in, self.pending)
         top, bottom = self.top, self.bottom
         self.pending = [j for j in self.pending if M[j] != top or m[j] != bottom]
-        cols = [map(self.__getitem__, c) for c in (self.nodes, ys, zs, ys_s, zs_s, M, m)]
+        cols = [map(self.digit, c) for c in (self.nodes, ys, zs, ys_s, zs_s, M, m)]
         self.write("\n".join(map("\t".join, zip(repeat(str(lam)), *cols))) + "\n")
         if lam % self.d_bound == 0 and self.pending:
             raise RuntimeError(f"round {lam}: flood missed extrema {top}, {bottom}")
@@ -230,9 +240,9 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
     first settled window and gets what run_faqua gives it alone: a
     ConsensusResult, or the ConsensusNonterminationError it would raise.
     observer, if set, is called once a round after delivery with lane 0's
-    (ys, zs, ys_s, zs_s), the window-start M and m, and the round's draws.
-    Random.choice(t) is t[i], i the first getrandbits(len(t).bit_length())
-    below len(t)."""
+    (ys, zs, ys_s, zs_s), the window-start M and m, and the round's draws
+    (none for _Rows).  Random.choice(t) is t[i], i the first
+    getrandbits(len(t).bit_length()) below len(t)."""
     if observer is not None and len(levels) > 1:
         raise ValueError(f"an observer acts on one lane, got {len(levels)} levels")
     if type(d_bound) is not int:  # type, not isinstance: a bool is refused
@@ -271,6 +281,7 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
             ys[tj[i]] += ys_s[j]
 
     out: list = [None] * len(levels)
+    draws_read = observer is not None and not isinstance(observer, _Rows)
     live, z_ok = list(range(len(levels))), []
     for lam in range(1, max_rounds + 1):
         if (lam - 1) % d_bound == 0:
@@ -278,9 +289,8 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
                 lane_M[lane] = [-(-y // z) for y, z in zip(lane_ys_s[lane], zs_s)]
                 lane_m[lane] = [y // z for y, z in zip(lane_ys_s[lane], zs_s)]
 
-        # live[0] splits, each piece drawn where it goes; only the other lanes'
-        # replay and the observer read the (j, z, dests) records: only they build them
-        record, splits = observer is not None or len(live) > 1, []
+        # live[0] splits, each piece drawn where it goes; replay and tamper read the records
+        record, splits = draws_read or len(live) > 1, []
         ys, ys_s = lane_ys[live[0]], lane_ys_s[live[0]]
         ny, nz = ys[:], zs[:]
         for j, z in enumerate(zs):

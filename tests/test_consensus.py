@@ -1,6 +1,8 @@
+import gc
 import io
 import random
 import re
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -22,6 +24,8 @@ from quagd.graph import (
     find_unreachable_pair,
     generate_random_strongly_connected,
 )
+from quagd.harness import reference_instance
+from quagd.optimizer import quagd_run
 from quagd.quantizer import QuantizationLevel
 from quagd.rng import node_streams
 
@@ -474,3 +478,67 @@ class TestTamperOutbox:
         assert len(seen) == res.rounds_used
         assert any(len(msgs) > 1 for msgs in seen)
         assert seen == sent
+
+
+class TestTraceWriter:
+    """The trace writer (_Rows) ignores the draws, so the kernel hands it none,
+    and it formats integers from one digit cache per stream, which lives as
+    long as the stream does."""
+
+    def test_writer_gets_no_split_records(self, monkeypatch):
+        real_call, seen = consensus._Rows.__call__, []
+
+        def spy(self, lam, ys, zs, ys_s, zs_s, M, m, splits):
+            seen.append(list(splits))
+            real_call(self, lam, ys, zs, ys_s, zs_s, M, m, splits)
+
+        monkeypatch.setattr(consensus._Rows, "__call__", spy)
+        g, x, q = complete(6), [0.3, 5.1, -2.0, 7.7, 4.4, 1.0], QuantizationLevel("0.25")
+        res = run_faqua(x, g, 1, q, 3, trace=io.StringIO())
+        assert len(seen) == res.rounds_used > 1 and not any(seen)
+        # behind a tamper hook, which reads them, the writer is handed the draws
+        seen.clear()
+        tampered = run_faqua(x, g, 1, q, 3, trace=io.StringIO(), tamper=lambda lam, msgs: msgs)
+        assert tampered == res and len(seen) == res.rounds_used and all(seen)
+
+    def test_two_runs_into_one_stream_write_identical_halves(self):
+        cfg, buf = reference_instance(n=8, seed=0, max_outer=3), io.StringIO()
+        for _ in range(2):
+            quagd_run(cfg, inner_trace=buf)
+        text = buf.getvalue()
+        half = len(text) // 2
+        assert text.count("RESULT") == 6 and text[:half] == text[half:]
+        assert buf in consensus._Rows.streams  # both runs' writers shared its cache
+
+    def test_digit_cache_lives_as_long_as_its_stream(self, monkeypatch):
+        made = []
+
+        class Digits(consensus._Digits):
+            def __init__(self):
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(consensus, "_Digits", Digits)
+        buf = io.StringIO()
+        quagd_run(reference_instance(n=8, seed=0, max_outer=3), inner_trace=buf)
+        assert any(ref() is not None and len(ref()) > 1 for ref in made)
+        del buf
+        gc.collect()
+        assert made and all(ref() is None for ref in made)
+
+    def test_stream_without_weak_references_writes_the_same_bytes(self):
+        class Slotted:
+            __slots__ = ("parts",)
+
+            def __init__(self):
+                self.parts = []
+
+            def write(self, text):
+                self.parts.append(text)
+
+        slotted, buf = Slotted(), io.StringIO()
+        with pytest.raises(TypeError):
+            weakref.ref(slotted)
+        cfg = reference_instance(n=8, seed=0, max_outer=3)
+        quagd_run(cfg, inner_trace=slotted)
+        quagd_run(cfg, inner_trace=buf)
+        assert "".join(slotted.parts) == buf.getvalue() != ""

@@ -30,6 +30,7 @@ CLI_CASE = "tests/test_cli.py::test_bad_input_is_config_error[{}]"
 OBSERVER_BOUND = "tests/test_harness.py::TestAuditInvariants::test_observer_bound_is_exact"
 MANUFACTURED = ("tests/test_harness.py::TestAuditInvariants::"
                 "test_manufactured_violations_reported")
+TRACE_WRITER = "tests/test_consensus.py::TestTraceWriter::{}"
 
 MUTANTS = [
     # the accuracy contract, the conservation flag and the observer bounds
@@ -53,6 +54,13 @@ MUTANTS = [
      "tests/test_kernel_properties.py"),
     ("src/quagd/consensus.py", "max_rounds = 200 * d_bound * n",
      "max_rounds = 100 * d_bound * n", "tests/test_kernel_properties.py"),
+    # the trace writer: no draws recorded for it, one digit cache per stream
+    ("src/quagd/consensus.py", "draws_read or len(live) > 1",
+     "observer is not None or len(live) > 1",
+     TRACE_WRITER.format("test_writer_gets_no_split_records")),
+    ("src/quagd/consensus.py", "_Rows.streams.setdefault(out, _Digits())",
+     'globals().setdefault("_ONE_DIGITS", _Digits())',
+     TRACE_WRITER.format("test_digit_cache_lives_as_long_as_its_stream")),
     # which options count as set
     ("src/quagd/cli.py", "        else:\n            given.add(key)",
      '        elif getattr(args, key, None) not in (None, ""):\n            given.add(key)',
