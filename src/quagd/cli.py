@@ -128,7 +128,8 @@ def _resolve(args, ini=None, rows=_OPTIONS) -> tuple[dict, set]:
     resolved, given = {}, set()
     for section, key, parse, default, _, _ in rows:
         entry = ini.get(section, key, fallback=None) if ini is not None else None
-        candidates = (getattr(args, key, None), entry)
+        flag = getattr(args, key, None) or ""  # trimmed, as configparser trims entries
+        candidates = (flag.strip(), entry)
         value = next((v for v in candidates if v not in (None, "")), None)
         if value is None:
             value = default
@@ -296,11 +297,11 @@ def cmd_sweep(args) -> int:
     report = delta_sweep(eff.cfg, eff.deltas or [])
     traces = []
     for entry in report.entries:
-        name = level_name(entry.delta)
         if entry.error is not None:
-            print(f"delta={name}: FAILED: {entry.error}")
+            print(f"delta={level_name(entry.delta)}: FAILED: {entry.error}")
             continue
-        csv_path = os.path.join(eff.output_dir, f"trace_delta_{level_slug(name)}.csv")
+        csv_path = os.path.join(eff.output_dir,
+                                f"trace_delta_{level_slug(entry.delta)}.csv")
         write_trace_csv(entry.trace, csv_path)
         print(f"wrote {csv_path}")
         traces.append(entry.trace)

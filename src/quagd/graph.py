@@ -121,20 +121,12 @@ class Digraph:
         return f"Digraph(n={self.n}, m={sum(map(len, self._out))})"
 
 
-def find_unreachable_pair(g: Digraph) -> Optional[tuple[int, int]]:
-    """Return an ordered pair (i, j) with no directed path i -> j, or None.
-
-    The pair is the first source in index order that misses some node, and
-    the first node it misses."""
-    return g._structure[1]
-
-
 def diameter(g: Digraph) -> int:
     """Longest shortest directed path over all ordered node pairs.
 
-    Self-edges do not shorten paths between distinct nodes.  Rejects
-    non-strongly-connected input with find_unreachable_pair's witness.
-    """
+    Self-edges do not shorten paths between distinct nodes.  Rejects a graph
+    that is not strongly connected with its witness pair: the first source
+    that misses some node, then the first node it misses."""
     worst, pair = g._structure
     if pair is not None:
         raise NotStronglyConnectedError(pair)

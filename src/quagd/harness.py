@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -75,7 +75,7 @@ def reference_instance(
     return OptRunConfig(
         graph=reference_graph(n, edge_prob, seed),
         costs=[build_cost(spec) for spec in specs],
-        delta=QuantizationLevel(delta),
+        delta=delta,
         x0=x0,
         max_outer=max_outer,
         master_seed=seed,
@@ -180,7 +180,8 @@ def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
         raise ConfigError(
             "sweep needs the closed-form optimum; all costs must be quadratic"
         )
-    interval = step_size_interval(cfg.L, cfg.mu, cfg.graph.n)
+    n = cfg.graph.n
+    interval = step_size_interval(cfg.L, cfg.mu, n)
     report = SweepReport()
     for level, outcome in zip(levels, _run_levels(cfg, levels, x_star)):
         entry = SweepEntry(delta=level.delta)
@@ -191,8 +192,8 @@ def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
             residuals = entry.trace.residuals
             entry.plateau = plateau_level(residuals)
             entry.iters_to_plateau = iterations_to_plateau(residuals, entry.plateau)
-            if interval.contains(cfg.effective_alpha(interval)):
-                theory = default_theory(replace(cfg, delta=level))
+            if interval.contains(alpha := cfg.effective_alpha(interval)):
+                theory = compute_theta_and_floor(alpha, None, cfg.L, cfg.mu, n, level)
                 try:
                     entry.theory_floor = float(theory.asymptotic_bound)
                 except OverflowError:  # the bound exceeds every float
@@ -227,10 +228,13 @@ def audit_invariants(trace: RunTrace) -> AuditReport:
     Node agreement holds by construction (see StepRecord)."""
     report = AuditReport()
     delta = float(trace.delta)
-    # strict bounds in exact arithmetic; tiny slack absorbs float roundoff
-    slack = 1e-9 * delta + 1e-15
-    for step in trace.steps[1:]:
+    for before, step in zip(trace.steps, trace.steps[1:]):
         centroid, dev = step.centroid_err, step.max_node_dev
+        # strict bounds in exact arithmetic; the slack is the roundoff of means
+        # over values up to size (none for a non-finite size: it would void the check)
+        size = max(map(abs, before.estimates + step.estimates))
+        ulps = 2 * len(step.estimates) * math.ulp(size) if math.isfinite(size) else 0.0
+        slack = 1e-9 * delta + ulps
         for kind, violated, detail in (
             ("conservation", not step.conservation_ok,
              "mass total changed during consensus"),

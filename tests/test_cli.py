@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from quagd.cli import EffectiveConfig, build_parser, main
-from quagd.graph import read_edge_list
+from quagd.graph import diameter, read_edge_list
 from quagd.harness import reference_instance
 
 
@@ -520,9 +520,7 @@ class TestGraphGen:
         assert code == 0
         g = read_edge_list(str(out))
         assert g.n == 12
-        from quagd.graph import find_unreachable_pair
-
-        assert find_unreachable_pair(g) is None
+        assert diameter(g) >= 1  # raises unless strongly connected
 
 
 class TestFlags:
@@ -534,11 +532,23 @@ class TestFlags:
         assert "config error: [graph] nodes: " in capsys.readouterr().err
 
     def test_empty_flag_counts_as_unset(self, tmp_path, capsys):
-        for name, extra in (("a", ["--nodes", ""]), ("b", [])):
+        # a blank one too: its text is trimmed, as an INI entry's is
+        for name, extra in (("a", ["--nodes", ""]), ("b", []), ("c", ["--nodes", "  "])):
             argv = ["run", *extra, "--max-iters", "1", "--output-dir"]
             assert run_cli(*argv, str(tmp_path / name)) == 0
-        trace_a, trace_b = (tmp_path / "a" / "trace.csv", tmp_path / "b" / "trace.csv")
-        assert trace_a.read_bytes() == trace_b.read_bytes()
+        traces = [(tmp_path / name / "trace.csv").read_bytes() for name in "abc"]
+        assert traces[0] == traces[1] == traces[2]
+
+    def test_padded_flags_read_as_their_ini_entries(self, tmp_path, monkeypatch, capsys):
+        # configparser trims an entry, so a flag's text is trimmed too, and
+        # a run reproduces its own effective_config.ini
+        monkeypatch.chdir(tmp_path)
+        argv = ["--nodes", "6", "--max-iters", "2", "--delta", " 0.01"]
+        assert run_cli("run", *argv, "--output-dir", " out") == 0
+        echo = (tmp_path / "out" / "effective_config.ini").read_bytes()
+        assert b"delta = 0.01\n" in echo
+        assert run_cli("run", "--config", "out/effective_config.ini") == 0
+        assert (tmp_path / "out" / "effective_config.ini").read_bytes() == echo
 
     def test_empty_theory_constant_counts_as_unset(self, capsys):
         assert run_cli("theory", "--nodes", "20") == 0

@@ -21,7 +21,6 @@ from quagd.graph import (
     Digraph,
     NotStronglyConnectedError,
     diameter,
-    find_unreachable_pair,
     generate_random_strongly_connected,
 )
 from quagd.harness import reference_instance
@@ -367,7 +366,9 @@ class TestRunFaqua:
         g = Digraph(3, [(1, 0), (2, 1)])
         with pytest.raises(NotStronglyConnectedError) as err:
             run_faqua([1.0] * 3, g, 2, QuantizationLevel("1"), 0)
-        assert err.value.pair == find_unreachable_pair(g)
+        with pytest.raises(NotStronglyConnectedError) as direct:
+            diameter(g)
+        assert err.value.pair == direct.value.pair == (1, 0)  # diameter's witness
 
     def test_messages_go_to_out_neighbors(self):
         g = generate_random_strongly_connected(6, 0.3, 5)

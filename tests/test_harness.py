@@ -280,6 +280,21 @@ class TestAuditInvariants:
             trace.steps.append(StepRecord(k=k, estimates=[1.5, 1.5], **{field: value}))
         assert [(v.kind, v.step) for v in audit_invariants(trace).violations] == [(kind, 2)]
 
+    def test_roundoff_slack_scales_with_the_values(self):
+        # near the values' resolution the means' roundoff is a few ulps of
+        # them, which an absolute slack of 1e-15 reported as bound violations
+        cfg = reference_instance(seed=0, max_outer=12, delta="1e-15")
+        assert audit_invariants(quagd_run(cfg)).clean
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_estimate_keeps_the_check(self, bad):
+        # a slack taken from a non-finite estimate would switch the bound off
+        trace = RunTrace(delta=Fraction(1, 100))
+        trace.steps.append(StepRecord(k=0, estimates=[bad, 2.0]))
+        trace.steps.append(StepRecord(k=1, estimates=[1.5, 1.5], centroid_err=1.0))
+        assert [(v.kind, v.step) for v in audit_invariants(trace).violations] == [
+            ("centroid_bound", 1)]
+
     def test_observed_bounds_shrink_with_delta(self):
         # halving delta should shrink the observed centroid error roughly
         # proportionally; allow generous slack for protocol randomness

@@ -61,6 +61,15 @@ MUTANTS = [
     ("src/quagd/consensus.py", "_Rows.streams.setdefault(out, _Digits())",
      'globals().setdefault("_ONE_DIGITS", _Digits())',
      TRACE_WRITER.format("test_digit_cache_lives_as_long_as_its_stream")),
+    # the audit's roundoff slack scales with finite values only
+    ("src/quagd/harness.py",
+     "2 * len(step.estimates) * math.ulp(size) if math.isfinite(size) else 0.0", "1e-15",
+     "tests/test_harness.py::TestAuditInvariants::test_roundoff_slack_scales_with_the_values"),
+    ("src/quagd/harness.py", " if math.isfinite(size) else 0.0", "",
+     "tests/test_harness.py::TestAuditInvariants::test_non_finite_estimate_keeps_the_check"),
+    # flag text is trimmed as INI text is
+    ("src/quagd/cli.py", "candidates = (flag.strip(), entry)", "candidates = (flag, entry)",
+     "tests/test_cli.py::TestFlags::test_padded_flags_read_as_their_ini_entries"),
     # which options count as set
     ("src/quagd/cli.py", "        else:\n            given.add(key)",
      '        elif getattr(args, key, None) not in (None, ""):\n            given.add(key)',
