@@ -9,15 +9,16 @@ out-neighbors.  A diameter-windowed max/min flood over the node ratios
 detects when all ratios agree to within one unit; every node then outputs
 the common minimum times delta and stops.
 
-A round splits, delivers and audits in exact integer arithmetic: what is
-sent in round lam reaches its receivers before round lam's audit and
-stopping check.  No unit count and no draw depends on y, so one kernel,
-_run_lanes, runs several inputs (lanes: a sweep's levels) on one set of
-draws, each as it would run alone.  It reads each window's extrema
-directly and never floods; only a traced call's writer (_Rows) floods.  The
-writer ignores the draws, so the kernel records them only for the other
-lanes' replay and the tamper hook.  run_faqua is the kernel's one-lane case,
-and the only one to build an observer, from a trace and a tamper hook.
+_run_lanes is the one seam between real values and the integer protocol: it
+checks its arguments, encodes each input as counts floor(x/delta), and
+decodes the common output count lo as lo*delta.  Its kernel, _mix, splits,
+delivers and audits in exact integers: what is sent in round lam arrives
+before round lam's audit and stopping check.  No unit count and no draw
+depends on y, so _mix runs several count lists (lanes: a sweep's levels) on
+one set of draws, each as it would run alone.  It reads each window's
+extrema and never floods; only a traced call's writer (_Rows) floods, and
+it ignores the draws, so they are recorded only for the other lanes and the
+tamper hook.  run_faqua, the one-lane case, builds the only observers.
 """
 
 from __future__ import annotations
@@ -106,20 +107,19 @@ def init_consensus(
 ) -> list[ConsensusNodeState]:
     """Initialize per-node state: mass 2*floor(x/delta) over two units, with
     the state snapshot equal to the mass."""
-    return [ConsensusNodeState(y, 2, y, 2) for y in _masses(x_half, g, q)]
+    return [ConsensusNodeState(2 * c, 2, 2 * c, 2) for c in _counts(x_half, g, q)]
 
 
-def _masses(x_half: Sequence[float], g: Digraph, q: QuantizationLevel) -> list[int]:
-    """Each node's initial mass, 2*floor(x/delta) (it starts with two units).
-    The output is a float, so an exact estimate beyond the float range is
-    refused; a finite float never is."""
+def _counts(x_half: Sequence[float], g: Digraph, q: QuantizationLevel) -> list[int]:
+    """Each node's count floor(x/delta), the seam's encode.  The output is a
+    float, so an exact estimate beyond its range is refused; a float never is."""
     if len(x_half) != g.n:
         raise ValueError(f"expected {g.n} inputs, got {len(x_half)}")
-    masses = [2 * quantize_floor(x, q) for x in x_half]
+    counts = [quantize_floor(x, q) for x in x_half]
     for j, x in enumerate(x_half):
         if not isinstance(x, float) and abs(x) > sys.float_info.max:
             raise ValueError(f"node {j}'s estimate lies beyond the float range")
-    return masses
+    return counts
 
 
 def _flood(M: list[int], m: list[int], closed_in: list[Callable], pending):
@@ -236,13 +236,9 @@ def _tamper_observer(tamper, then, lam, ys, zs, ys_s, zs_s, M, m, splits) -> Non
 
 def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
                observer=None) -> list:
-    """The kernel, for one x_half per level.  Each lane stops at its own
-    first settled window and gets what run_faqua gives it alone: a
-    ConsensusResult, or the ConsensusNonterminationError it would raise.
-    observer, if set, is called once a round after delivery with lane 0's
-    (ys, zs, ys_s, zs_s), the window-start M and m, and the round's draws
-    (none for _Rows).  Random.choice(t) is t[i], i the first
-    getrandbits(len(t).bit_length()) below len(t)."""
+    """The seam, for one x_half per level: every argument check, then each
+    lane's counts, _mix on them and the decode.  A lane gets what run_faqua
+    gives it alone: a ConsensusResult or the error it would raise."""
     if observer is not None and len(levels) > 1:
         raise ValueError(f"an observer acts on one lane, got {len(levels)} levels")
     if type(d_bound) is not int:  # type, not isinstance: a bool is refused
@@ -264,13 +260,33 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
     streams = node_streams(rng, n, 0) if isinstance(rng, int) else list(rng)
     if len(streams) != n:
         raise ValueError(f"expected {n} rng streams, got {len(streams)}")
+    lane_counts = [_counts(x, g, q) for x, q in zip(x_halves, levels)]
+    out = _mix(lane_counts, g, d_bound, streams, max_rounds, observer)
+    for lane, (counts, q) in enumerate(zip(lane_counts, levels)):
+        if isinstance(out[lane], tuple):  # (lo, audits); lo decodes as lo*delta
+            lo, audits = out[lane]
+            value = float(lo * q.delta)
+            out[lane] = ConsensusResult(value, lo, len(audits), [value] * n, sum(counts),
+                                        n, audits)
+    return out
+
+
+def _mix(counts, g: Digraph, d_bound: int, streams, max_rounds: int, observer) -> list:
+    """The integer kernel, for one count list per lane: each node starts at
+    mass 2c over two units.  A lane stops at its first settled window with
+    (lo, audits), lo the common output count and one audit a round, or gets
+    the ConsensusNonterminationError it would raise alone.  observer, if set,
+    gets lane 0's (ys, zs, ys_s, zs_s), the window-start M and m and the
+    round's draws (none for _Rows) once a round, after delivery.  Random.choice(t)
+    is t[i], i the first getrandbits(len(t).bit_length()) below len(t)."""
+    n = g.n
     draws = [(s.getrandbits, len(t).bit_length(), len(t), t)
              for s, t in zip(streams, g._targets)]
-    # Per lane, one per level: y, y_s, the y total, per-round audits, M, m.
-    lane_ys_s = [_masses(x, g, q) for x, q in zip(x_halves, levels)]
+    # Per lane: y, y_s, the y total, per-round audits, M, m.
+    lane_ys_s = [[2 * c for c in lane] for lane in counts]
     lane_total = [sum(ys_s) for ys_s in lane_ys_s]
-    lane_ys, lane_y_ok = [[0] * n for _ in levels], [[] for _ in levels]
-    lane_M, lane_m = [[0] * n for _ in levels], [[0] * n for _ in levels]
+    lane_ys, lane_y_ok = [[0] * n for _ in counts], [[] for _ in counts]
+    lane_M, lane_m = [[0] * n for _ in counts], [[0] * n for _ in counts]
     zs_s, zs = [2] * n, [0] * n
     for j, (bits, k, t, tj) in enumerate(draws):  # the init send: all of (y, z)
         i = bits(k)
@@ -280,9 +296,9 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
         for ys, ys_s in zip(lane_ys, lane_ys_s):
             ys[tj[i]] += ys_s[j]
 
-    out: list = [None] * len(levels)
+    out: list = [None] * len(counts)
     draws_read = observer is not None and not isinstance(observer, _Rows)
-    live, z_ok = list(range(len(levels))), []
+    live, z_ok = list(range(len(counts))), []
     for lam in range(1, max_rounds + 1):
         if (lam - 1) % d_bound == 0:
             for lane in live:
@@ -351,11 +367,8 @@ def _run_lanes(x_halves, g: Digraph, d_bound: int, levels, rng, max_rounds=None,
 
         if lam % d_bound == 0:
             for lane in [l for l in live if max(lane_M[l]) - min(lane_m[l]) <= 1]:
-                lo = min(lane_m[lane])
                 audits = list(map(RoundAudit, range(1, lam + 1), lane_y_ok[lane], z_ok))
-                value, quantized_sum = float(lo * levels[lane].delta), lane_total[lane] // 2
-                out[lane] = ConsensusResult(value, lo, lam, [value] * n, quantized_sum,
-                                            n, audits)
+                out[lane] = min(lane_m[lane]), audits
                 live.remove(lane)
             if not live:
                 return out

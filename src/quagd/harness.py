@@ -230,9 +230,9 @@ def audit_invariants(trace: RunTrace) -> AuditReport:
     delta = float(trace.delta)
     for before, step in zip(trace.steps, trace.steps[1:]):
         centroid, dev = step.centroid_err, step.max_node_dev
-        # strict bounds in exact arithmetic; the slack is the roundoff of means
-        # over values up to size (none for a non-finite size: it would void the check)
-        size = max(map(abs, before.estimates + step.estimates))
+        # strict bounds in exact arithmetic; the slack is the roundoff of means over
+        # values up to size, stepped ones too (none for a non-finite size: no check)
+        size = max(step.stepped_size, *map(abs, before.estimates + step.estimates))
         ulps = 2 * len(step.estimates) * math.ulp(size) if math.isfinite(size) else 0.0
         slack = 1e-9 * delta + ulps
         for kind, violated, detail in (

@@ -449,6 +449,7 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
                         a.y_conserved and a.z_conserved for a in result.audits
                     ),
                     accuracy_ok=result.within_accuracy_contract(),
+                    stepped_size=max(map(abs, x_half)),
                 ))
             except DivergenceError as exc:
                 out[lane] = exc

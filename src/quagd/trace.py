@@ -36,7 +36,8 @@ class StepRecord:
     Observer values (centroid_err = |mean estimate - mean stepped value|,
     max_node_dev = max_i |x_i - mean estimate|) are computed from global
     state by `optimizer.quagd_run`, never by nodes; they are None at k = 0.
-    conservation_ok and accuracy_ok are the step's consensus audits.
+    conservation_ok and accuracy_ok are the step's consensus audits, and
+    stepped_size (largest |stepped value|) sizes the audit's roundoff slack.
     Agreement is not recorded: the kernel gives every node one value, and
     only a traced run floods each node's extrema and checks them.
     """
@@ -49,6 +50,7 @@ class StepRecord:
     max_node_dev: Optional[float] = None
     conservation_ok: bool = True
     accuracy_ok: bool = True
+    stepped_size: float = 0.0  # not a trace.csv column
 
 
 @dataclass

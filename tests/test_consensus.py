@@ -8,9 +8,15 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:
+    given = None
+
 from consensus_reference import reference_run, split_mass
 from quagd import consensus
 from quagd.consensus import (
+    ConsensusNodeState,
     ConsensusNonterminationError,
     ConsensusResult,
     init_consensus,
@@ -357,6 +363,20 @@ class TestRunFaqua:
         res = run_faqua([1.0, 2.0, 3.0, 4.0], cycle(4), 3, QuantizationLevel("1"), 0)
         assert res.within_accuracy_contract()
 
+    @pytest.mark.parametrize("x, d_bound, rng, max_rounds, message", [
+        ([1.0] * 3, 2, 0, None, "d_bound=2 is below the graph diameter 3"),
+        ([None, 2.0, 3.0, 4.0], 3, 2**64, None,
+         "rng seed must be in [0, 2**64), got 18446744073709551616"),
+        ([1.0] * 3, 3, 0, 0, "max_rounds must be >= 1, got 0"),
+    ], ids=["short-input-low-bound", "no-number-aliasing-seed", "short-input-no-budget"])
+    def test_argument_checks_come_before_encoding(self, x, d_bound, rng, max_rounds,
+                                                  message):
+        # two faults a call: the seam encodes only arguments that passed every check
+        with pytest.raises(ValueError) as err:
+            consensus._run_lanes([x], cycle(4), d_bound, [QuantizationLevel("1")], rng,
+                                 max_rounds)
+        assert str(err.value) == message
+
     def test_rejects_underestimated_diameter(self):
         g = cycle(4)
         with pytest.raises(ValueError):
@@ -543,3 +563,58 @@ class TestTraceWriter:
         quagd_run(cfg, inner_trace=slotted)
         quagd_run(cfg, inner_trace=buf)
         assert "".join(slotted.parts) == buf.getvalue() != ""
+
+
+class TestIntegerKernel:
+    """_mix, the kernel behind the seam, on integer counts alone: a settled
+    lane's output count lo meets |lo*n - sum(c)| <= n with every audit true,
+    and adding an integer to every count of a lane shifts lo by it in the same
+    rounds, or shifts the snapshot of a lane whose budget runs out."""
+
+    COUNT = 10**300
+
+    if given is not None:  # the property needs hypothesis
+
+        @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+        @given(
+            n=st.integers(2, 8),
+            edge_prob=st.floats(0.0, 0.6),
+            graph_seed=st.integers(0, 2**32),
+            seed=st.integers(0, 2**32),
+            data=st.data(),
+        )
+        def test_contract_and_shift_equivariance(self, n, edge_prob, graph_seed, seed,
+                                                 data):
+            g = generate_random_strongly_connected(n, edge_prob, graph_seed)
+            d_bound = diameter(g) + data.draw(st.integers(0, 2))
+            # the default budget, or a short one that many lanes exhaust
+            max_rounds = data.draw(st.sampled_from([200 * d_bound * n, d_bound,
+                                                    3 * d_bound]))
+            counts = data.draw(st.lists(
+                st.lists(st.integers(-self.COUNT, self.COUNT), min_size=n, max_size=n),
+                min_size=1, max_size=3))
+
+            def mix(lanes):
+                streams = node_streams(seed, n, 0)
+                return consensus._mix(lanes, g, d_bound, streams, max_rounds, None)
+
+            out = mix(counts)
+            for c, res in zip(counts, out):
+                if isinstance(res, tuple):
+                    lo, audits = res
+                    assert abs(lo * n - sum(c)) <= n
+                    assert all(a.y_conserved and a.z_conserved for a in audits)
+            lane = data.draw(st.integers(0, len(counts) - 1))
+            shift = data.draw(st.integers(-self.COUNT, self.COUNT))
+            moved = mix([[c + shift for c in lane_counts] if k == lane else lane_counts
+                         for k, lane_counts in enumerate(counts)])
+            for k, (res, res_moved) in enumerate(zip(out, moved)):
+                if isinstance(res, tuple):
+                    lo, audits = res
+                    assert res_moved == (lo + shift * (k == lane), audits)
+                    continue
+                m = shift * (k == lane)
+                assert res_moved.rounds == res.rounds
+                assert res_moved.states == [
+                    ConsensusNodeState(s.y + m * s.z, s.z, s.y_s + m * s.z_s, s.z_s,
+                                       s.M + m, s.m + m) for s in res.states]

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -285,6 +286,19 @@ class TestAuditInvariants:
         # them, which an absolute slack of 1e-15 reported as bound violations
         cfg = reference_instance(seed=0, max_outer=12, delta="1e-15")
         assert audit_invariants(quagd_run(cfg)).clean
+
+    def test_roundoff_slack_sees_the_stepped_values(self):
+        # centers of size 1e8 around a mean of 5: the stepped values are about
+        # 1e7 times the estimates, and so is the roundoff of their mean
+        for seed in range(5):
+            cfg = reference_instance(seed=seed, max_outer=10, delta="1e-9")
+            rnd = random.Random(seed)
+            centers = [rnd.uniform(-1e8, 1e8) for _ in range(cfg.graph.n)]
+            mean = sum(centers) / len(centers)
+            costs = [quadratic_cost(1.0, c - mean + 5) for c in centers]
+            trace = quagd_run(replace(cfg, costs=costs))
+            assert audit_invariants(trace).clean
+            assert min(step.stepped_size for step in trace.steps[1:]) > 1e6
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_estimate_keeps_the_check(self, bad):

@@ -31,6 +31,8 @@ OBSERVER_BOUND = "tests/test_harness.py::TestAuditInvariants::test_observer_boun
 MANUFACTURED = ("tests/test_harness.py::TestAuditInvariants::"
                 "test_manufactured_violations_reported")
 TRACE_WRITER = "tests/test_consensus.py::TestTraceWriter::{}"
+STEPPED_SLACK = ("tests/test_harness.py::TestAuditInvariants::"
+                 "test_roundoff_slack_sees_the_stepped_values")
 
 MUTANTS = [
     # the accuracy contract, the conservation flag and the observer bounds
@@ -54,6 +56,17 @@ MUTANTS = [
      "tests/test_kernel_properties.py"),
     ("src/quagd/consensus.py", "max_rounds = 200 * d_bound * n",
      "max_rounds = 100 * d_bound * n", "tests/test_kernel_properties.py"),
+    # the seam: every argument check before the encode, then the decode; and the
+    # integer kernel's split, on counts alone
+    ("src/quagd/consensus.py", "    if observer is not None and len(levels) > 1:",
+     "    [_counts(x, g, q) for x, q in zip(x_halves, levels)]\n"
+     "    if observer is not None and len(levels) > 1:",
+     "tests/test_consensus.py::TestRunFaqua::test_argument_checks_come_before_encoding"),
+    ("src/quagd/consensus.py", "[value] * n, sum(counts),", "[value] * n, sum(counts) + 1,",
+     "tests/test_kernel_properties.py::test_untraced_traced_and_tamper_paths_agree"),
+    ("src/quagd/consensus.py", "dest, half = tj[i], (y + 1) >> 1",
+     "dest, half = tj[i], (y + (y > 0)) >> 1",
+     "tests/test_consensus.py::TestIntegerKernel::test_contract_and_shift_equivariance"),
     # the trace writer: no draws recorded for it, one digit cache per stream
     ("src/quagd/consensus.py", "draws_read or len(live) > 1",
      "observer is not None or len(live) > 1",
@@ -67,6 +80,12 @@ MUTANTS = [
      "tests/test_harness.py::TestAuditInvariants::test_roundoff_slack_scales_with_the_values"),
     ("src/quagd/harness.py", " if math.isfinite(size) else 0.0", "",
      "tests/test_harness.py::TestAuditInvariants::test_non_finite_estimate_keeps_the_check"),
+    # ... and with the stepped values, which the estimates can be far smaller than
+    ("src/quagd/harness.py",
+     "max(step.stepped_size, *map(abs, before.estimates + step.estimates))",
+     "max(map(abs, before.estimates + step.estimates))", STEPPED_SLACK),
+    ("src/quagd/optimizer.py", "                    stepped_size=max(map(abs, x_half)),\n",
+     "", STEPPED_SLACK),
     # flag text is trimmed as INI text is
     ("src/quagd/cli.py", "candidates = (flag.strip(), entry)", "candidates = (flag, entry)",
      "tests/test_cli.py::TestFlags::test_padded_flags_read_as_their_ini_entries"),
