@@ -101,6 +101,9 @@ class ConsensusNonterminationError(RuntimeError):
             f"ratios at exit: {[(st.y, st.z) for st in states[:8]]}{more}"
         )
 
+    def __reduce__(self):  # .outer_step, once set, is in __dict__
+        return type(self), (self.rounds, self.states), self.__dict__
+
 
 def init_consensus(
     x_half: Sequence[float], g: Digraph, q: QuantizationLevel

@@ -35,6 +35,9 @@ class NotStronglyConnectedError(GraphError):
             f"from node {pair[0]} to node {pair[1]}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.pair,), self.__dict__
+
 
 class Digraph:
     """Immutable digraph on nodes 0..n-1 with implicit self-edges."""

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import functools
 import inspect
+import marshal
 import math
 import numbers
 import operator
+import os
+import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -49,8 +52,11 @@ class DivergenceError(RuntimeError):
     residual is no longer finite.  Carries the outer step as .outer_step."""
 
     def __init__(self, outer_step: int, detail: str):
-        self.outer_step = outer_step
+        self.outer_step, self.detail = outer_step, detail
         super().__init__(f"divergence at outer step {outer_step}: {detail}")
+
+    def __reduce__(self):
+        return type(self), (self.outer_step, self.detail), self.__dict__
 
 
 @dataclass
@@ -367,14 +373,16 @@ def quagd_run(
 
 
 def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> list:
-    """The outer loop at each quantization level, all levels in lockstep.
+    """The outer loop at each quantization level: the levels run in lockstep
+    within each of up to min(len(levels), usable CPUs) processes.
 
-    No node stream or consensus draw depends on the level, so each outer
-    step runs the live levels on one stream set: run_faqua a lone level
-    (inner_trace is for one level only), _run_lanes several.  Returns per
-    level its RunTrace or the ValueError, ConsensusNonterminationError or
-    DivergenceError that ended it, with .outer_step once a step has begun;
-    a failing gradient is a ConfigError.  Any other error propagates.
+    The levels are split round-robin into _group_count groups.  One group,
+    as for quagd_run's one level, runs here on _lockstep; of several, group
+    0 runs here and each other group in a forked child (_run_groups).
+    Returns per level its RunTrace or the ValueError,
+    ConsensusNonterminationError or DivergenceError that ended it, with
+    .outer_step once a step has begun; a failing gradient is a ConfigError.
+    Any other error propagates.
     """
     n = cfg.graph.n
     try:
@@ -393,6 +401,102 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
         r0 = _residual(cfg.x0, cfg.x0, x_star, None)
     except ValueError as exc:
         return [exc] * len(levels)
+    run = functools.partial(_lockstep, cfg, alpha, d_bound, r0, x_star)
+    groups = _group_count(cfg, len(levels))
+    if groups == 1:
+        return run(levels, inner_trace)
+    return _run_groups(functools.partial(run, grouped=True), levels, groups)
+
+
+# A split pays from about 100 node-steps (n * max_outer): three-level sweeps of
+# 24, 80 and 100 took 1.27, 0.97 and 0.87 of their one-process time split in two,
+# a fork and reap costing 2.5 ms (2-core Xeon VM, CPython 3.11.7).
+_FORK_MIN_NODE_STEPS = 100
+
+
+def _group_count(cfg: OptRunConfig, levels: int) -> int:
+    """How many processes a run of this many levels takes: one per usable
+    CPU, at most one per level.  One alone for a run of fewer node-steps
+    than pay for a fork, where there is no os.fork, or while another thread
+    runs (a forked child would hold its locks, not the thread)."""
+    if (levels < 2 or cfg.graph.n * cfg.max_outer < _FORK_MIN_NODE_STEPS
+            or not hasattr(os, "fork") or threading.active_count() > 1):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(levels, len(os.sched_getaffinity(0)))
+    return min(levels, os.cpu_count() or 1)
+
+
+def _run_groups(run, levels, groups: int) -> list:
+    """run's outcomes for levels split round-robin into groups: group 0 runs
+    here, each other group in a forked child (_serve) that sends its
+    RunTraces' steps back over a pipe.  A group whose child met a failure,
+    died or sent nothing runs again here, so each failure is the exception a
+    run here raises, __cause__ included.  Every child is reaped before this
+    returns or raises; a child still running then is killed first."""
+    out: list = [None] * len(levels)
+    reads, children = [], {}  # every pipe's read end; each unreaped child's group
+    try:
+        for g in range(1, groups):
+            read, write = os.pipe()
+            reads.append(read)
+            with open(write, "wb") as sink:  # the parent's end closes after the fork
+                if (pid := os.fork()) == 0:
+                    _serve(run, levels[g::groups], sink)
+            children[pid] = g
+        out[0::groups] = run(levels[0::groups])
+        for (pid, g), read in zip(list(children.items()), reads):
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            group = levels[g::groups]
+            if status == 0:
+                out[g::groups] = [RunTrace(q.delta, [StepRecord(*row) for row in steps])
+                                  for q, steps in zip(group, marshal.loads(data))]
+            else:  # a failure, a death or nothing sent: the group runs here
+                out[g::groups] = run(group)
+    finally:
+        for pid in children:  # left running by an exception, the one use of signal
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
+    return out
+
+
+def _serve(run, levels, sink) -> None:
+    """A forked child's whole life: run its group and, if every level has a
+    RunTrace, write their steps' fields into sink; then leave by os._exit
+    (status 0 once they are sent), which runs none of the parent's clean-up
+    and flushes no buffer the child inherited.  The fields go by marshal,
+    which is always loaded (pickle would add 0.3 MB to the parent); a value
+    it cannot carry, such as a Fraction estimate, fails the group."""
+    status = 1
+    try:
+        traces = run(levels)
+        if all(isinstance(trace, RunTrace) for trace in traces):
+            sink.write(marshal.dumps([list(map(astuple, t.steps)) for t in traces]))
+            sink.flush()
+            status = 0
+    finally:
+        os._exit(status)
+
+
+def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, r0, x_star, levels,
+              inner_trace=None, grouped=False) -> list:
+    """_run_levels' outcomes for levels all run in lockstep, from its
+    prologue's alpha, d_bound and initial residual r0.
+
+    No node stream or consensus draw depends on the level, so each outer
+    step runs the live levels on one stream set: run_faqua a lone level
+    (inner_trace is for one level only), _run_lanes several.  A group of a
+    split run (grouped) always takes _run_lanes, which its levels share
+    unsplit, so a tracer here sees no run_faqua call for group 0 alone.
+    """
+    n = cfg.graph.n
     out: list = [RunTrace(q.delta, [StepRecord(k=0, estimates=list(cfg.x0), residual=r0)])
                  for q in levels]
     run_streams = NodeStreams(cfg.master_seed, n)  # reseeded in place each step
@@ -419,7 +523,7 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
             inner_trace.write(f"OUTER\t{k}\n")
         x_halves, qs = list(stepped.values()), [levels[lane] for lane in stepped]
         try:
-            if len(qs) == 1:
+            if len(qs) == 1 and not grouped:
                 results = [run_faqua(x_halves[0], cfg.graph, d_bound, qs[0], streams,
                                      cfg.max_rounds, trace=inner_trace)]
             else:

@@ -6,11 +6,12 @@ MUTANTS holds (file, old text, new text, pytest node id) rows.  Each old
 text must occur exactly once in its file.  The runner copies the repository
 to a temporary directory, checks that the named tests pass there unmutated,
 then applies one mutant at a time and runs only its node id with the
-current interpreter.  A mutant is killed when that run reports a failing
-test (pytest's exit code 1).  The exit code is 1 if an old text matches zero
-times or more than once, if a named test fails unmutated, or if a mutant
-survives; else 0.  Only the standard library is used (pytest runs as a
-subprocess).
+current interpreter, with hypothesis set to report a failing example
+without shrinking it (the tests' own settings are left as they are).  A
+mutant is killed when that run reports a failing test (pytest's exit code
+1).  The exit code is 1 if an old text matches zero times or more than
+once, if a named test fails unmutated, or if a mutant survives; else 0.
+Only the standard library is used (pytest runs as a subprocess).
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ MUTANTS = [
      "tests/test_cli.py::TestTheory::test_zero_quantization_gives_zero_floor"),
     ("src/quagd/cli.py", 'delta = opt["delta"] if "delta" in given else 0', "delta = 0",
      "tests/test_cli.py::TestTheory::test_flag_and_config_paths_agree"),
+    # a split run merges its groups in level order and reruns a failed child's group
+    ("src/quagd/optimizer.py", "out[g::groups] = [RunTrace", "out[groups - g::groups] = [RunTrace",
+     "tests/test_groups.py::test_cli_sweep_writes_the_same_bytes_in_any_split[3]"),
+    ("src/quagd/optimizer.py", "if status == 0:", "if True:",
+     "tests/test_groups.py::test_failed_and_dead_children_are_rerun_here"),
     # an undefined initial residual is a ConfigError
     ("src/quagd/optimizer.py",
      "    except ValueError as exc:\n        raise ConfigError(str(exc)) from None\n", "",
@@ -116,12 +122,34 @@ MUTANTS = [
 ]
 
 
+# pytest run under a hypothesis profile without the shrink phase, loaded at
+# configure time, before any test module makes its settings: a mutant needs
+# one failing example, and shrinking the kernel tests' 10^300-sized counts
+# took 45 s of a 171 s run.
+NO_SHRINK_PYTEST = """\
+import sys
+import pytest
+
+class NoShrink:
+    def pytest_configure(self, config):
+        try:
+            import hypothesis
+        except ImportError:
+            return
+        phases = [p for p in hypothesis.Phase if p is not hypothesis.Phase.shrink]
+        hypothesis.settings.register_profile("mutants", phases=phases)
+        hypothesis.settings.load_profile("mutants")
+
+sys.exit(pytest.main(sys.argv[1:], plugins=[NoShrink()]))
+"""
+
+
 def pytest_status(tree: Path, node_ids: list[str]) -> int:
     """pytest's exit code for node_ids run in tree (pyproject.toml puts src
-    on its path), without bytecode caches: a restored file can share a
-    mutant's size and mtime."""
+    on its path), without shrinking and without bytecode caches: a restored
+    file can share a mutant's size and mtime."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    argv = [sys.executable, "-c", NO_SHRINK_PYTEST, "-q", "-x", "-p", "no:cacheprovider"]
     return subprocess.run(argv + node_ids, cwd=tree, env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
