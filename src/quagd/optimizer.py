@@ -401,22 +401,24 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
         r0 = _residual(cfg.x0, cfg.x0, x_star, None)
     except ValueError as exc:
         return [exc] * len(levels)
-    run = functools.partial(_lockstep, cfg, alpha, d_bound, r0, x_star)
+    run = functools.partial(_lockstep, cfg, alpha, d_bound, r0, x_star, len(levels) == 1)
     groups = _group_count(cfg, len(levels))
     if groups == 1:
         return run(levels, inner_trace)
-    return _run_groups(functools.partial(run, grouped=True), levels, groups)
+    return _run_groups(run, levels, groups)
 
 
-# A split pays from about 100 node-steps (n * max_outer): three-level sweeps of
-# 24, 80 and 100 took 1.27, 0.97 and 0.87 of their one-process time split in two,
-# a fork and reap costing 2.5 ms (2-core Xeon VM, CPython 3.11.7).
+# A split pays from about 80 node-steps (n * max_outer): three-level sweeps of
+# 24, 80, 100 and 200 took 1.21, 0.96, 0.95 and 0.85 of their one-process time
+# split in two by median, against 0.99-1.00 for one process against itself
+# (BENCH_37.json extra_runs.small_sweeps); 100 keeps a margin.
 _FORK_MIN_NODE_STEPS = 100
 
 
 def _group_count(cfg: OptRunConfig, levels: int) -> int:
-    """How many processes a run of this many levels takes: one per usable
-    CPU, at most one per level.  One alone for a run of fewer node-steps
+    """How many processes a run of this many levels takes: one per CPU in
+    this process's affinity mask (free or not; a cgroup quota is not
+    read), at most one per level.  One alone for a run of fewer node-steps
     than pay for a fork, where there is no os.fork, or while another thread
     runs (a forked child would hold its locks, not the thread)."""
     if (levels < 2 or cfg.graph.n * cfg.max_outer < _FORK_MIN_NODE_STEPS
@@ -429,33 +431,48 @@ def _group_count(cfg: OptRunConfig, levels: int) -> int:
 
 def _run_groups(run, levels, groups: int) -> list:
     """run's outcomes for levels split round-robin into groups: group 0 runs
-    here, each other group in a forked child (_serve) that sends its
-    RunTraces' steps back over a pipe.  A group whose child met a failure,
-    died or sent nothing runs again here, so each failure is the exception a
-    run here raises, __cause__ included.  Every child is reaped before this
-    returns or raises; a child still running then is killed first."""
+    here, each other group in a forked child (_serve) that sends back each
+    level's outcome over a pipe.  A group that cannot fork (no process or
+    descriptor to spare) joins group 0.  The levels whose outcome a child
+    could not send as it is, and every level of a child that died or sent
+    nothing, then run here together, so each is what a run here gives,
+    __cause__ included.  Every child is reaped before this returns or
+    raises; a child still running then is killed first."""
     out: list = [None] * len(levels)
-    reads, children = [], {}  # every pipe's read end; each unreaped child's group
+
+    def run_here(lanes):
+        for lane, outcome in zip(lanes, run([levels[lane] for lane in lanes])):
+            out[lane] = outcome
+
+    here, again = [0], []  # the groups that run here; the levels to run again here
+    reads, children = [], {}  # every pipe's read end; each unreaped child's group and pipe
     try:
         for g in range(1, groups):
-            read, write = os.pipe()
-            reads.append(read)
-            with open(write, "wb") as sink:  # the parent's end closes after the fork
-                if (pid := os.fork()) == 0:
-                    _serve(run, levels[g::groups], sink)
-            children[pid] = g
-        out[0::groups] = run(levels[0::groups])
-        for (pid, g), read in zip(list(children.items()), reads):
+            if (child := _fork(run, levels[g::groups], reads)) is None:
+                here.append(g)
+            else:
+                children[child] = g, reads[-1]
+        run_here(sorted(lane for g in here for lane in range(g, len(levels), groups)))
+        for pid, (g, read) in list(children.items()):
             with open(read, "rb", closefd=False) as pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
             del children[pid]
-            group = levels[g::groups]
-            if status == 0:
-                out[g::groups] = [RunTrace(q.delta, [StepRecord(*row) for row in steps])
-                                  for q, steps in zip(group, marshal.loads(data))]
-            else:  # a failure, a death or nothing sent: the group runs here
-                out[g::groups] = run(group)
+            lanes = range(g, len(levels), groups)
+            if status != 0:  # a failure, a death or nothing sent
+                again += lanes
+                continue
+            for lane, sent in zip(lanes, marshal.loads(data)):
+                if isinstance(sent, list):
+                    out[lane] = RunTrace(levels[lane].delta, [StepRecord(*row) for row in sent])
+                elif sent is None:
+                    again.append(lane)
+                else:
+                    import pickle  # only once a child sends a failure
+
+                    out[lane] = pickle.loads(sent)
+        if again:
+            run_here(sorted(again))
     finally:
         for pid in children:  # left running by an exception, the one use of signal
             import signal
@@ -467,34 +484,86 @@ def _run_groups(run, levels, groups: int) -> list:
     return out
 
 
+def _fork(run, levels, reads):
+    """The pid of a forked child that serves levels (_serve) over a new
+    pipe, whose read end is appended to reads; None where the system has no
+    descriptor or process to spare (EMFILE, EAGAIN, ENOMEM)."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    reads.append(read)
+    with open(write, "wb") as sink:  # the parent's end closes after the fork
+        try:
+            pid = os.fork()
+        except OSError:
+            return None
+        if pid == 0:
+            _serve(run, levels, sink)
+    return pid
+
+
 def _serve(run, levels, sink) -> None:
-    """A forked child's whole life: run its group and, if every level has a
-    RunTrace, write their steps' fields into sink; then leave by os._exit
-    (status 0 once they are sent), which runs none of the parent's clean-up
-    and flushes no buffer the child inherited.  The fields go by marshal,
-    which is always loaded (pickle would add 0.3 MB to the parent); a value
-    it cannot carry, such as a Fraction estimate, fails the group."""
+    """A forked child's whole life: run its levels and write into sink, per
+    level, its steps' fields if marshal carries them as they are, its
+    failure pickled if the copy is the same (_pickled), or else None; then
+    leave by os._exit (status 0 once they are sent), which runs none of the
+    parent's clean-up and flushes no buffer the child inherited.  marshal is
+    always loaded; pickle only once a level fails (it would add 0.3 MB)."""
     status = 1
     try:
-        traces = run(levels)
-        if all(isinstance(trace, RunTrace) for trace in traces):
-            sink.write(marshal.dumps([list(map(astuple, t.steps)) for t in traces]))
-            sink.flush()
-            status = 0
+        sent = []
+        for outcome in run(levels):
+            if isinstance(outcome, RunTrace):
+                rows = [astuple(step) for step in outcome.steps]
+                sent.append(rows if _marshals(rows) else None)
+            else:
+                sent.append(_pickled(outcome))
+        sink.write(marshal.dumps(sent))
+        sink.flush()
+        status = 0
     finally:
         os._exit(status)
 
 
-def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, r0, x_star, levels,
-              inner_trace=None, grouped=False) -> list:
+def _marshals(value) -> bool:
+    """Whether marshal carries value as it is: an int, float, bool or None
+    as itself and a list or tuple of them as one, but any other object with
+    a buffer (a numpy float, say) as bytes."""
+    if type(value) in (list, tuple):
+        return all(map(_marshals, value))
+    return type(value) in (int, float, bool, type(None))
+
+
+def _pickled(exc: Exception):
+    """exc pickled if its copy is the same failure (type, message, args and
+    attributes such as .outer_step and .states), else None.  A pickled
+    exception loses its cause, context and traceback, so one with a cause
+    or context is not sent."""
+    import pickle
+
+    if exc.__cause__ is not None or exc.__context__ is not None:
+        return None
+    try:
+        blob = pickle.dumps(exc)
+        copy = pickle.loads(blob)
+        same = ((type(copy), str(copy), copy.args, vars(copy))
+                == (type(exc), str(exc), exc.args, vars(exc)))
+    except Exception:  # a value that does not pickle, unpickle or compare
+        return None
+    return blob if same else None
+
+
+def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, r0, x_star, lone: bool,
+              levels, inner_trace=None) -> list:
     """_run_levels' outcomes for levels all run in lockstep, from its
     prologue's alpha, d_bound and initial residual r0.
 
     No node stream or consensus draw depends on the level, so each outer
-    step runs the live levels on one stream set: run_faqua a lone level
-    (inner_trace is for one level only), _run_lanes several.  A group of a
-    split run (grouped) always takes _run_lanes, which its levels share
-    unsplit, so a tracer here sees no run_faqua call for group 0 alone.
+    step runs the live levels on one stream set.  lone says whether the
+    caller's run has one level: run_faqua then runs it (inner_trace is for
+    it alone); the levels of a run of several go through _run_lanes, also
+    once one is left live, so a run takes one route however it is split.
     """
     n = cfg.graph.n
     out: list = [RunTrace(q.delta, [StepRecord(k=0, estimates=list(cfg.x0), residual=r0)])
@@ -523,7 +592,7 @@ def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, r0, x_star, levels,
             inner_trace.write(f"OUTER\t{k}\n")
         x_halves, qs = list(stepped.values()), [levels[lane] for lane in stepped]
         try:
-            if len(qs) == 1 and not grouped:
+            if lone:
                 results = [run_faqua(x_halves[0], cfg.graph, d_bound, qs[0], streams,
                                      cfg.max_rounds, trace=inner_trace)]
             else:

@@ -8,6 +8,7 @@ optimizer._group_count; the child's side is also run in this process, with
 os.fork and os._exit replaced, so its lines count as reached.
 """
 
+import errno
 import hashlib
 import marshal
 import os
@@ -19,6 +20,7 @@ import threading
 from dataclasses import astuple, replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -184,12 +186,40 @@ class ChildExit(Exception):
         self.status = status
 
 
-@pytest.mark.parametrize("fails", [False, True])
-def test_child_side_run_in_process(fails, monkeypatch):
+def rounds_short(cfg):
+    """cfg with a round budget none of LEVELS[1:4] settles within: their
+    failures carry a snapshot, and no cause."""
+    return replace(cfg, max_rounds=40)
+
+
+def numpy_gradients(cfg):
+    """cfg with every gradient a numpy float, a float subclass that marshal
+    would write as bytes: each step's stepped size and centroid error is one."""
+    np = pytest.importorskip("numpy", exc_type=ImportError)  # absent or unloadable
+    return replace(cfg, costs=[replace(c, gradient=lambda x, g=c.gradient: np.float64(g(x)))
+                               for c in cfg.costs])
+
+
+# per case: the config, and what the child sends for each of its levels
+CHILD_CASES = {
+    "traces": (lambda: reference_instance(n=5, seed=3, max_outer=3), list),
+    "failing-gradient": (lambda: failing_in_children(-1), type(None)),
+    "nontermination": (lambda: rounds_short(reference_instance(n=6, seed=0, max_outer=5)),
+                       bytes),
+    "numpy-floats": (lambda: numpy_gradients(reference_instance(n=5, seed=3, max_outer=3)),
+                     type(None)),
+}
+
+
+@pytest.mark.parametrize("case", CHILD_CASES.values(), ids=CHILD_CASES.keys())
+def test_child_side_run_in_process(case, monkeypatch):
     """os.fork returns 0, so this process takes the child's branch for group
-    1 and stops at os._exit; what it sent is read from a copy of the pipe."""
+    1 and stops at os._exit; what it sent is read from a copy of the pipe.
+    A level's steps go as rows, a failure that pickles as itself as bytes,
+    and a failure with a cause, or steps marshal would change, as None."""
+    make, kind = case
+    cfg = make()
     parent = os.getpid()
-    cfg = failing_in_children(-1) if fails else reference_instance(n=5, seed=3, max_outer=3)
     reads, real_pipe = [], os.pipe
 
     def pipe():
@@ -205,18 +235,123 @@ def test_child_side_run_in_process(fails, monkeypatch):
     monkeypatch.setattr(os, "_exit", exit_)
     force_groups(monkeypatch, 2)
     with pytest.raises(ChildExit) as exited:
-        delta_sweep(cfg, ["0.1", "0.01", "0.001"])
+        delta_sweep(cfg, LEVELS[1:4])
     with open(reads[0], "rb") as fh:
-        sent = fh.read()
+        [sent] = marshal.loads(fh.read())
     assert os.getpid() == parent
-    if fails:
-        assert (exited.value.status, sent) == (1, b"")
-        return
     assert exited.value.status == 0
+    assert type(sent) is kind
     monkeypatch.undo()
     force_groups(monkeypatch, 1)
-    report = delta_sweep(cfg, ["0.1", "0.01", "0.001"])
-    assert marshal.loads(sent) == [list(map(astuple, report.entries[1].trace.steps))]
+    [_, entry, _] = delta_sweep(cfg, LEVELS[1:4]).entries
+    if kind is list:
+        assert sent == list(map(astuple, entry.trace.steps))
+    elif kind is bytes:
+        assert outcome(SimpleNamespace(exception=pickle.loads(sent))) == outcome(entry)
+
+
+def test_a_child_that_raises_sends_nothing(monkeypatch):
+    """A child whose run raises leaves with status 1 and sends nothing."""
+    cfg = reference_instance(n=5, seed=3, max_outer=3)
+    reads, real_pipe = [], os.pipe
+
+    def pipe():
+        read, write = real_pipe()
+        reads.append(os.dup(read))
+        return read, write
+
+    def exit_(status):
+        raise ChildExit(status)
+
+    def broken(*args):
+        raise TypeError("bug in a level")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", lambda: 0)
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.setattr("quagd.optimizer._run_lanes", broken)
+    force_groups(monkeypatch, 2)
+    with pytest.raises(ChildExit) as exited:
+        delta_sweep(cfg, LEVELS[1:4])
+    with open(reads[0], "rb") as fh:
+        assert (exited.value.status, fh.read()) == (1, b"")
+
+
+def test_child_failures_are_sent_not_rerun(monkeypatch):
+    """A child's nontermination comes back pickled: the parent runs only its
+    own group, and the failures match one process's."""
+    cfg = rounds_short(reference_instance(n=6, seed=0, max_outer=5))
+    force_groups(monkeypatch, 1)
+    expected = [outcome(e) for e in delta_sweep(cfg, LEVELS[1:4]).entries]
+    runs = []
+    real = optimizer._lockstep
+
+    def counted(*args, **kwargs):
+        runs.append([q.delta for q in args[6]])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_lockstep", counted)
+    force_groups(monkeypatch, 3)
+    report = delta_sweep(cfg, LEVELS[1:4])
+    assert [outcome(e) for e in report.entries] == expected
+    assert all(isinstance(e.exception, ConsensusNonterminationError) for e in report.entries)
+    assert runs == [[report.entries[0].delta]]  # group 0 alone ran here
+    assert_no_child_left()
+
+
+def test_numpy_floats_are_rerun_here_as_they_are(monkeypatch):
+    """marshal would send a numpy float back as bytes: such a level runs
+    again here, and every value keeps the type one process gives it."""
+    cfg = numpy_gradients(reference_instance(n=10, seed=2, max_outer=12))
+    force_groups(monkeypatch, 1)
+    expected = delta_sweep(cfg, LEVELS[:3]).entries
+    force_groups(monkeypatch, 2)
+    report = delta_sweep(cfg, LEVELS[:3])
+    for got, want in zip(report.entries, expected):
+        assert got.trace.steps == want.trace.steps
+        assert ([list(map(type, astuple(s))) for s in got.trace.steps]
+                == [list(map(type, astuple(s))) for s in want.trace.steps])
+    assert type(report.entries[1].trace.steps[-1].stepped_size).__module__ == "numpy"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_a_group_that_cannot_fork_runs_here(call, monkeypatch):
+    """EMFILE from os.pipe or EAGAIN from os.fork: the group joins group 0,
+    and the report is one process's."""
+    cfg = reference_instance(n=8, seed=4, max_outer=8)
+    force_groups(monkeypatch, 1)
+    expected = [outcome(e) for e in delta_sweep(cfg, LEVELS).entries]
+    code = errno.EMFILE if call == "pipe" else errno.EAGAIN
+    real, calls = getattr(os, call), []
+
+    def refused():
+        calls.append(call)
+        if len(calls) > 1:  # the first group forks, the second cannot
+            raise OSError(code, os.strerror(code))
+        return real()
+
+    monkeypatch.setattr(os, call, refused)
+    force_groups(monkeypatch, 3)
+    assert [outcome(e) for e in delta_sweep(cfg, LEVELS).entries] == expected
+    assert len(calls) == 2
+    assert_no_child_left()
+
+
+def test_what_a_child_sends():
+    assert optimizer._marshals([(1, [2.0, None], True)])
+    assert not optimizer._marshals([(1, [Fraction(2)])])
+    assert not optimizer._marshals([(1, [bytearray(b"x")])])
+    assert optimizer._pickled(DivergenceError(3, "x")) is not None
+    caused = ConsensusNonterminationError(5, [])
+    caused.__cause__ = ZeroDivisionError("division by zero")
+    assert optimizer._pickled(caused) is None
+
+    class TwoArgs(Exception):  # unpickling calls it with one argument
+        def __init__(self, a, b):
+            super().__init__(a)
+
+    assert optimizer._pickled(TwoArgs(1, 2)) is None
 
 
 def test_group_count():

@@ -110,10 +110,22 @@ MUTANTS = [
      "tests/test_cli.py::TestTheory::test_zero_quantization_gives_zero_floor"),
     ("src/quagd/cli.py", 'delta = opt["delta"] if "delta" in given else 0', "delta = 0",
      "tests/test_cli.py::TestTheory::test_flag_and_config_paths_agree"),
-    # a split run merges its groups in level order and reruns a failed child's group
-    ("src/quagd/optimizer.py", "out[g::groups] = [RunTrace", "out[groups - g::groups] = [RunTrace",
+    # a split run merges its groups in level order, runs a group that cannot
+    # fork here, sends back only what it can send as it is, and runs here
+    # again the levels of a child that failed to send them or died
+    ("src/quagd/optimizer.py", "lanes = range(g, len(levels), groups)",
+     "lanes = range(groups - g, len(levels), groups)",
      "tests/test_groups.py::test_cli_sweep_writes_the_same_bytes_in_any_split[3]"),
-    ("src/quagd/optimizer.py", "if status == 0:", "if True:",
+    ("src/quagd/optimizer.py", "                here.append(g)\n", "                pass\n",
+     "tests/test_groups.py::test_a_group_that_cannot_fork_runs_here[fork]"),
+    ("src/quagd/optimizer.py", "return type(value) in (int, float, bool, type(None))",
+     "return True", "tests/test_groups.py::test_what_a_child_sends"),
+    ("src/quagd/optimizer.py", "if exc.__cause__ is not None or exc.__context__ is not None:",
+     "if False:", "tests/test_groups.py::test_failed_and_dead_children_are_rerun_here"),
+    ("src/quagd/optimizer.py", "                    again.append(lane)\n",
+     "                    pass\n",
+     "tests/test_groups.py::test_failed_and_dead_children_are_rerun_here"),
+    ("src/quagd/optimizer.py", "                again += lanes\n", "",
      "tests/test_groups.py::test_failed_and_dead_children_are_rerun_here"),
     # an undefined initial residual is a ConfigError
     ("src/quagd/optimizer.py",
