@@ -362,7 +362,8 @@ def quagd_run(
     Residuals are filled when x_star is known.  Consensus nontermination
     propagates with the offending outer step attached as .outer_step; a
     stepped value or residual that is not finite raises DivergenceError,
-    a gradient that raises a ConfigError with .outer_step, chained from it.
+    a gradient that raises (a DivergenceError too) a ConfigError with
+    .outer_step, chained from its error.
     inner_trace, if given, receives the per-round consensus debug trace,
     with an `OUTER <k>` marker line before each outer step.
     """
@@ -401,11 +402,15 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
         r0 = _residual(cfg.x0, cfg.x0, x_star, None)
     except ValueError as exc:
         return [exc] * len(levels)
-    run = functools.partial(_lockstep, cfg, alpha, d_bound, r0, x_star, len(levels) == 1)
+
+    def start():  # a level's first record
+        return StepRecord(k=0, estimates=list(cfg.x0), residual=r0)
+
+    run = functools.partial(_lockstep, cfg, alpha, d_bound, start, x_star, len(levels) == 1)
     groups = _group_count(cfg, len(levels))
     if groups == 1:
         return run(levels, inner_trace)
-    return _run_groups(run, levels, groups)
+    return _run_groups(run, start, levels, groups)
 
 
 # A split pays from about 80 node-steps (n * max_outer): three-level sweeps of
@@ -429,12 +434,13 @@ def _group_count(cfg: OptRunConfig, levels: int) -> int:
     return min(levels, os.cpu_count() or 1)
 
 
-def _run_groups(run, levels, groups: int) -> list:
+def _run_groups(run, start, levels, groups: int) -> list:
     """run's outcomes for levels split round-robin into groups: group 0 runs
     here, each other group in a forked child (_serve) that sends back each
-    level's outcome over a pipe.  A group that cannot fork (no process or
-    descriptor to spare) joins group 0.  The levels whose outcome a child
-    could not send as it is, and every level of a child that died or sent
+    level's outcome over a pipe (a trace's first record is built here).
+    A group that cannot fork (no process or descriptor to spare) joins
+    group 0.  The levels a child sends no outcome for (a failure the loop
+    did not raise itself), and every level of a child that died or sent
     nothing, then run here together, so each is what a run here gives,
     __cause__ included.  Every child is reaped before this returns or
     raises; a child still running then is killed first."""
@@ -464,7 +470,8 @@ def _run_groups(run, levels, groups: int) -> list:
                 continue
             for lane, sent in zip(lanes, marshal.loads(data)):
                 if isinstance(sent, list):
-                    out[lane] = RunTrace(levels[lane].delta, [StepRecord(*row) for row in sent])
+                    steps = [start(), *(StepRecord(*row) for row in sent)]
+                    out[lane] = RunTrace(levels[lane].delta, steps)
                 elif sent is None:
                     again.append(lane)
                 else:
@@ -505,20 +512,25 @@ def _fork(run, levels, reads):
 
 def _serve(run, levels, sink) -> None:
     """A forked child's whole life: run its levels and write into sink, per
-    level, its steps' fields if marshal carries them as they are, its
-    failure pickled if the copy is the same (_pickled), or else None; then
-    leave by os._exit (status 0 once they are sent), which runs none of the
-    parent's clean-up and flushes no buffer the child inherited.  marshal is
-    always loaded; pickle only once a level fails (it would add 0.3 MB)."""
+    level, the fields of its steps after the first (plain numbers, which
+    marshal carries as they are), its failure pickled if the loop raised it
+    (a DivergenceError or ConsensusNonterminationError, which has no cause),
+    or else None; then leave by os._exit (status 0 once they are sent),
+    which runs none of the parent's clean-up and flushes no buffer the
+    child inherited.  marshal is always loaded; pickle only once a level
+    fails (it would add 0.3 MB)."""
     status = 1
     try:
         sent = []
         for outcome in run(levels):
             if isinstance(outcome, RunTrace):
-                rows = [astuple(step) for step in outcome.steps]
-                sent.append(rows if _marshals(rows) else None)
+                sent.append([astuple(step) for step in outcome.steps[1:]])
+            elif isinstance(outcome, (DivergenceError, ConsensusNonterminationError)):
+                import pickle
+
+                sent.append(pickle.dumps(outcome))
             else:
-                sent.append(_pickled(outcome))
+                sent.append(None)
         sink.write(marshal.dumps(sent))
         sink.flush()
         status = 0
@@ -526,38 +538,11 @@ def _serve(run, levels, sink) -> None:
         os._exit(status)
 
 
-def _marshals(value) -> bool:
-    """Whether marshal carries value as it is: an int, float, bool or None
-    as itself and a list or tuple of them as one, but any other object with
-    a buffer (a numpy float, say) as bytes."""
-    if type(value) in (list, tuple):
-        return all(map(_marshals, value))
-    return type(value) in (int, float, bool, type(None))
-
-
-def _pickled(exc: Exception):
-    """exc pickled if its copy is the same failure (type, message, args and
-    attributes such as .outer_step and .states), else None.  A pickled
-    exception loses its cause, context and traceback, so one with a cause
-    or context is not sent."""
-    import pickle
-
-    if exc.__cause__ is not None or exc.__context__ is not None:
-        return None
-    try:
-        blob = pickle.dumps(exc)
-        copy = pickle.loads(blob)
-        same = ((type(copy), str(copy), copy.args, vars(copy))
-                == (type(exc), str(exc), exc.args, vars(exc)))
-    except Exception:  # a value that does not pickle, unpickle or compare
-        return None
-    return blob if same else None
-
-
-def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, r0, x_star, lone: bool,
+def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, start, x_star, lone: bool,
               levels, inner_trace=None) -> list:
     """_run_levels' outcomes for levels all run in lockstep, from its
-    prologue's alpha, d_bound and initial residual r0.
+    prologue's alpha, d_bound and start(), a level's first record; every
+    later record holds plain numbers, whatever number type a cost returns.
 
     No node stream or consensus draw depends on the level, so each outer
     step runs the live levels on one stream set.  lone says whether the
@@ -566,8 +551,7 @@ def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, r0, x_star, lone: b
     once one is left live, so a run takes one route however it is split.
     """
     n = cfg.graph.n
-    out: list = [RunTrace(q.delta, [StepRecord(k=0, estimates=list(cfg.x0), residual=r0)])
-                 for q in levels]
+    out: list = [RunTrace(q.delta, [start()]) for q in levels]
     run_streams = NodeStreams(cfg.master_seed, n)  # reseeded in place each step
     for k in range(cfg.max_outer):
         stepped = {}  # each live level's stepped values
@@ -576,12 +560,11 @@ def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, r0, x_star, lone: b
                 x = trace.steps[-1].estimates
                 try:
                     x_half = [gradient_step(x[i], alpha, cfg.costs[i]) for i in range(n)]
-                    if not all(map(math.isfinite, x_half)):
-                        raise DivergenceError(k, "a stepped value is not finite")
-                    stepped[lane] = x_half
-                except DivergenceError as exc:
-                    out[lane] = exc
-                except Exception as exc:  # a custom cost's own failure
+                    if all(map(math.isfinite, x_half)):
+                        stepped[lane] = x_half
+                    else:
+                        out[lane] = DivergenceError(k, "a stepped value is not finite")
+                except Exception as exc:  # a custom cost's own failure, of any type
                     out[lane] = err = ConfigError(f"the gradient step at outer step {k} "
                                                   f"failed: {type(exc).__name__}: {exc}")
                     err.outer_step, err.__cause__ = k, exc
@@ -616,13 +599,13 @@ def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, r0, x_star, lone: b
                     estimates=x,
                     residual=_residual(x, cfg.x0, x_star, k),
                     inner_rounds=result.rounds_used,
-                    centroid_err=abs(x_hat - _sum(x_half) / n),
+                    centroid_err=float(abs(x_hat - _sum(x_half) / n)),
                     max_node_dev=abs(result.value - x_hat),
                     conservation_ok=all(
                         a.y_conserved and a.z_conserved for a in result.audits
                     ),
                     accuracy_ok=result.within_accuracy_contract(),
-                    stepped_size=max(map(abs, x_half)),
+                    stepped_size=float(max(map(abs, x_half))),
                 ))
             except DivergenceError as exc:
                 out[lane] = exc

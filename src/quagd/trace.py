@@ -35,9 +35,11 @@ class StepRecord:
 
     Observer values (centroid_err = |mean estimate - mean stepped value|,
     max_node_dev = max_i |x_i - mean estimate|) are computed from global
-    state by `optimizer.quagd_run`, never by nodes; they are None at k = 0.
+    state by `optimizer._lockstep`, never by nodes, as plain floats
+    whatever number type a cost returns; they are None at k = 0.
     conservation_ok and accuracy_ok are the step's consensus audits, and
-    stepped_size (largest |stepped value|) sizes the audit's roundoff slack.
+    stepped_size (largest |stepped value|, a float) sizes the audit's
+    roundoff slack.
     Agreement is not recorded: the kernel gives every node one value, and
     only a traced run floods each node's extrema and checks them.
     """

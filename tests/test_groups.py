@@ -2,14 +2,16 @@
 process (optimizer._run_levels): group 0 runs in the calling process, each
 other group in a forked child.  The outputs must not depend on the split:
 every file a sweep writes, every level's trace and every failure are those
-of one process; a child that fails or dies is rerun in the parent; and no
-child outlives the call.  The group count is forced by replacing
-optimizer._group_count; the child's side is also run in this process, with
-os.fork and os._exit replaced, so its lines count as reached.
+of one process; a level a child cannot send, and every level of a child
+that dies, is rerun in the parent; and no child outlives the call.  The
+group count is forced by replacing optimizer._group_count; the child's side
+is also run in this process, with os.fork and os._exit replaced, so its
+lines count as reached.
 """
 
 import errno
 import hashlib
+import io
 import marshal
 import os
 import pickle
@@ -28,8 +30,9 @@ from quagd import optimizer
 from quagd.cli import main
 from quagd.consensus import ConsensusNodeState, ConsensusNonterminationError
 from quagd.graph import NotStronglyConnectedError
-from quagd.harness import delta_sweep, reference_instance
-from quagd.optimizer import DivergenceError, quadratic_optimum, quagd_run
+from quagd.harness import delta_sweep, reference_instance, write_trace_csv
+from quagd.optimizer import ConfigError, DivergenceError, quadratic_optimum, quagd_run
+from quagd.trace import RunTrace, StepRecord
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_PATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -54,6 +57,18 @@ def force_groups(monkeypatch, groups):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def lockstep_runs(monkeypatch):
+    """The levels of each _lockstep run this process makes from now on."""
+    runs, real = [], optimizer._lockstep
+
+    def counted(*args, **kwargs):
+        runs.append([q.delta for q in args[6]])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_lockstep", counted)
+    return runs
 
 
 def outcome(entry):
@@ -106,6 +121,11 @@ def test_each_level_equals_its_solo_run(groups, monkeypatch):
     assert_no_child_left()
 
 
+def exact_x0(cfg):
+    """cfg with its initial estimates as Fractions, which steps[0] keeps."""
+    return replace(cfg, x0=[Fraction(x) for x in cfg.x0])
+
+
 def failing_in_children(parent):
     """The 6-node reference instance whose gradient fails from outer step 2,
     in a forked child only: the parent's rerun of a child's group succeeds."""
@@ -140,10 +160,28 @@ def test_failed_and_dead_children_are_rerun_here(monkeypatch):
     assert [outcome(e) for e in report.entries] == [
         outcome(e) for e in delta_sweep(cfg, LEVELS).entries]
 
-    exact = replace(cfg, x0=[Fraction(x) for x in cfg.x0])  # steps[0] marshal cannot carry
+    exact = exact_x0(cfg)  # steps[0], which a child does not send
     expected = [outcome(e) for e in delta_sweep(exact, LEVELS).entries]
     force_groups(monkeypatch, 3)
     assert [outcome(e) for e in delta_sweep(exact, LEVELS).entries] == expected
+    assert_no_child_left()
+
+
+def test_a_gradients_own_divergence_is_its_failure(monkeypatch):
+    """A DivergenceError that a custom gradient raises is its failure like
+    any other, a ConfigError chained from it: only the loop's own failures
+    come back pickled, so a split keeps the cause."""
+    def gradient(x):
+        raise DivergenceError(0, "from the gradient") from ZeroDivisionError("division by zero")
+
+    cfg = reference_instance(n=6, seed=1, max_outer=5)
+    cfg = replace(cfg, costs=[replace(c, gradient=gradient) for c in cfg.costs])
+    force_groups(monkeypatch, 1)
+    expected = [outcome(e) for e in delta_sweep(cfg, LEVELS[1:4]).entries]
+    assert expected[0][0] is ConfigError and expected[0][2] == 0
+    assert expected[0][4] is DivergenceError
+    force_groups(monkeypatch, 3)
+    assert [outcome(e) for e in delta_sweep(cfg, LEVELS[1:4]).entries] == expected
     assert_no_child_left()
 
 
@@ -192,9 +230,55 @@ def rounds_short(cfg):
     return replace(cfg, max_rounds=40)
 
 
+class Wrapped(float):
+    """A float that stays one through + - * / and abs, as numpy.float64
+    does, with a repr of its own."""
+
+    def __repr__(self):
+        return f"F({float(self)!r})"
+
+    def _keep(method):
+        return lambda *args: Wrapped(method(*args))
+
+    __add__, __radd__ = _keep(float.__add__), _keep(float.__radd__)
+    __sub__, __rsub__ = _keep(float.__sub__), _keep(float.__rsub__)
+    __mul__, __rmul__ = _keep(float.__mul__), _keep(float.__rmul__)
+    __truediv__, __rtruediv__ = _keep(float.__truediv__), _keep(float.__rtruediv__)
+    __abs__ = _keep(float.__abs__)
+    del _keep
+
+
+def wrapped_gradients(cfg):
+    """cfg with every gradient a Wrapped float, so that the stepped values,
+    their largest size and the centroid error computed from them are too."""
+    return replace(cfg, costs=[replace(c, gradient=lambda x, g=c.gradient: Wrapped(g(x)))
+                               for c in cfg.costs])
+
+
+def test_float_subclasses_are_recorded_as_plain_floats(tmp_path, monkeypatch):
+    """A cost's number type does not reach the records: trace.csv holds
+    plain float reprs, and a split run sends every level as it is."""
+    cfg = wrapped_gradients(reference_instance(n=5, seed=3, max_outer=3))
+    assert type(abs(Wrapped(2) - 1 * Wrapped(3) / 2)) is Wrapped
+    trace = quagd_run(cfg, quadratic_optimum(cfg.costs))
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    rows = (tmp_path / "trace.csv").read_text().splitlines()
+    assert rows[2] == "1,0.1472434701235439,36,0.0032179795948472645,0.0"
+    assert all(type(s.centroid_err) is type(s.stepped_size) is float for s in trace.steps[1:])
+
+    force_groups(monkeypatch, 1)
+    expected = [outcome(e) for e in delta_sweep(cfg, LEVELS[1:4]).entries]
+    runs = lockstep_runs(monkeypatch)
+    force_groups(monkeypatch, 3)
+    report = delta_sweep(cfg, LEVELS[1:4])
+    assert [outcome(e) for e in report.entries] == expected
+    assert runs == [[report.entries[0].delta]]  # group 0 alone ran here
+    assert_no_child_left()
+
+
 def numpy_gradients(cfg):
     """cfg with every gradient a numpy float, a float subclass that marshal
-    would write as bytes: each step's stepped size and centroid error is one."""
+    would write as bytes: each step's stepped values are numpy floats."""
     np = pytest.importorskip("numpy", exc_type=ImportError)  # absent or unloadable
     return replace(cfg, costs=[replace(c, gradient=lambda x, g=c.gradient: np.float64(g(x)))
                                for c in cfg.costs])
@@ -203,11 +287,12 @@ def numpy_gradients(cfg):
 # per case: the config, and what the child sends for each of its levels
 CHILD_CASES = {
     "traces": (lambda: reference_instance(n=5, seed=3, max_outer=3), list),
+    "fraction-x0": (lambda: exact_x0(reference_instance(n=5, seed=3, max_outer=3)), list),
     "failing-gradient": (lambda: failing_in_children(-1), type(None)),
     "nontermination": (lambda: rounds_short(reference_instance(n=6, seed=0, max_outer=5)),
                        bytes),
     "numpy-floats": (lambda: numpy_gradients(reference_instance(n=5, seed=3, max_outer=3)),
-                     type(None)),
+                     list),
 }
 
 
@@ -215,8 +300,9 @@ CHILD_CASES = {
 def test_child_side_run_in_process(case, monkeypatch):
     """os.fork returns 0, so this process takes the child's branch for group
     1 and stops at os._exit; what it sent is read from a copy of the pipe.
-    A level's steps go as rows, a failure that pickles as itself as bytes,
-    and a failure with a cause, or steps marshal would change, as None."""
+    A level's steps after the first go as rows, a failure the loop raises
+    itself as bytes, and a custom gradient's failure, which has a cause, as
+    None."""
     make, kind = case
     cfg = make()
     parent = os.getpid()
@@ -245,7 +331,7 @@ def test_child_side_run_in_process(case, monkeypatch):
     force_groups(monkeypatch, 1)
     [_, entry, _] = delta_sweep(cfg, LEVELS[1:4]).entries
     if kind is list:
-        assert sent == list(map(astuple, entry.trace.steps))
+        assert sent == list(map(astuple, entry.trace.steps[1:]))
     elif kind is bytes:
         assert outcome(SimpleNamespace(exception=pickle.loads(sent))) == outcome(entry)
 
@@ -283,14 +369,7 @@ def test_child_failures_are_sent_not_rerun(monkeypatch):
     cfg = rounds_short(reference_instance(n=6, seed=0, max_outer=5))
     force_groups(monkeypatch, 1)
     expected = [outcome(e) for e in delta_sweep(cfg, LEVELS[1:4]).entries]
-    runs = []
-    real = optimizer._lockstep
-
-    def counted(*args, **kwargs):
-        runs.append([q.delta for q in args[6]])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "_lockstep", counted)
+    runs = lockstep_runs(monkeypatch)
     force_groups(monkeypatch, 3)
     report = delta_sweep(cfg, LEVELS[1:4])
     assert [outcome(e) for e in report.entries] == expected
@@ -299,19 +378,21 @@ def test_child_failures_are_sent_not_rerun(monkeypatch):
     assert_no_child_left()
 
 
-def test_numpy_floats_are_rerun_here_as_they_are(monkeypatch):
-    """marshal would send a numpy float back as bytes: such a level runs
-    again here, and every value keeps the type one process gives it."""
+def test_numpy_floats_come_back_as_plain_floats(monkeypatch):
+    """A level whose gradients are numpy floats comes back from a child as
+    it is, not run again here, and its diagnostics are plain floats, as in
+    one process."""
     cfg = numpy_gradients(reference_instance(n=10, seed=2, max_outer=12))
     force_groups(monkeypatch, 1)
     expected = delta_sweep(cfg, LEVELS[:3]).entries
+    runs = lockstep_runs(monkeypatch)
     force_groups(monkeypatch, 2)
     report = delta_sweep(cfg, LEVELS[:3])
+    assert runs == [[report.entries[0].delta, report.entries[2].delta]]
     for got, want in zip(report.entries, expected):
         assert got.trace.steps == want.trace.steps
-        assert ([list(map(type, astuple(s))) for s in got.trace.steps]
-                == [list(map(type, astuple(s))) for s in want.trace.steps])
-    assert type(report.entries[1].trace.steps[-1].stepped_size).__module__ == "numpy"
+        for steps in (got.trace.steps, want.trace.steps):
+            assert all(type(s.centroid_err) is type(s.stepped_size) is float for s in steps[1:])
     assert_no_child_left()
 
 
@@ -338,25 +419,34 @@ def test_a_group_that_cannot_fork_runs_here(call, monkeypatch):
     assert_no_child_left()
 
 
-def test_what_a_child_sends():
-    assert optimizer._marshals([(1, [2.0, None], True)])
-    assert not optimizer._marshals([(1, [Fraction(2)])])
-    assert not optimizer._marshals([(1, [bytearray(b"x")])])
-    assert optimizer._pickled(DivergenceError(3, "x")) is not None
-    caused = ConsensusNonterminationError(5, [])
+def test_what_a_child_sends(monkeypatch):
+    """Per level: the rows of a trace's steps after the first, a failure the
+    loop raises pickled, and any other failure (one with a cause) None."""
+    caused = ConfigError("the gradient step at outer step 2 failed")
     caused.__cause__ = ZeroDivisionError("division by zero")
-    assert optimizer._pickled(caused) is None
+    steps = [StepRecord(0, [Fraction(1)]), StepRecord(1, [0.5], 0.25)]
+    trace = RunTrace(Fraction(1, 10), steps)
+    outcomes = [trace, DivergenceError(3, "x"), caused]
 
-    class TwoArgs(Exception):  # unpickling calls it with one argument
-        def __init__(self, a, b):
-            super().__init__(a)
+    def exit_(status):
+        raise ChildExit(status)
 
-    assert optimizer._pickled(TwoArgs(1, 2)) is None
+    monkeypatch.setattr(os, "_exit", exit_)
+    sink = io.BytesIO()
+    with pytest.raises(ChildExit) as exited:
+        optimizer._serve(lambda levels: outcomes, [], sink)
+    assert exited.value.status == 0
+    rows, diverged, rerun = marshal.loads(sink.getvalue())
+    assert rows == [astuple(trace.steps[1])]
+    back = pickle.loads(diverged)
+    assert (type(back), str(back), back.outer_step) == (DivergenceError, str(outcomes[1]), 3)
+    assert rerun is None
 
 
 def test_group_count():
     big = reference_instance(n=20, seed=0, max_outer=5)
-    cpus = len(os.sched_getaffinity(0))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # as _group_count counts them
     assert optimizer._group_count(big, 1) == 1
     assert optimizer._group_count(big, 3) == min(3, cpus)
     small = replace(big, max_outer=4)  # 80 node-steps do not pay for a fork
@@ -365,7 +455,7 @@ def test_group_count():
 
 def test_cpu_count_stands_in_for_the_affinity(monkeypatch):
     big = reference_instance(n=20, seed=0, max_outer=5)
-    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # absent on macOS
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert optimizer._group_count(big, 3) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
