@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import io
 import marshal
 import math
 import numbers
@@ -365,7 +366,9 @@ def quagd_run(
     a gradient that raises (a DivergenceError too) a ConfigError with
     .outer_step, chained from its error.
     inner_trace, if given, receives the per-round consensus debug trace,
-    with an `OUTER <k>` marker line before each outer step.
+    with an `OUTER <k>` marker line before each outer step; a traced run
+    may fork processes that each run the whole loop (_split_trace), so a
+    custom gradient must be a pure function of its input.
     """
     (out,) = _run_levels(cfg, [cfg.delta], x_star, inner_trace)
     if isinstance(out, Exception):
@@ -378,8 +381,10 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
     within each of up to min(len(levels), usable CPUs) processes.
 
     The levels are split round-robin into _group_count groups.  One group,
-    as for quagd_run's one level, runs here on _lockstep; of several, group
-    0 runs here and each other group in a forked child (_run_groups).
+    as for quagd_run's untraced level, runs here on _lockstep; of several,
+    group 0 runs here and each other group in a forked child (_run_groups).
+    quagd_run's traced level instead splits its trace duty by outer step
+    over up to min(max_outer, usable CPUs) processes (_split_trace).
     Returns per level its RunTrace or the ValueError,
     ConsensusNonterminationError or DivergenceError that ended it, with
     .outer_step once a step has begun; a failing gradient is a ConfigError.
@@ -407,25 +412,31 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
         return StepRecord(k=0, estimates=list(cfg.x0), residual=r0)
 
     run = functools.partial(_lockstep, cfg, alpha, d_bound, start, x_star, len(levels) == 1)
-    groups = _group_count(cfg, len(levels))
+    groups = _group_count(cfg, len(levels) if inner_trace is None else cfg.max_outer)
     if groups == 1:
         return run(levels, inner_trace)
+    if inner_trace is not None:
+        return _split_trace(run, levels, inner_trace, groups)
     return _run_groups(run, start, levels, groups)
 
 
-# A split pays from about 80 node-steps (n * max_outer): three-level sweeps of
-# 24, 80, 100 and 200 took 1.21, 0.96, 0.95 and 0.85 of their one-process time
-# split in two by median, against 0.99-1.00 for one process against itself
-# (BENCH_37.json extra_runs.small_sweeps); 100 keeps a margin.
-_FORK_MIN_NODE_STEPS = 100
+# Both splits share one threshold in node-steps (n * max_outer), set by the
+# traced run's, which splits only the trace and so pays later.  Split in two,
+# three-level sweeps of 24, 80, 100 and 200 took 1.21, 0.96, 0.95 and 0.85 of
+# their one-process time by median (BENCH_37.json extra_runs.small_sweeps);
+# traced runs of 100, 120, 140, 160, 200 and 1200 took 1.04, 0.99-1.02, 0.97,
+# 0.92, 0.91-0.97 and 0.81 (BENCH_39.json extra_runs.traced_run_sizes), against
+# 0.99-1.01 for one process against itself.  160 keeps a margin over both.
+_FORK_MIN_NODE_STEPS = 160
 
 
 def _group_count(cfg: OptRunConfig, levels: int) -> int:
-    """How many processes a run of this many levels takes: one per CPU in
-    this process's affinity mask (free or not; a cgroup quota is not
-    read), at most one per level.  One alone for a run of fewer node-steps
-    than pay for a fork, where there is no os.fork, or while another thread
-    runs (a forked child would hold its locks, not the thread)."""
+    """How many processes a run of this many levels (a traced run: outer
+    steps) takes: one per CPU in this process's affinity mask (free or not;
+    a cgroup quota is not read), at most one per level.  One alone for a run
+    of fewer node-steps than pay for a fork, where there is no os.fork, or
+    while another thread runs (a forked child would hold its locks, not the
+    thread)."""
     if (levels < 2 or cfg.graph.n * cfg.max_outer < _FORK_MIN_NODE_STEPS
             or not hasattr(os, "fork") or threading.active_count() > 1):
         return 1
@@ -454,7 +465,8 @@ def _run_groups(run, start, levels, groups: int) -> list:
     reads, children = [], {}  # every pipe's read end; each unreaped child's group and pipe
     try:
         for g in range(1, groups):
-            if (child := _fork(run, levels[g::groups], reads)) is None:
+            child = _fork(functools.partial(_serve, run, levels[g::groups]), reads)
+            if child is None:
                 here.append(g)
             else:
                 children[child] = g, reads[-1]
@@ -481,20 +493,95 @@ def _run_groups(run, start, levels, groups: int) -> list:
         if again:
             run_here(sorted(again))
     finally:
-        for pid in children:  # left running by an exception, the one use of signal
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for read in reads:
-            os.close(read)
+        _reap(children, reads)
     return out
 
 
-def _fork(run, levels, reads):
-    """The pid of a forked child that serves levels (_serve) over a new
-    pipe, whose read end is appended to reads; None where the system has no
-    descriptor or process to spare (EMFILE, EAGAIN, ENOMEM)."""
+def _split_trace(run, levels, inner_trace, parts: int) -> list:
+    """run's outcome for quagd_run's one level, traced into inner_trace by
+    parts processes: each runs the whole loop, and process k % parts (this
+    one is 0, the others forked children) traces outer step k.  Kernel and
+    trace cost about the same, so a child keeps ahead of this process.
+
+    A child traces into one buffer kept for the run (the trace writer's
+    digit cache fills once) and after each of its steps sends the step's
+    whole text, length-prefixed: partial rows for a failure the loop
+    records, nothing for one it does not catch.  Here a child's step runs
+    untraced and its text is copied in; where none arrives whole, this
+    process traces the step again from its streams, and the child's later
+    steps too, as it traces every step of a child that could not fork; so
+    the stream and any error are one process's.  Every child is reaped
+    before this returns or raises, killed first if still running."""
+
+    def send(part, sink):  # a forked child's body
+        buf = io.StringIO()
+
+        def duty(k, consensus):
+            if k % parts != part:
+                return consensus(None)
+            results = consensus(buf)  # what the loop does not catch sends nothing
+            text = buf.getvalue().encode()
+            buf.seek(0)
+            buf.truncate()
+            sink.write(len(text).to_bytes(8, "little"))
+            sink.write(text)
+            sink.flush()
+            return results
+
+        run(levels, duty=duty)
+
+    def duty(k, consensus):
+        pipe = pipes.get(k % parts)
+        if pipe is None:  # this process's step, or a step whose child is gone
+            return consensus(inner_trace)
+        results = consensus(None)
+        size = int.from_bytes(pipe.read(8), "little")  # 0 at the pipe's end
+        text = pipe.read(size)
+        if not size or len(text) < size:
+            del pipes[k % parts]
+            return consensus(inner_trace)
+        inner_trace.write(text.decode())
+        return results
+
+    reads, children, pipes = [], [], {}  # read ends; unreaped pids; each live child's pipe
+    try:
+        for part in range(1, parts):
+            if (child := _fork(functools.partial(send, part), reads)) is not None:
+                children.append(child)
+                pipes[part] = open(reads[-1], "rb", closefd=False)
+        out = run(levels, duty=duty)
+        for read in reads:  # a child still sending (a cost that is not pure) stops
+            os.close(read)
+        reads.clear()
+        while children:  # each reaped before it leaves the list the clean-up kills
+            os.waitpid(children[-1], 0)
+            del children[-1]
+    finally:
+        _reap(children, reads)
+    return out
+
+
+def _reap(children, reads) -> None:
+    """Kill and reap every child left running (by an exception: the one use
+    of signal), then close every read end left open."""
+    for pid in children:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    for read in reads:
+        os.close(read)
+
+
+def _fork(body, reads):
+    """The pid of a forked child that runs body(sink), sink the write end of
+    a new pipe whose read end is appended to reads, and leaves by os._exit:
+    status 0 once body returns and sink is flushed, else 1.  The child first
+    closes every read end in reads, so that once the parent closes its own
+    a child still sending fails instead of blocking for good.  os._exit runs
+    none of the parent's clean-up and flushes no buffer the child inherited.
+    None where the system has no descriptor or process to spare (EMFILE,
+    EAGAIN, ENOMEM)."""
     try:
         read, write = os.pipe()
     except OSError:
@@ -506,40 +593,40 @@ def _fork(run, levels, reads):
         except OSError:
             return None
         if pid == 0:
-            _serve(run, levels, sink)
+            status = 1
+            try:
+                while reads:  # a write to a pipe the parent closed then fails
+                    os.close(reads.pop())
+                body(sink)
+                sink.flush()
+                status = 0
+            finally:
+                os._exit(status)
     return pid
 
 
 def _serve(run, levels, sink) -> None:
-    """A forked child's whole life: run its levels and write into sink, per
-    level, the fields of its steps after the first (plain numbers, which
-    marshal carries as they are), its failure pickled if the loop raised it
-    (a DivergenceError or ConsensusNonterminationError, which has no cause),
-    or else None; then leave by os._exit (status 0 once they are sent),
-    which runs none of the parent's clean-up and flushes no buffer the
-    child inherited.  marshal is always loaded; pickle only once a level
-    fails (it would add 0.3 MB)."""
-    status = 1
-    try:
-        sent = []
-        for outcome in run(levels):
-            if isinstance(outcome, RunTrace):
-                sent.append([astuple(step) for step in outcome.steps[1:]])
-            elif isinstance(outcome, (DivergenceError, ConsensusNonterminationError)):
-                import pickle
+    """A split sweep's child body (_run_groups): run its levels and write
+    into sink, per level, the fields of its steps after the first (plain
+    numbers, which marshal carries as they are), its failure pickled if the
+    loop raised it (a DivergenceError or ConsensusNonterminationError, which
+    has no cause), or else None.  marshal is always loaded; pickle only once
+    a level fails (it would add 0.3 MB)."""
+    sent = []
+    for outcome in run(levels):
+        if isinstance(outcome, RunTrace):
+            sent.append([astuple(step) for step in outcome.steps[1:]])
+        elif isinstance(outcome, (DivergenceError, ConsensusNonterminationError)):
+            import pickle
 
-                sent.append(pickle.dumps(outcome))
-            else:
-                sent.append(None)
-        sink.write(marshal.dumps(sent))
-        sink.flush()
-        status = 0
-    finally:
-        os._exit(status)
+            sent.append(pickle.dumps(outcome))
+        else:
+            sent.append(None)
+    sink.write(marshal.dumps(sent))
 
 
 def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, start, x_star, lone: bool,
-              levels, inner_trace=None) -> list:
+              levels, inner_trace=None, duty=None) -> list:
     """_run_levels' outcomes for levels all run in lockstep, from its
     prologue's alpha, d_bound and start(), a level's first record; every
     later record holds plain numbers, whatever number type a cost returns.
@@ -549,10 +636,30 @@ def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, start, x_star, lone
     caller's run has one level: run_faqua then runs it (inner_trace is for
     it alone); the levels of a run of several go through _run_lanes, also
     once one is left live, so a run takes one route however it is split.
+    duty, if set, is a split traced run's (_split_trace): each step's
+    consensus then runs as duty(k, consensus) has it, consensus(trace)
+    running step k from its streams traced into trace (or untraced for
+    None), and inner_trace goes unused.
     """
     n = cfg.graph.n
     out: list = [RunTrace(q.delta, [start()]) for q in levels]
     run_streams = NodeStreams(cfg.master_seed, n)  # reseeded in place each step
+
+    def consensus(trace) -> list:  # step k's results, a failure the loop records as one
+        streams = run_streams.at(k)
+        if trace is not None:
+            trace.write(f"OUTER\t{k}\n")
+        try:
+            if lone:
+                return [run_faqua(x_halves[0], cfg.graph, d_bound, qs[0], streams,
+                                  cfg.max_rounds, trace=trace)]
+            return _run_lanes(x_halves, cfg.graph, d_bound, qs, streams, cfg.max_rounds)
+        except Exception as exc:
+            exc.outer_step = k
+            if not isinstance(exc, (ValueError, ConsensusNonterminationError)):
+                raise
+            return [exc] * len(qs)
+
     for k in range(cfg.max_outer):
         stepped = {}  # each live level's stepped values
         for lane, trace in enumerate(out):
@@ -570,22 +677,8 @@ def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, start, x_star, lone
                     err.outer_step, err.__cause__ = k, exc
         if not stepped:
             break
-        streams = run_streams.at(k)
-        if inner_trace is not None:
-            inner_trace.write(f"OUTER\t{k}\n")
         x_halves, qs = list(stepped.values()), [levels[lane] for lane in stepped]
-        try:
-            if lone:
-                results = [run_faqua(x_halves[0], cfg.graph, d_bound, qs[0], streams,
-                                     cfg.max_rounds, trace=inner_trace)]
-            else:
-                results = _run_lanes(x_halves, cfg.graph, d_bound, qs, streams,
-                                     cfg.max_rounds)
-        except Exception as exc:
-            exc.outer_step = k
-            if not isinstance(exc, (ValueError, ConsensusNonterminationError)):
-                raise
-            results = [exc] * len(qs)
+        results = consensus(inner_trace) if duty is None else duty(k, consensus)
         for (lane, x_half), result in zip(stepped.items(), results):
             if isinstance(result, Exception):
                 result.outer_step = k

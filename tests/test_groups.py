@@ -1,14 +1,18 @@
 """A run of several levels splits them round-robin into groups, one per
 process (optimizer._run_levels): group 0 runs in the calling process, each
-other group in a forked child.  The outputs must not depend on the split:
-every file a sweep writes, every level's trace and every failure are those
-of one process; a level a child cannot send, and every level of a child
-that dies, is rerun in the parent; and no child outlives the call.  The
-group count is forced by replacing optimizer._group_count; the child's side
-is also run in this process, with os.fork and os._exit replaced, so its
-lines count as reached.
+other group in a forked child.  A traced run of one level instead splits
+its trace duty by outer step: every process runs the whole loop, and
+process k % P traces step k, the children's text copied in by the parent.
+The outputs must not depend on the split: every file a sweep or a traced
+run writes, every level's trace and every failure are those of one
+process; a level a child cannot send, every level of a child that dies and
+every step a child sends no text for are run or traced in the parent; and
+no child outlives the call.  The process count is forced by replacing
+optimizer._group_count; the child's side is also run in this process, with
+os.fork and os._exit replaced, so its lines count as reached.
 """
 
+import copy
 import errno
 import hashlib
 import io
@@ -32,6 +36,7 @@ from quagd.consensus import ConsensusNodeState, ConsensusNonterminationError
 from quagd.graph import NotStronglyConnectedError
 from quagd.harness import delta_sweep, reference_instance, write_trace_csv
 from quagd.optimizer import ConfigError, DivergenceError, quadratic_optimum, quagd_run
+from quagd.rng import NodeStreams
 from quagd.trace import RunTrace, StepRecord
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +62,20 @@ def force_groups(monkeypatch, groups):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def counted_forks(monkeypatch):
+    """The pid of each child this process forks from now on."""
+    forks, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 def lockstep_runs(monkeypatch):
@@ -101,16 +120,7 @@ def test_cli_sweep_writes_the_same_bytes_in_any_split(groups, tmp_path, monkeypa
 @pytest.mark.parametrize("groups", [1, 2, 3])
 def test_each_level_equals_its_solo_run(groups, monkeypatch):
     cfg = reference_instance(n=8, seed=4, max_outer=8)
-    forks = []
-    real_fork = os.fork
-
-    def counted_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+    forks = counted_forks(monkeypatch)
     force_groups(monkeypatch, groups)
     report = delta_sweep(cfg, LEVELS)
     assert len(forks) == groups - 1  # with this process, one per group
@@ -296,16 +306,10 @@ CHILD_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", CHILD_CASES.values(), ids=CHILD_CASES.keys())
-def test_child_side_run_in_process(case, monkeypatch):
-    """os.fork returns 0, so this process takes the child's branch for group
-    1 and stops at os._exit; what it sent is read from a copy of the pipe.
-    A level's steps after the first go as rows, a failure the loop raises
-    itself as bytes, and a custom gradient's failure, which has a cause, as
-    None."""
-    make, kind = case
-    cfg = make()
-    parent = os.getpid()
+def child_side(monkeypatch):
+    """Run the first child's side in this process from now on: os.fork
+    returns 0 and os._exit raises ChildExit; returns a list that gets a
+    copy of each pipe's read end."""
     reads, real_pipe = [], os.pipe
 
     def pipe():
@@ -319,6 +323,20 @@ def test_child_side_run_in_process(case, monkeypatch):
     monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", lambda: 0)
     monkeypatch.setattr(os, "_exit", exit_)
+    return reads
+
+
+@pytest.mark.parametrize("case", CHILD_CASES.values(), ids=CHILD_CASES.keys())
+def test_child_side_run_in_process(case, monkeypatch):
+    """os.fork returns 0, so this process takes the child's branch for group
+    1 and stops at os._exit; what it sent is read from a copy of the pipe.
+    A level's steps after the first go as rows, a failure the loop raises
+    itself as bytes, and a custom gradient's failure, which has a cause, as
+    None."""
+    make, kind = case
+    cfg = make()
+    parent = os.getpid()
+    reads = child_side(monkeypatch)
     force_groups(monkeypatch, 2)
     with pytest.raises(ChildExit) as exited:
         delta_sweep(cfg, LEVELS[1:4])
@@ -339,22 +357,10 @@ def test_child_side_run_in_process(case, monkeypatch):
 def test_a_child_that_raises_sends_nothing(monkeypatch):
     """A child whose run raises leaves with status 1 and sends nothing."""
     cfg = reference_instance(n=5, seed=3, max_outer=3)
-    reads, real_pipe = [], os.pipe
-
-    def pipe():
-        read, write = real_pipe()
-        reads.append(os.dup(read))
-        return read, write
-
-    def exit_(status):
-        raise ChildExit(status)
-
     def broken(*args):
         raise TypeError("bug in a level")
 
-    monkeypatch.setattr(os, "pipe", pipe)
-    monkeypatch.setattr(os, "fork", lambda: 0)
-    monkeypatch.setattr(os, "_exit", exit_)
+    reads = child_side(monkeypatch)
     monkeypatch.setattr("quagd.optimizer._run_lanes", broken)
     force_groups(monkeypatch, 2)
     with pytest.raises(ChildExit) as exited:
@@ -419,7 +425,7 @@ def test_a_group_that_cannot_fork_runs_here(call, monkeypatch):
     assert_no_child_left()
 
 
-def test_what_a_child_sends(monkeypatch):
+def test_what_a_child_sends():
     """Per level: the rows of a trace's steps after the first, a failure the
     loop raises pickled, and any other failure (one with a cause) None."""
     caused = ConfigError("the gradient step at outer step 2 failed")
@@ -427,15 +433,8 @@ def test_what_a_child_sends(monkeypatch):
     steps = [StepRecord(0, [Fraction(1)]), StepRecord(1, [0.5], 0.25)]
     trace = RunTrace(Fraction(1, 10), steps)
     outcomes = [trace, DivergenceError(3, "x"), caused]
-
-    def exit_(status):
-        raise ChildExit(status)
-
-    monkeypatch.setattr(os, "_exit", exit_)
     sink = io.BytesIO()
-    with pytest.raises(ChildExit) as exited:
-        optimizer._serve(lambda levels: outcomes, [], sink)
-    assert exited.value.status == 0
+    optimizer._serve(lambda levels: outcomes, [], sink)  # its exit status is _fork's
     rows, diverged, rerun = marshal.loads(sink.getvalue())
     assert rows == [astuple(trace.steps[1])]
     back = pickle.loads(diverged)
@@ -444,17 +443,18 @@ def test_what_a_child_sends(monkeypatch):
 
 
 def test_group_count():
-    big = reference_instance(n=20, seed=0, max_outer=5)
+    big = reference_instance(n=20, seed=0, max_outer=8)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # as _group_count counts them
     assert optimizer._group_count(big, 1) == 1
     assert optimizer._group_count(big, 3) == min(3, cpus)
-    small = replace(big, max_outer=4)  # 80 node-steps do not pay for a fork
+    assert optimizer._group_count(big, big.max_outer) == min(8, cpus)  # a traced run's
+    small = replace(big, max_outer=7)  # 140 node-steps do not pay for a fork
     assert optimizer._group_count(small, 3) == 1
 
 
 def test_cpu_count_stands_in_for_the_affinity(monkeypatch):
-    big = reference_instance(n=20, seed=0, max_outer=5)
+    big = reference_instance(n=20, seed=0, max_outer=8)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # absent on macOS
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert optimizer._group_count(big, 3) == 1
@@ -463,7 +463,7 @@ def test_cpu_count_stands_in_for_the_affinity(monkeypatch):
 
 
 def test_one_process_without_fork_or_with_another_thread(monkeypatch):
-    big = reference_instance(n=20, seed=0, max_outer=5)
+    big = reference_instance(n=20, seed=0, max_outer=8)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -530,3 +530,303 @@ def test_lockstep_and_general_cost_tests_pass_split(groups):
     done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout[-3000:]
     assert " passed" in done.stdout and "1 deselected" in done.stdout
+
+
+# --- a traced run: its trace duty split by outer step
+
+RUN = ["run", "--nodes", "20", "--seed", "2", "--max-iters", "60", "--output-dir", "out",
+       "--trace"]
+
+
+def traced(cfg, stream=None):
+    """A traced quagd_run's trace text, and its records or else its
+    failure's type, message and outer step."""
+    stream = io.StringIO() if stream is None else stream
+    try:
+        got = quagd_run(cfg, quadratic_optimum(cfg.costs), inner_trace=stream).steps
+    except Exception as exc:
+        got = type(exc), str(exc), getattr(exc, "outer_step", None)
+    return stream.getvalue(), got
+
+
+def step_texts(text):
+    """A trace's text per outer step, each from its OUTER line on."""
+    return ["OUTER" + part for part in text.split("OUTER")[1:]]
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_traced_run_writes_the_same_trace_in_any_split(parts, monkeypatch):
+    cfg = reference_instance(n=20, seed=5, max_outer=60)
+    force_groups(monkeypatch, 1)
+    expected = traced(cfg)
+    forks = counted_forks(monkeypatch)
+    force_groups(monkeypatch, parts)
+    assert traced(cfg) == expected
+    assert len(forks) == parts - 1  # with this process, one per part
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_cli_traced_run_writes_the_same_bytes_in_any_split(parts, tmp_path, monkeypatch,
+                                                          capsys):
+    written = []
+    for split in (1, parts):
+        (tmp_path / str(split)).mkdir(exist_ok=True)
+        monkeypatch.chdir(tmp_path / str(split))
+        force_groups(monkeypatch, split)
+        assert main(RUN) == 0
+        files = {path.name: path.read_bytes() for path in Path("out").iterdir()}
+        written.append((capsys.readouterr(), files))
+    assert written[0] == written[1]
+    assert written[0][1]["faqua_trace.txt"].count(b"RESULT") == 60
+    assert_no_child_left()
+
+
+FAILING_RUNS = {  # each fails at outer step 5, which neither split traces here
+    "nontermination": lambda: replace(reference_instance(n=6, seed=1, max_outer=8),
+                                      max_rounds=60),
+    "divergence": lambda: replace(reference_instance(n=6, seed=0, max_outer=8), alpha=1e30),
+}
+
+
+@pytest.mark.filterwarnings("ignore:alpha=1e.30 outside")
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("make", FAILING_RUNS.values(), ids=FAILING_RUNS.keys())
+def test_a_failing_traced_run_leaves_one_process_trace(make, parts, monkeypatch):
+    force_groups(monkeypatch, 1)
+    expected = traced(make())
+    assert expected[1][2] == 5
+    force_groups(monkeypatch, parts)
+    assert traced(make()) == expected
+    assert_no_child_left()
+
+
+def test_the_steps_of_a_child_that_dies_are_traced_here(monkeypatch):
+    """A child that leaves after sending its steps 1 and 3 (and 4 of 3):
+    this process traces the rest of its steps, and the trace is the same."""
+    parent, calls = os.getpid(), []
+    cfg = reference_instance(n=8, seed=4, max_outer=12)
+
+    def dies_at_step_5(x, gradient):
+        calls.append(x)
+        if os.getpid() != parent and len(calls) > 5 * 8:
+            os._exit(0)
+        return gradient(x)
+
+    dying = replace(cfg, costs=[replace(c, gradient=lambda x, g=c.gradient:
+                                        dies_at_step_5(x, g)) for c in cfg.costs])
+    force_groups(monkeypatch, 1)
+    expected = traced(cfg)
+    for parts in (2, 3):
+        force_groups(monkeypatch, parts)
+        assert traced(dying) == expected
+        calls.clear()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_the_steps_of_a_child_that_cannot_fork_are_traced_here(call, monkeypatch):
+    """EMFILE from os.pipe or EAGAIN from os.fork for the second child of
+    three: its steps are traced here, and the trace is one process's."""
+    cfg = reference_instance(n=8, seed=4, max_outer=12)
+    force_groups(monkeypatch, 1)
+    expected = traced(cfg)
+    code = errno.EMFILE if call == "pipe" else errno.EAGAIN
+    real, calls = getattr(os, call), []
+
+    def refused():
+        calls.append(call)
+        if len(calls) > 1:
+            raise OSError(code, os.strerror(code))
+        return real()
+
+    monkeypatch.setattr(os, call, refused)
+    force_groups(monkeypatch, 3)
+    assert traced(cfg) == expected
+    assert len(calls) == 2
+    assert_no_child_left()
+
+
+def flood_check_fails_at(cfg, step, monkeypatch):
+    """From now on the trace writer's flood reaches no neighbour in cfg's
+    outer step `step` (known by its node streams), so its check raises
+    RuntimeError at the first window's end; the kernel runs as ever."""
+    state = NodeStreams(cfg.master_seed, cfg.graph.n).at(step)[0].getstate()
+    broken = copy.copy(cfg.graph)
+    broken._closed_in = [lambda values, j=j: (values[j],) for j in range(cfg.graph.n)]
+    real = optimizer.run_faqua
+
+    def run_faqua(x_half, g, d_bound, q, rng, max_rounds=None, *, trace=None):
+        if trace is not None and rng[0].getstate() == state:
+            g = broken
+        return real(x_half, g, d_bound, q, rng, max_rounds, trace=trace)
+
+    monkeypatch.setattr(optimizer, "run_faqua", run_faqua)
+
+
+def test_a_flood_check_failure_in_a_childs_step_is_raised_here(monkeypatch):
+    """The child sends nothing for the step and leaves; this process traces
+    the step again and raises what one process raises, after its text."""
+    cfg = reference_instance(n=8, seed=4, max_outer=6)
+    flood_check_fails_at(cfg, 3, monkeypatch)
+    force_groups(monkeypatch, 1)
+    expected = traced(cfg)
+    assert expected[1][:3:2] == (RuntimeError, 3)
+    force_groups(monkeypatch, 2)
+    assert traced(cfg) == expected
+    assert_no_child_left()
+
+
+def framed(texts):
+    return b"".join(len(t.encode()).to_bytes(8, "little") + t.encode() for t in texts)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("case", ["traces", "nontermination", "flood-check"])
+def test_traced_child_side_run_in_process(case, parts, monkeypatch):
+    """The first child traces steps 1, 1 + parts, ... into a buffer of its
+    own and sends each step's text, length-prefixed; the partial text of a
+    step whose consensus does not terminate too, but nothing of a step that
+    raises what the loop does not catch, and it then leaves with status 1.
+    It writes nothing to the caller's stream."""
+    cfg = reference_instance(n=8, seed=4, max_outer=7)
+    if case == "nontermination":
+        cfg = FAILING_RUNS["nontermination"]()
+    elif case == "flood-check":
+        flood_check_fails_at(cfg, 1 + parts, monkeypatch)
+    force_groups(monkeypatch, 1)
+    text, _ = traced(cfg)
+    reads = child_side(monkeypatch)
+    force_groups(monkeypatch, parts)
+    stream = io.StringIO()
+    with pytest.raises(ChildExit) as exited:
+        quagd_run(cfg, inner_trace=stream)
+    with open(reads[0], "rb") as fh:
+        sent = fh.read()
+    assert exited.value.status == (case == "flood-check")
+    assert stream.getvalue() == ""
+    mine = step_texts(text)[1::parts]
+    if case == "flood-check":  # its last step is the one that fails
+        mine = mine[:-1]
+    assert sent == framed(mine) and mine
+
+
+class FullAt(io.StringIO):
+    """A text stream whose write number `full` (from 0) raises ENOSPC."""
+
+    def __init__(self, full):
+        super().__init__()
+        self.full, self.writes = full, []
+
+    def write(self, text):
+        if len(self.writes) == self.full:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes.append(text)
+        return super().write(text)
+
+
+def full_writes(writes):
+    """Where in a two-process run's writes a full disk is tried: a row of
+    this process's step 0, the copy of the child's step 1, and this
+    process's RESULT line of step 2."""
+    copy_ = next(i for i, w in enumerate(writes) if w.startswith("OUTER\t1\n"))
+    own_result = next(i for i, w in enumerate(writes) if w.startswith("RESULT")
+                      and i > copy_)
+    assert writes[1].startswith("1\t0\t") and writes[copy_].endswith("\n")
+    assert writes[copy_].count("RESULT") == 1
+    return [1, copy_, own_result]
+
+
+def test_a_full_disk_is_raised_as_by_one_process(monkeypatch):
+    cfg = reference_instance(n=8, seed=4, max_outer=6)
+    force_groups(monkeypatch, 2)
+    recorded = FullAt(-1)
+    traced(cfg, recorded)
+    for full in full_writes(recorded.writes):
+        for parts in (1, 2):
+            force_groups(monkeypatch, parts)
+            _, (kind, message, _) = traced(cfg, FullAt(full))
+            assert (kind, message) == (OSError, f"[Errno {errno.ENOSPC}] "
+                                                f"{os.strerror(errno.ENOSPC)}")
+            assert_no_child_left()
+
+
+def test_a_full_disk_in_a_traced_cli_run_exits_2(tmp_path, monkeypatch, capsys):
+    """The CLI run's trace file fills up at a copied child text: exit code 2
+    and a one-line message, no traceback, and no child left."""
+    from quagd import cli
+
+    monkeypatch.chdir(tmp_path)
+    streams = []
+
+    def open_(path, *args, **kwargs):
+        if str(path).endswith("faqua_trace.txt"):
+            return streams.pop(0)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_, raising=False)
+    force_groups(monkeypatch, 2)
+    streams.append(FullAt(-1))
+    recorded = streams[0]
+    assert main(RUN) == 0
+    capsys.readouterr()
+    for full in full_writes(recorded.writes):
+        streams.append(FullAt(full))
+        assert main(RUN) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert_no_child_left()
+
+
+def test_an_interrupt_in_a_traced_run_kills_and_reaps_every_child(monkeypatch):
+    """This process stops at outer step 3 while the children still run."""
+    parent = os.getpid()
+    cfg = reference_instance(n=8, seed=0, max_outer=400)
+    steps = []
+
+    def gradient(x, c):
+        if os.getpid() == parent:
+            steps.append(x)
+            if len(steps) > 3 * 8:
+                raise KeyboardInterrupt
+        return x - c
+
+    cfg = replace(cfg, costs=[replace(c, gradient=lambda x, c=c.center: gradient(x, c))
+                              for c in cfg.costs])
+    force_groups(monkeypatch, 3)
+    with pytest.raises(KeyboardInterrupt):
+        quagd_run(cfg, inner_trace=io.StringIO())
+    assert_no_child_left()
+
+
+def test_children_stop_once_the_run_here_ends(monkeypatch):
+    """A gradient that fails here alone, at outer step 3, ends the run here
+    while the children would trace 400 steps: once this process closes its
+    read ends, a child's next send fails and it leaves (an alarm bounds the
+    wait, should one block for good)."""
+    parent = os.getpid()
+    cfg = reference_instance(n=8, seed=0, max_outer=400)
+    steps = []
+
+    def gradient(x, c):
+        if os.getpid() == parent:
+            steps.append(x)
+            if len(steps) > 3 * 8:
+                raise ZeroDivisionError("division by zero")
+        return x - c
+
+    def alarm(signum, frame):
+        raise TimeoutError("a child kept running")
+
+    cfg = replace(cfg, costs=[replace(c, gradient=lambda x, c=c.center: gradient(x, c))
+                              for c in cfg.costs])
+    force_groups(monkeypatch, 3)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ConfigError, match="outer step 3"):
+            quagd_run(cfg, inner_trace=io.StringIO())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()

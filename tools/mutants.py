@@ -35,6 +35,7 @@ TRACE_WRITER = "tests/test_consensus.py::TestTraceWriter::{}"
 STEPPED_SLACK = ("tests/test_harness.py::TestAuditInvariants::"
                  "test_roundoff_slack_sees_the_stepped_values")
 PLAIN_FLOATS = "tests/test_groups.py::test_float_subclasses_are_recorded_as_plain_floats"
+SPLIT_TRACE = "tests/test_groups.py::{}"
 
 MUTANTS = [
     # the accuracy contract, the conservation flag and the observer bounds
@@ -139,6 +140,30 @@ MUTANTS = [
      "except DivergenceError as exc:\n                    out[lane] = exc\n"
      "                except Exception as exc:  # a custom cost's own failure,",
      "tests/test_groups.py::test_a_gradients_own_divergence_is_its_failure"),
+    # a split traced run: process k % parts traces step k, the parent copies a
+    # child's step text in right after the step and traces a missing one here,
+    # and a child sends its own buffer's text
+    ("src/quagd/optimizer.py",
+     "            if k % parts != part:\n                return consensus(None)\n", "",
+     SPLIT_TRACE.format("test_traced_run_writes_the_same_trace_in_any_split[2]")),
+    ("src/quagd/optimizer.py",
+     "            del pipes[k % parts]\n            return consensus(inner_trace)\n",
+     "            del pipes[k % parts]\n            return results\n",
+     SPLIT_TRACE.format("test_the_steps_of_a_child_that_dies_are_traced_here")),
+    ("src/quagd/optimizer.py",
+     "        inner_trace.write(text.decode())\n        return results\n",
+     "        late.append(text.decode())\n        return results\n\n"
+     "    late, on_time = [], duty\n\n"
+     "    def duty(k, consensus):\n"
+     "        results = on_time(k, consensus)\n"
+     "        if k % parts == 0:\n"
+     "            while late:\n"
+     "                inner_trace.write(late.pop(0))\n"
+     "        return results\n",
+     SPLIT_TRACE.format("test_traced_run_writes_the_same_trace_in_any_split[2]")),
+    ("src/quagd/optimizer.py", "results = consensus(buf)",
+     "results = consensus(inner_trace)",
+     SPLIT_TRACE.format("test_traced_child_side_run_in_process[traces-2]")),
     # the records hold plain floats, whatever number type a cost returns
     ("src/quagd/optimizer.py", "centroid_err=float(abs(x_hat - _sum(x_half) / n)),",
      "centroid_err=abs(x_hat - _sum(x_half) / n),", PLAIN_FLOATS),
