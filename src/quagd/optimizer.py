@@ -10,6 +10,7 @@ quantization error floor, all in exact rational arithmetic.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import io
@@ -366,9 +367,10 @@ def quagd_run(
     a gradient that raises (a DivergenceError too) a ConfigError with
     .outer_step, chained from its error.
     inner_trace, if given, receives the per-round consensus debug trace,
-    with an `OUTER <k>` marker line before each outer step; a traced run
+    with an `OUTER <k>` marker line before each outer step.  A traced run
     may fork processes that each run the whole loop (_split_trace), so a
-    custom gradient must be a pure function of its input.
+    custom gradient must be a pure function of its input; a step whose
+    text a child does not send whole is traced in the calling process.
     """
     (out,) = _run_levels(cfg, [cfg.delta], x_star, inner_trace)
     if isinstance(out, Exception):
@@ -384,11 +386,12 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
     as for quagd_run's untraced level, runs here on _lockstep; of several,
     group 0 runs here and each other group in a forked child (_run_groups).
     quagd_run's traced level instead splits its trace duty by outer step
-    over up to min(max_outer, usable CPUs) processes (_split_trace).
-    Returns per level its RunTrace or the ValueError,
-    ConsensusNonterminationError or DivergenceError that ended it, with
-    .outer_step once a step has begun; a failing gradient is a ConfigError.
-    Any other error propagates.
+    over up to min(max_outer, usable CPUs) processes (_split_trace).  Both
+    fork through _forked, and a level or step text that a child does not
+    send whole is run or traced here.  Returns per level its RunTrace or
+    the ValueError, ConsensusNonterminationError or DivergenceError that
+    ended it, with .outer_step once a step has begun; a failing gradient
+    is a ConfigError.  Any other error propagates.
     """
     n = cfg.graph.n
     try:
@@ -447,53 +450,48 @@ def _group_count(cfg: OptRunConfig, levels: int) -> int:
 
 def _run_groups(run, start, levels, groups: int) -> list:
     """run's outcomes for levels split round-robin into groups: group 0 runs
-    here, each other group in a forked child (_serve) that sends back each
-    level's outcome over a pipe (a trace's first record is built here).
-    A group that cannot fork (no process or descriptor to spare) joins
-    group 0.  The levels a child sends no outcome for (a failure the loop
-    did not raise itself), and every level of a child that died or sent
-    nothing, then run here together, so each is what a run here gives,
-    __cause__ included.  Every child is reaped before this returns or
-    raises; a child still running then is killed first."""
+    here, each other group in a forked child that sends one frame per level
+    (_forked): the rows of its steps after the first (plain numbers, which
+    marshal carries as they are; the first record is built here), a failure
+    the loop raised pickled (a DivergenceError or a
+    ConsensusNonterminationError, which has no cause), else nothing.  A
+    group that cannot fork runs here with group 0, then every level whose
+    frame is empty or not whole runs here again, all together, so each is
+    what a run here gives, __cause__ included.  marshal is always loaded;
+    pickle only once a level fails (it would add 0.3 MB)."""
     out: list = [None] * len(levels)
 
     def run_here(lanes):
         for lane, outcome in zip(lanes, run([levels[lane] for lane in lanes])):
             out[lane] = outcome
 
-    here, again = [0], []  # the groups that run here; the levels to run again here
-    reads, children = [], {}  # every pipe's read end; each unreaped child's group and pipe
-    try:
-        for g in range(1, groups):
-            child = _fork(functools.partial(_serve, run, levels[g::groups]), reads)
-            if child is None:
-                here.append(g)
+    def serve(g, send):  # a forked child's body
+        for outcome in run(levels[g::groups]):
+            if isinstance(outcome, RunTrace):
+                send(marshal.dumps([astuple(step) for step in outcome.steps[1:]]))
+            elif isinstance(outcome, (DivergenceError, ConsensusNonterminationError)):
+                import pickle
+
+                send(marshal.dumps(pickle.dumps(outcome)))
             else:
-                children[child] = g, reads[-1]
-        run_here(sorted(lane for g in here for lane in range(g, len(levels), groups)))
-        for pid, (g, read) in list(children.items()):
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            lanes = range(g, len(levels), groups)
-            if status != 0:  # a failure, a death or nothing sent
-                again += lanes
-                continue
-            for lane, sent in zip(lanes, marshal.loads(data)):
-                if isinstance(sent, list):
+                send(b"")
+
+    with _forked(groups, serve) as recvs:
+        run_here([lane for lane in range(len(levels)) if lane % groups not in recvs])
+        again = []  # the levels to run again here
+        for g, recv in recvs.items():
+            for lane in range(g, len(levels), groups):
+                if (data := recv()) is None:
+                    again.append(lane)
+                elif isinstance(sent := marshal.loads(data), list):
                     steps = [start(), *(StepRecord(*row) for row in sent)]
                     out[lane] = RunTrace(levels[lane].delta, steps)
-                elif sent is None:
-                    again.append(lane)
                 else:
                     import pickle  # only once a child sends a failure
 
                     out[lane] = pickle.loads(sent)
         if again:
             run_here(sorted(again))
-    finally:
-        _reap(children, reads)
     return out
 
 
@@ -505,124 +503,101 @@ def _split_trace(run, levels, inner_trace, parts: int) -> list:
 
     A child traces into one buffer kept for the run (the trace writer's
     digit cache fills once) and after each of its steps sends the step's
-    whole text, length-prefixed: partial rows for a failure the loop
+    whole text as a frame (_forked): partial rows for a failure the loop
     records, nothing for one it does not catch.  Here a child's step runs
     untraced and its text is copied in; where none arrives whole, this
     process traces the step again from its streams, and the child's later
     steps too, as it traces every step of a child that could not fork; so
-    the stream and any error are one process's.  Every child is reaped
-    before this returns or raises, killed first if still running."""
+    the stream and any error are one process's."""
 
-    def send(part, sink):  # a forked child's body
+    def body(part, send):  # a forked child's
         buf = io.StringIO()
 
         def duty(k, consensus):
             if k % parts != part:
                 return consensus(None)
             results = consensus(buf)  # what the loop does not catch sends nothing
-            text = buf.getvalue().encode()
+            send(buf.getvalue().encode())
             buf.seek(0)
             buf.truncate()
-            sink.write(len(text).to_bytes(8, "little"))
-            sink.write(text)
-            sink.flush()
             return results
 
         run(levels, duty=duty)
 
     def duty(k, consensus):
-        pipe = pipes.get(k % parts)
-        if pipe is None:  # this process's step, or a step whose child is gone
+        recv = recvs.get(k % parts)
+        if recv is None:  # this process's step, or a step whose child is gone
             return consensus(inner_trace)
         results = consensus(None)
-        size = int.from_bytes(pipe.read(8), "little")  # 0 at the pipe's end
-        text = pipe.read(size)
-        if not size or len(text) < size:
-            del pipes[k % parts]
+        if (text := recv()) is None:
+            del recvs[k % parts]
             return consensus(inner_trace)
         inner_trace.write(text.decode())
         return results
 
-    reads, children, pipes = [], [], {}  # read ends; unreaped pids; each live child's pipe
+    with _forked(parts, body) as recvs:
+        return run(levels, duty=duty)
+
+
+def _recv(pipe) -> Optional[bytes]:
+    """The next frame's data from pipe (an 8-byte little-endian length, then
+    the data), or None if the frame is empty or does not arrive whole."""
+    size = int.from_bytes(pipe.read(8), "little")  # 0 at the pipe's end
+    data = pipe.read(size)
+    return data if size and len(data) == size else None
+
+
+@contextlib.contextmanager
+def _forked(parts: int, body):
+    """{part: recv} for parts 1 .. parts - 1, each run as body(part, send) in
+    a forked child that leaves by os._exit (running none of this process's
+    clean-up, flushing no buffer it inherited).  send(data) writes data as
+    one frame down a pipe, recv() reads the next (_recv): None always means
+    this process does that piece itself.  A part whose os.pipe or os.fork
+    fails (no descriptor or process to spare) has no entry.  A child first
+    closes every read end it inherited, so once this process closes its
+    own, a child still sending fails instead of blocking for good.  On exit
+    every read end is closed and every child reaped, killed first if an
+    exception ends the block (the one use of signal)."""
+    pipes, children, recvs = [], [], {}  # every read end; every child; each child's recv
     try:
         for part in range(1, parts):
-            if (child := _fork(functools.partial(send, part), reads)) is not None:
-                children.append(child)
-                pipes[part] = open(reads[-1], "rb", closefd=False)
-        out = run(levels, duty=duty)
-        for read in reads:  # a child still sending (a cost that is not pure) stops
-            os.close(read)
-        reads.clear()
-        while children:  # each reaped before it leaves the list the clean-up kills
-            os.waitpid(children[-1], 0)
-            del children[-1]
-    finally:
-        _reap(children, reads)
-    return out
+            try:
+                read, write = os.pipe()
+            except OSError:
+                continue
+            pipes.append(pipe := open(read, "rb"))
+            with open(write, "wb") as sink:  # this process's end closes after the fork
+                try:
+                    pid = os.fork()
+                except OSError:
+                    continue
+                if pid == 0:
+                    try:
+                        while pipes:
+                            pipes.pop().close()
 
+                        def send(data):
+                            sink.write(len(data).to_bytes(8, "little") + data)
+                            sink.flush()
 
-def _reap(children, reads) -> None:
-    """Kill and reap every child left running (by an exception: the one use
-    of signal), then close every read end left open."""
-    for pid in children:
+                        body(part, send)
+                    finally:
+                        os._exit(0)
+            children.append(pid)
+            recvs[part] = functools.partial(_recv, pipe)
+        yield recvs
+    except BaseException:
         import signal
 
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    for read in reads:
-        os.close(read)
-
-
-def _fork(body, reads):
-    """The pid of a forked child that runs body(sink), sink the write end of
-    a new pipe whose read end is appended to reads, and leaves by os._exit:
-    status 0 once body returns and sink is flushed, else 1.  The child first
-    closes every read end in reads, so that once the parent closes its own
-    a child still sending fails instead of blocking for good.  os._exit runs
-    none of the parent's clean-up and flushes no buffer the child inherited.
-    None where the system has no descriptor or process to spare (EMFILE,
-    EAGAIN, ENOMEM)."""
-    try:
-        read, write = os.pipe()
-    except OSError:
-        return None
-    reads.append(read)
-    with open(write, "wb") as sink:  # the parent's end closes after the fork
-        try:
-            pid = os.fork()
-        except OSError:
-            return None
-        if pid == 0:
-            status = 1
-            try:
-                while reads:  # a write to a pipe the parent closed then fails
-                    os.close(reads.pop())
-                body(sink)
-                sink.flush()
-                status = 0
-            finally:
-                os._exit(status)
-    return pid
-
-
-def _serve(run, levels, sink) -> None:
-    """A split sweep's child body (_run_groups): run its levels and write
-    into sink, per level, the fields of its steps after the first (plain
-    numbers, which marshal carries as they are), its failure pickled if the
-    loop raised it (a DivergenceError or ConsensusNonterminationError, which
-    has no cause), or else None.  marshal is always loaded; pickle only once
-    a level fails (it would add 0.3 MB)."""
-    sent = []
-    for outcome in run(levels):
-        if isinstance(outcome, RunTrace):
-            sent.append([astuple(step) for step in outcome.steps[1:]])
-        elif isinstance(outcome, (DivergenceError, ConsensusNonterminationError)):
-            import pickle
-
-            sent.append(pickle.dumps(outcome))
-        else:
-            sent.append(None)
-    sink.write(marshal.dumps(sent))
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in children:
+            os.waitpid(pid, 0)
 
 
 def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, start, x_star, lone: bool,

@@ -5,11 +5,11 @@ its trace duty by outer step: every process runs the whole loop, and
 process k % P traces step k, the children's text copied in by the parent.
 The outputs must not depend on the split: every file a sweep or a traced
 run writes, every level's trace and every failure are those of one
-process; a level a child cannot send, every level of a child that dies and
-every step a child sends no text for are run or traced in the parent; and
-no child outlives the call.  The process count is forced by replacing
-optimizer._group_count; the child's side is also run in this process, with
-os.fork and os._exit replaced, so its lines count as reached.
+process; every level or step text whose frame does not arrive whole is
+run or traced in the parent; and no child or pipe outlives the call.  The
+process count is forced by replacing optimizer._group_count; the child's
+side is also run in this process, with os.fork and os._exit replaced, so
+its lines count as reached, and the frames it sent are decoded here.
 """
 
 import copy
@@ -177,6 +177,31 @@ def test_failed_and_dead_children_are_rerun_here(monkeypatch):
     assert_no_child_left()
 
 
+def test_a_child_that_dies_midway_keeps_the_levels_it_sent(monkeypatch):
+    """A child that dies after sending the first of its two levels: only
+    the second runs again here, and the report is one process's."""
+    parent, sends = os.getpid(), []
+    cfg = reference_instance(n=8, seed=4, max_outer=8)
+    force_groups(monkeypatch, 1)
+    expected = [outcome(e) for e in delta_sweep(cfg, LEVELS).entries]
+
+    def dumps(value):
+        if os.getpid() != parent:
+            sends.append(value)
+            if len(sends) == 2:
+                os._exit(0)
+        return marshal.dumps(value)
+
+    monkeypatch.setattr(optimizer, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
+    runs = lockstep_runs(monkeypatch)
+    force_groups(monkeypatch, 2)
+    report = delta_sweep(cfg, LEVELS)
+    assert [outcome(e) for e in report.entries] == expected
+    deltas = [e.delta for e in report.entries]
+    assert runs == [deltas[::2], [deltas[3]]]
+    assert_no_child_left()
+
+
 def test_a_gradients_own_divergence_is_its_failure(monkeypatch):
     """A DivergenceError that a custom gradient raises is its failure like
     any other, a ConfigError chained from it: only the loop's own failures
@@ -230,8 +255,7 @@ def test_interrupt_kills_and_reaps_every_child(monkeypatch):
 
 
 class ChildExit(Exception):
-    def __init__(self, status):
-        self.status = status
+    """os._exit, called in this process by a child's side run here."""
 
 
 def rounds_short(cfg):
@@ -309,7 +333,7 @@ CHILD_CASES = {
 def child_side(monkeypatch):
     """Run the first child's side in this process from now on: os.fork
     returns 0 and os._exit raises ChildExit; returns a list that gets a
-    copy of each pipe's read end."""
+    copy of each pipe's read end (read it with frames)."""
     reads, real_pipe = [], os.pipe
 
     def pipe():
@@ -326,24 +350,37 @@ def child_side(monkeypatch):
     return reads
 
 
+def frames(read):
+    """The frames sent down a pipe, decoded from a copy of its read end: each
+    an 8-byte little-endian length, then that many bytes, to the pipe's end."""
+    with open(read, "rb") as fh:
+        data = fh.read()
+    sent = []
+    while data:
+        size = int.from_bytes(data[:8], "little")
+        assert len(data) >= 8 + size, "a frame cut short"
+        sent.append(data[8:8 + size])
+        data = data[8 + size:]
+    return sent
+
+
 @pytest.mark.parametrize("case", CHILD_CASES.values(), ids=CHILD_CASES.keys())
 def test_child_side_run_in_process(case, monkeypatch):
     """os.fork returns 0, so this process takes the child's branch for group
     1 and stops at os._exit; what it sent is read from a copy of the pipe.
-    A level's steps after the first go as rows, a failure the loop raises
-    itself as bytes, and a custom gradient's failure, which has a cause, as
-    None."""
+    A level's steps after the first go as marshalled rows, a failure the
+    loop raises itself as marshalled pickle bytes, and a custom gradient's
+    failure, which has a cause, as an empty frame."""
     make, kind = case
     cfg = make()
     parent = os.getpid()
     reads = child_side(monkeypatch)
     force_groups(monkeypatch, 2)
-    with pytest.raises(ChildExit) as exited:
+    with pytest.raises(ChildExit):
         delta_sweep(cfg, LEVELS[1:4])
-    with open(reads[0], "rb") as fh:
-        [sent] = marshal.loads(fh.read())
+    [frame] = frames(reads[0])
     assert os.getpid() == parent
-    assert exited.value.status == 0
+    sent = marshal.loads(frame) if frame else None
     assert type(sent) is kind
     monkeypatch.undo()
     force_groups(monkeypatch, 1)
@@ -355,7 +392,7 @@ def test_child_side_run_in_process(case, monkeypatch):
 
 
 def test_a_child_that_raises_sends_nothing(monkeypatch):
-    """A child whose run raises leaves with status 1 and sends nothing."""
+    """A child whose run raises leaves, and sends no frame."""
     cfg = reference_instance(n=5, seed=3, max_outer=3)
     def broken(*args):
         raise TypeError("bug in a level")
@@ -363,10 +400,9 @@ def test_a_child_that_raises_sends_nothing(monkeypatch):
     reads = child_side(monkeypatch)
     monkeypatch.setattr("quagd.optimizer._run_lanes", broken)
     force_groups(monkeypatch, 2)
-    with pytest.raises(ChildExit) as exited:
+    with pytest.raises(ChildExit):
         delta_sweep(cfg, LEVELS[1:4])
-    with open(reads[0], "rb") as fh:
-        assert (exited.value.status, fh.read()) == (1, b"")
+    assert frames(reads[0]) == []
 
 
 def test_child_failures_are_sent_not_rerun(monkeypatch):
@@ -425,21 +461,36 @@ def test_a_group_that_cannot_fork_runs_here(call, monkeypatch):
     assert_no_child_left()
 
 
-def test_what_a_child_sends():
-    """Per level: the rows of a trace's steps after the first, a failure the
-    loop raises pickled, and any other failure (one with a cause) None."""
+def test_what_a_child_sends(monkeypatch):
+    """One frame per level: the marshalled rows of a trace's steps after the
+    first, a failure the loop raises as marshalled pickle bytes, and any
+    other failure (one with a cause) empty."""
     caused = ConfigError("the gradient step at outer step 2 failed")
     caused.__cause__ = ZeroDivisionError("division by zero")
     steps = [StepRecord(0, [Fraction(1)]), StepRecord(1, [0.5], 0.25)]
     trace = RunTrace(Fraction(1, 10), steps)
     outcomes = [trace, DivergenceError(3, "x"), caused]
-    sink = io.BytesIO()
-    optimizer._serve(lambda levels: outcomes, [], sink)  # its exit status is _fork's
-    rows, diverged, rerun = marshal.loads(sink.getvalue())
-    assert rows == [astuple(trace.steps[1])]
-    back = pickle.loads(diverged)
+    reads = child_side(monkeypatch)
+    with pytest.raises(ChildExit):
+        optimizer._run_groups(lambda levels: outcomes, None, [None, None], 2)
+    rows, diverged, rerun = frames(reads[0])
+    assert marshal.loads(rows) == [astuple(trace.steps[1])]
+    back = pickle.loads(marshal.loads(diverged))
     assert (type(back), str(back), back.outer_step) == (DivergenceError, str(outcomes[1]), 3)
-    assert rerun is None
+    assert rerun == b""
+
+
+def test_recv_gives_none_for_what_does_not_arrive_whole():
+    """recv reads a frame at a time from a real pipe; an empty frame, a
+    frame cut short, the pipe's end and every read after it give None, and
+    none of them blocks."""
+    read, write = os.pipe()
+    with open(write, "wb") as sink:
+        sink.write(b"".join(len(d).to_bytes(8, "little") + d for d in [b"ab", b"", b"c"]))
+        sink.write((5).to_bytes(8, "little") + b"xyz")
+    with open(read, "rb") as pipe:
+        got = [optimizer._recv(pipe) for _ in range(7)]
+    assert got == [b"ab", None, b"c", None, None, None, None]
 
 
 def test_group_count():
@@ -677,18 +728,14 @@ def test_a_flood_check_failure_in_a_childs_step_is_raised_here(monkeypatch):
     assert_no_child_left()
 
 
-def framed(texts):
-    return b"".join(len(t.encode()).to_bytes(8, "little") + t.encode() for t in texts)
-
-
 @pytest.mark.parametrize("parts", [2, 3])
 @pytest.mark.parametrize("case", ["traces", "nontermination", "flood-check"])
 def test_traced_child_side_run_in_process(case, parts, monkeypatch):
     """The first child traces steps 1, 1 + parts, ... into a buffer of its
-    own and sends each step's text, length-prefixed; the partial text of a
-    step whose consensus does not terminate too, but nothing of a step that
-    raises what the loop does not catch, and it then leaves with status 1.
-    It writes nothing to the caller's stream."""
+    own and sends each step's text as a frame; the partial text of a step
+    whose consensus does not terminate too, but no frame for a step that
+    raises what the loop does not catch, nor after it.  It writes nothing
+    to the caller's stream."""
     cfg = reference_instance(n=8, seed=4, max_outer=7)
     if case == "nontermination":
         cfg = FAILING_RUNS["nontermination"]()
@@ -699,16 +746,14 @@ def test_traced_child_side_run_in_process(case, parts, monkeypatch):
     reads = child_side(monkeypatch)
     force_groups(monkeypatch, parts)
     stream = io.StringIO()
-    with pytest.raises(ChildExit) as exited:
+    with pytest.raises(ChildExit):
         quagd_run(cfg, inner_trace=stream)
-    with open(reads[0], "rb") as fh:
-        sent = fh.read()
-    assert exited.value.status == (case == "flood-check")
+    sent = frames(reads[0])
     assert stream.getvalue() == ""
-    mine = step_texts(text)[1::parts]
+    mine = [t.encode() for t in step_texts(text)[1::parts]]
     if case == "flood-check":  # its last step is the one that fails
         mine = mine[:-1]
-    assert sent == framed(mine) and mine
+    assert sent == mine and mine
 
 
 class FullAt(io.StringIO):
@@ -829,4 +874,38 @@ def test_children_stop_once_the_run_here_ends(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+
+
+def open_descriptors():
+    """How many descriptors this process has open, or skip where it cannot
+    list them."""
+    for listing in ("/proc/self/fd", "/dev/fd"):
+        if os.path.isdir(listing):
+            return len(os.listdir(listing))
+    pytest.skip("no descriptor listing")
+
+
+@pytest.mark.parametrize("refused", [None, "pipe", "fork"])
+def test_no_descriptor_left_open(refused, monkeypatch):
+    """A split sweep and a split traced run close every pipe end they open,
+    also where the second of two os.pipe or os.fork calls is refused."""
+    cfg = reference_instance(n=8, seed=4, max_outer=8)
+    before = open_descriptors()
+    if refused is not None:
+        code = errno.EMFILE if refused == "pipe" else errno.EAGAIN
+        real, calls = getattr(os, refused), []
+
+        def every_second_refused():
+            calls.append(refused)
+            if len(calls) % 2 == 0:
+                raise OSError(code, os.strerror(code))
+            return real()
+
+        monkeypatch.setattr(os, refused, every_second_refused)
+    force_groups(monkeypatch, 3)
+    delta_sweep(cfg, LEVELS)
+    traced(cfg)
+    assert open_descriptors() == before
+    assert refused is None or len(calls) == 4
     assert_no_child_left()

@@ -115,11 +115,12 @@ MUTANTS = [
     # a split run merges its groups in level order, runs a group that cannot
     # fork here, sends back a level's steps after the first and the failures
     # the loop raises itself, and runs here again the other failures' levels
-    # and those of a child that died
-    ("src/quagd/optimizer.py", "lanes = range(g, len(levels), groups)",
-     "lanes = range(groups - g, len(levels), groups)",
+    # and those whose frame does not arrive whole, but not the levels a child
+    # sent before it died
+    ("src/quagd/optimizer.py", "for lane in range(g, len(levels), groups):",
+     "for lane in range(groups - g, len(levels), groups):",
      "tests/test_groups.py::test_cli_sweep_writes_the_same_bytes_in_any_split[3]"),
-    ("src/quagd/optimizer.py", "                here.append(g)\n", "                pass\n",
+    ("src/quagd/optimizer.py", "if lane % groups not in recvs]", "if lane % groups == 0]",
      "tests/test_groups.py::test_a_group_that_cannot_fork_runs_here[fork]"),
     ("src/quagd/optimizer.py", "steps = [start(), *(StepRecord(*row) for row in sent)]",
      "steps = [StepRecord(*row) for row in sent]",
@@ -134,8 +135,17 @@ MUTANTS = [
     ("src/quagd/optimizer.py", "                    again.append(lane)\n",
      "                    pass\n",
      "tests/test_groups.py::test_failed_and_dead_children_are_rerun_here"),
-    ("src/quagd/optimizer.py", "                again += lanes\n", "",
+    ("src/quagd/optimizer.py", "                    again.append(lane)\n",
+     "                    again += range(g, len(levels), groups)\n"
+     "                    break\n",
+     "tests/test_groups.py::test_a_child_that_dies_midway_keeps_the_levels_it_sent"),
+    # a frame is None where it is empty or does not arrive whole
+    ("src/quagd/optimizer.py", "return data if size and len(data) == size else None",
+     "return data if len(data) == size else None",
      "tests/test_groups.py::test_failed_and_dead_children_are_rerun_here"),
+    ("src/quagd/optimizer.py", "return data if size and len(data) == size else None",
+     "return data if size else None",
+     "tests/test_groups.py::test_recv_gives_none_for_what_does_not_arrive_whole"),
     ("src/quagd/optimizer.py", "except Exception as exc:  # a custom cost's own failure,",
      "except DivergenceError as exc:\n                    out[lane] = exc\n"
      "                except Exception as exc:  # a custom cost's own failure,",
@@ -147,8 +157,8 @@ MUTANTS = [
      "            if k % parts != part:\n                return consensus(None)\n", "",
      SPLIT_TRACE.format("test_traced_run_writes_the_same_trace_in_any_split[2]")),
     ("src/quagd/optimizer.py",
-     "            del pipes[k % parts]\n            return consensus(inner_trace)\n",
-     "            del pipes[k % parts]\n            return results\n",
+     "            del recvs[k % parts]\n            return consensus(inner_trace)\n",
+     "            del recvs[k % parts]\n            return results\n",
      SPLIT_TRACE.format("test_the_steps_of_a_child_that_dies_are_traced_here")),
     ("src/quagd/optimizer.py",
      "        inner_trace.write(text.decode())\n        return results\n",
