@@ -168,10 +168,10 @@ def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
     divergence) are recorded without aborting the sweep.  theory_floor is
     left None when the step size is outside the open admissible interval.
 
-    The levels run in lockstep on shared draws within each of up to
-    min(levels, usable CPUs) processes (optimizer._run_levels); a level a
-    forked child does not send back whole runs again in this process, so
-    each level's trace or failure is the one quagd_run gives it alone.  At
+    The levels run in lockstep on shared draws, split by outer step over
+    up to min(max_outer, usable CPUs) processes (optimizer._run_levels),
+    and each level's trace or failure is the one quagd_run gives it alone,
+    also where a predicted step input misses or a forked child fails.  At
     least one level is needed, and no two may share a level_name."""
     levels = [QuantizationLevel(d) for d in deltas]
     names = [level_name(lv.delta) for lv in levels]

@@ -21,13 +21,13 @@ import operator
 import os
 import threading
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .consensus import ConsensusNonterminationError, _run_lanes, run_faqua
 from .graph import Digraph, diameter
-from .quantizer import QuantizationLevel
+from .quantizer import QuantizationLevel, quantize_floor
 from .rng import NodeStreams
 from .trace import RunTrace, StepRecord, residual_error
 
@@ -368,9 +368,9 @@ def quagd_run(
     .outer_step, chained from its error.
     inner_trace, if given, receives the per-round consensus debug trace,
     with an `OUTER <k>` marker line before each outer step.  A traced run
-    may fork processes that each run the whole loop (_split_trace), so a
-    custom gradient must be a pure function of its input; a step whose
-    text a child does not send whole is traced in the calling process.
+    may split its outer steps over processes (_run_levels), its gradients
+    all run here: the later steps' run again, on the true input, after a
+    step whose predicted input missed.
     """
     (out,) = _run_levels(cfg, [cfg.delta], x_star, inner_trace)
     if isinstance(out, Exception):
@@ -379,19 +379,15 @@ def quagd_run(
 
 
 def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> list:
-    """The outer loop at each quantization level: the levels run in lockstep
-    within each of up to min(len(levels), usable CPUs) processes.
-
-    The levels are split round-robin into _group_count groups.  One group,
-    as for quagd_run's untraced level, runs here on _lockstep; of several,
-    group 0 runs here and each other group in a forked child (_run_groups).
-    quagd_run's traced level instead splits its trace duty by outer step
-    over up to min(max_outer, usable CPUs) processes (_split_trace).  Both
-    fork through _forked, and a level or step text that a child does not
-    send whole is run or traced here.  Returns per level its RunTrace or
-    the ValueError, ConsensusNonterminationError or DivergenceError that
-    ended it, with .outer_step once a step has begun; a failing gradient
-    is a ConfigError.  Any other error propagates.
+    """The outer loop at each quantization level, the levels in lockstep on
+    shared draws.  Returns per level its RunTrace or the ValueError,
+    ConsensusNonterminationError or DivergenceError that ended it, with
+    .outer_step once a step has begun; a failing gradient is a ConfigError.
+    Any other error propagates.  A run of several levels, or quagd_run's
+    traced level, first splits by outer step over _group_count processes,
+    on the steps each level's map predicts here (_predict, _split); then
+    _lockstep runs every level on from its first step not run on its true
+    input, so each outcome is one process's, failures included.
     """
     n = cfg.graph.n
     try:
@@ -411,132 +407,118 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
     except ValueError as exc:
         return [exc] * len(levels)
 
-    def start():  # a level's first record
-        return StepRecord(k=0, estimates=list(cfg.x0), residual=r0)
+    step = functools.partial(_step, cfg.graph, d_bound, cfg.max_rounds, len(levels) == 1,
+                             NodeStreams(cfg.master_seed, n))
+    out = [RunTrace(q.delta, [StepRecord(k=0, estimates=list(cfg.x0), residual=r0)])
+           for q in levels]
+    split = len(levels) > 1 or inner_trace is not None  # an untraced run never splits
+    if (parts := _group_count(cfg, cfg.max_outer if split else 1)) > 1:
+        preds = [_predict(cfg, alpha, q) for q in levels]
+        _split(cfg, x_star, levels, out, step, preds, parts, inner_trace)
+    return _lockstep(cfg, alpha, step, x_star, levels, out, inner_trace)
 
-    run = functools.partial(_lockstep, cfg, alpha, d_bound, start, x_star, len(levels) == 1)
-    groups = _group_count(cfg, len(levels) if inner_trace is None else cfg.max_outer)
-    if groups == 1:
-        return run(levels, inner_trace)
-    if inner_trace is not None:
-        return _split_trace(run, levels, inner_trace, groups)
-    return _run_groups(run, start, levels, groups)
 
-
-# Both splits share one threshold in node-steps (n * max_outer), set by the
-# traced run's, which splits only the trace and so pays later.  Split in two,
-# three-level sweeps of 24, 80, 100 and 200 took 1.21, 0.96, 0.95 and 0.85 of
-# their one-process time by median (BENCH_37.json extra_runs.small_sweeps);
-# traced runs of 100, 120, 140, 160, 200 and 1200 took 1.04, 0.99-1.02, 0.97,
-# 0.92, 0.91-0.97 and 0.81 (BENCH_39.json extra_runs.traced_run_sizes), against
-# 0.99-1.01 for one process against itself.  160 keeps a margin over both.
+# A split's threshold in node-steps (n * max_outer).  Split in two, with the
+# next op timed in, three-level sweeps of 80, 100, 120, 160 and 1200 took 0.94,
+# 0.93, 0.85, 0.81 and 0.64 of one process by median pair, and traced runs whose
+# processes ran on CPUs of their own 1.01, 0.96, 0.89, 0.88 and 0.63
+# (BENCH_41.json extra_runs.fork_threshold).  160 keeps a margin over both.
 _FORK_MIN_NODE_STEPS = 160
 
 
-def _group_count(cfg: OptRunConfig, levels: int) -> int:
-    """How many processes a run of this many levels (a traced run: outer
-    steps) takes: one per CPU in this process's affinity mask (free or not;
-    a cgroup quota is not read), at most one per level.  One alone for a run
-    of fewer node-steps than pay for a fork, where there is no os.fork, or
-    while another thread runs (a forked child would hold its locks, not the
-    thread)."""
-    if (levels < 2 or cfg.graph.n * cfg.max_outer < _FORK_MIN_NODE_STEPS
+def _group_count(cfg: OptRunConfig, steps: int) -> int:
+    """How many processes a run of this many outer steps is split over
+    (1 for a run that never splits): one per CPU in this process's affinity
+    mask (free or not; a cgroup quota is not read), at most one per step.
+    One alone for a run of fewer node-steps than pay for a fork, where
+    there is no os.fork, or while another thread runs (a forked child
+    would hold its locks, not the thread)."""
+    if (steps < 2 or cfg.graph.n * cfg.max_outer < _FORK_MIN_NODE_STEPS
             or not hasattr(os, "fork") or threading.active_count() > 1):
         return 1
     if hasattr(os, "sched_getaffinity"):
-        return min(levels, len(os.sched_getaffinity(0)))
-    return min(levels, os.cpu_count() or 1)
+        return min(steps, len(os.sched_getaffinity(0)))
+    return min(steps, os.cpu_count() or 1)
 
 
-def _run_groups(run, start, levels, groups: int) -> list:
-    """run's outcomes for levels split round-robin into groups: group 0 runs
-    here, each other group in a forked child that sends one frame per level
-    (_forked): the rows of its steps after the first (plain numbers, which
-    marshal carries as they are; the first record is built here), a failure
-    the loop raised pickled (a DivergenceError or a
-    ConsensusNonterminationError, which has no cause), else nothing.  A
-    group that cannot fork runs here with group 0, then every level whose
-    frame is empty or not whole runs here again, all together, so each is
-    what a run here gives, __cause__ included.  marshal is always loaded;
-    pickle only once a level fails (it would add 0.3 MB)."""
-    out: list = [None] * len(levels)
-
-    def run_here(lanes):
-        for lane, outcome in zip(lanes, run([levels[lane] for lane in lanes])):
-            out[lane] = outcome
-
-    def serve(g, send):  # a forked child's body
-        for outcome in run(levels[g::groups]):
-            if isinstance(outcome, RunTrace):
-                send(marshal.dumps([astuple(step) for step in outcome.steps[1:]]))
-            elif isinstance(outcome, (DivergenceError, ConsensusNonterminationError)):
-                import pickle
-
-                send(marshal.dumps(pickle.dumps(outcome)))
-            else:
-                send(b"")
-
-    with _forked(groups, serve) as recvs:
-        run_here([lane for lane in range(len(levels)) if lane % groups not in recvs])
-        again = []  # the levels to run again here
-        for g, recv in recvs.items():
-            for lane in range(g, len(levels), groups):
-                if (data := recv()) is None:
-                    again.append(lane)
-                elif isinstance(sent := marshal.loads(data), list):
-                    steps = [start(), *(StepRecord(*row) for row in sent)]
-                    out[lane] = RunTrace(levels[lane].delta, steps)
-                else:
-                    import pickle  # only once a child sends a failure
-
-                    out[lane] = pickle.loads(sent)
-        if again:
-            run_here(sorted(again))
-    return out
+def _predict(cfg: OptRunConfig, alpha: float, level: QuantizationLevel) -> list:
+    """The run at level as the quantized map gives it, with no round run:
+    per outer step, the stepped values and lo = floor(S / n), S the sum of
+    their counts floor(x_half / delta), every node then holding
+    float(lo * delta).  That is the run while each consensus outputs
+    floor(S / n), as it almost always does (its contract allows |lo n - S|
+    <= n).  It stops at the first step whose gradients fail or overflow."""
+    n, x, steps = cfg.graph.n, cfg.x0, []
+    for k in range(cfg.max_outer):
+        try:
+            x_half = _stepped(cfg, alpha, x, k)
+            lo = sum(quantize_floor(v, level) for v in x_half) // n
+            x = [float(lo * level.delta)] * n
+        except Exception:  # the loop meets it at step k
+            break
+        steps.append((x_half, lo))
+    return steps
 
 
-def _split_trace(run, levels, inner_trace, parts: int) -> list:
-    """run's outcome for quagd_run's one level, traced into inner_trace by
-    parts processes: each runs the whole loop, and process k % parts (this
-    one is 0, the others forked children) traces outer step k.  Kernel and
-    trace cost about the same, so a child keeps ahead of this process.
+def _split(cfg: OptRunConfig, x_star, levels, out: list, step, preds, parts: int,
+           inner_trace) -> None:
+    """Take into out each level's outer steps up to the first not run on
+    its true input, which holds while every earlier step's lo is as preds
+    (_predict's, per level) has it.  Process p runs the steps k = p (mod
+    parts) on the predicted stepped values, each step's levels in one call:
+    this process is 0, each other a forked child (_forked) that sends a
+    marshal frame per step, each level's _row (None for a failure or a
+    level not run) and the text it traced into its one buffer.  Here the
+    steps are taken in order, a child's text copied in; a level stops at a
+    missed prediction, and before a step of a child that failed or whose
+    frame is None (a failure here is taken)."""
+    ends = [len(steps) for steps in preds]  # per level, the first step not to run here
 
-    A child traces into one buffer kept for the run (the trace writer's
-    digit cache fills once) and after each of its steps sends the step's
-    whole text as a frame (_forked): partial rows for a failure the loop
-    records, nothing for one it does not catch.  Here a child's step runs
-    untraced and its text is copied in; where none arrives whole, this
-    process traces the step again from its streams, and the child's later
-    steps too, as it traces every step of a child that could not fork; so
-    the stream and any error are one process's."""
+    def run(k, trace) -> list:  # step k's _row per level, None for one not run
+        lanes = [lane for lane, end in enumerate(ends) if k < end]
+        got = [None] * len(levels)
+        for lane, result in zip(lanes, step(k, [preds[lane][k][0] for lane in lanes],
+                                            [levels[lane] for lane in lanes], trace)):
+            got[lane] = _row(result)
+        return got
+
+    def check(k, got) -> None:  # end the split of each level that step k ends
+        for lane, row in enumerate(got):
+            if k >= ends[lane]:
+                continue
+            if not (isinstance(row, tuple) and isinstance(out[lane], RunTrace)):
+                ends[lane] = k  # not run, or failed: a failure taken here stays
+            elif row[0] != preds[lane][k][1]:
+                ends[lane] = k + 1  # step k ran on its true input, step k + 1 did not
 
     def body(part, send):  # a forked child's
-        buf = io.StringIO()
-
-        def duty(k, consensus):
-            if k % parts != part:
-                return consensus(None)
-            results = consensus(buf)  # what the loop does not catch sends nothing
-            send(buf.getvalue().encode())
-            buf.seek(0)
-            buf.truncate()
-            return results
-
-        run(levels, duty=duty)
-
-    def duty(k, consensus):
-        recv = recvs.get(k % parts)
-        if recv is None:  # this process's step, or a step whose child is gone
-            return consensus(inner_trace)
-        results = consensus(None)
-        if (text := recv()) is None:
-            del recvs[k % parts]
-            return consensus(inner_trace)
-        inner_trace.write(text.decode())
-        return results
+        trace = None if inner_trace is None else io.StringIO()
+        for k in range(part, cfg.max_outer, parts):
+            if k >= max(ends):
+                break
+            check(k, got := run(k, trace))
+            rows = [row if isinstance(row, tuple) else None for row in got]
+            send(marshal.dumps((rows, trace and trace.getvalue())))
+            if trace is not None:
+                trace.seek(0)
+                trace.truncate()
 
     with _forked(parts, body) as recvs:
-        return run(levels, duty=duty)
+        for k in range(cfg.max_outer):
+            if k >= max(ends):
+                break
+            if (recv := recvs.get(k % parts)) is None:  # this process's step
+                got = run(k, inner_trace)
+            elif (frame := recv()) is None:
+                got = [None] * len(levels)
+            else:
+                got, text = marshal.loads(frame)
+                if text is not None and got[0] is not None:  # a traced run's one level
+                    inner_trace.write(text)
+            for lane, row in enumerate(got):
+                if k < ends[lane] and row is not None:
+                    _take(cfg, x_star, out, lane, k, preds[lane][k][0], levels[lane], row)
+            check(k, got)
 
 
 def _recv(pipe) -> Optional[bytes]:
@@ -600,81 +582,98 @@ def _forked(parts: int, body):
             os.waitpid(pid, 0)
 
 
-def _lockstep(cfg: OptRunConfig, alpha: float, d_bound: int, start, x_star, lone: bool,
-              levels, inner_trace=None, duty=None) -> list:
-    """_run_levels' outcomes for levels all run in lockstep, from its
-    prologue's alpha, d_bound and start(), a level's first record; every
-    later record holds plain numbers, whatever number type a cost returns.
+def _stepped(cfg: OptRunConfig, alpha: float, x, k: int) -> list:
+    """Every node's stepped value at outer step k from estimates x.  One
+    that is not finite raises DivergenceError; a gradient's own failure (a
+    DivergenceError too) a ConfigError with .outer_step, chained from it."""
+    try:
+        x_half = [gradient_step(xi, alpha, f) for xi, f in zip(x, cfg.costs)]
+        finite = all(map(math.isfinite, x_half))
+    except Exception as exc:  # a custom cost's own failure, of any type
+        err = ConfigError(f"the gradient step at outer step {k} failed: "
+                          f"{type(exc).__name__}: {exc}")
+        err.outer_step = k
+        raise err from exc
+    if not finite:
+        raise DivergenceError(k, "a stepped value is not finite")
+    return x_half
 
-    No node stream or consensus draw depends on the level, so each outer
-    step runs the live levels on one stream set.  lone says whether the
-    caller's run has one level: run_faqua then runs it (inner_trace is for
-    it alone); the levels of a run of several go through _run_lanes, also
-    once one is left live, so a run takes one route however it is split.
-    duty, if set, is a split traced run's (_split_trace): each step's
-    consensus then runs as duty(k, consensus) has it, consensus(trace)
-    running step k from its streams traced into trace (or untraced for
-    None), and inner_trace goes unused.
-    """
-    n = cfg.graph.n
-    out: list = [RunTrace(q.delta, [start()]) for q in levels]
-    run_streams = NodeStreams(cfg.master_seed, n)  # reseeded in place each step
 
-    def consensus(trace) -> list:  # step k's results, a failure the loop records as one
-        streams = run_streams.at(k)
-        if trace is not None:
-            trace.write(f"OUTER\t{k}\n")
-        try:
-            if lone:
-                return [run_faqua(x_halves[0], cfg.graph, d_bound, qs[0], streams,
-                                  cfg.max_rounds, trace=trace)]
-            return _run_lanes(x_halves, cfg.graph, d_bound, qs, streams, cfg.max_rounds)
-        except Exception as exc:
-            exc.outer_step = k
-            if not isinstance(exc, (ValueError, ConsensusNonterminationError)):
-                raise
-            return [exc] * len(qs)
+def _step(g: Digraph, d_bound: int, max_rounds, lone: bool, streams: NodeStreams, k: int,
+          x_halves, qs, trace=None) -> list:
+    """Outer step k's consensus on each level's stepped values, on the run's
+    node streams at k: per level a ConsensusResult or the ValueError or
+    ConsensusNonterminationError it fails with; any other error propagates,
+    with .outer_step.  A run of one level (lone) goes through run_faqua,
+    traced into trace after an OUTER line if given; one of several through
+    _run_lanes, once one is left too, so it takes one route however split."""
+    if trace is not None:
+        trace.write(f"OUTER\t{k}\n")
+    try:
+        if lone:
+            return [run_faqua(x_halves[0], g, d_bound, qs[0], streams.at(k), max_rounds,
+                              trace=trace)]
+        return _run_lanes(x_halves, g, d_bound, qs, streams.at(k), max_rounds)
+    except Exception as exc:
+        exc.outer_step = k
+        if not isinstance(exc, (ValueError, ConsensusNonterminationError)):
+            raise
+        return [exc] * len(qs)
 
+
+def _row(result):
+    """What a step's record takes from its ConsensusResult (and a child
+    sends): lo, the rounds, the conservation flag and the accuracy
+    contract's.  A failure is its own row."""
+    if isinstance(result, Exception):
+        return result
+    return (result.value_count, result.rounds_used,
+            all(a.y_conserved and a.z_conserved for a in result.audits),
+            result.within_accuracy_contract())
+
+
+def _take(cfg: OptRunConfig, x_star, out: list, lane: int, k: int, x_half, q, row) -> None:
+    """Record outer step k of out[lane], at level q, from its stepped values
+    and its _row: a failure ends the level, else every node holds lo * delta.
+    The record holds plain numbers, whatever number type a cost returns."""
+    if isinstance(row, Exception):
+        row.outer_step, out[lane] = k, row
+        return
+    n, (lo, rounds, conserved, contract) = cfg.graph.n, row
+    value = float(lo * q.delta)  # as the kernel decodes it
+    x = [value] * n
+    x_hat = _sum(x) / n
+    try:
+        out[lane].steps.append(StepRecord(
+            k=k + 1, estimates=x, residual=_residual(x, cfg.x0, x_star, k),
+            inner_rounds=rounds, centroid_err=float(abs(x_hat - _sum(x_half) / n)),
+            max_node_dev=abs(value - x_hat), conservation_ok=conserved, accuracy_ok=contract,
+            stepped_size=float(max(map(abs, x_half))),
+        ))
+    except DivergenceError as exc:
+        out[lane] = exc
+
+
+def _lockstep(cfg: OptRunConfig, alpha: float, step, x_star, levels, out: list,
+              inner_trace=None) -> list:
+    """out (per level its RunTrace, or the failure that ended it) run on to
+    cfg.max_outer and returned.  A level whose RunTrace holds k + 1 records
+    takes outer step k from its last estimates, with every level then due:
+    each step runs them on one stream set (step: _step, traced into
+    inner_trace if given), as no node stream or draw depends on the level."""
     for k in range(cfg.max_outer):
-        stepped = {}  # each live level's stepped values
+        stepped = {}  # each due level's stepped values
         for lane, trace in enumerate(out):
-            if isinstance(trace, RunTrace):
-                x = trace.steps[-1].estimates
+            if isinstance(trace, RunTrace) and len(trace.steps) == k + 1:
                 try:
-                    x_half = [gradient_step(x[i], alpha, cfg.costs[i]) for i in range(n)]
-                    if all(map(math.isfinite, x_half)):
-                        stepped[lane] = x_half
-                    else:
-                        out[lane] = DivergenceError(k, "a stepped value is not finite")
-                except Exception as exc:  # a custom cost's own failure, of any type
-                    out[lane] = err = ConfigError(f"the gradient step at outer step {k} "
-                                                  f"failed: {type(exc).__name__}: {exc}")
-                    err.outer_step, err.__cause__ = k, exc
-        if not stepped:
+                    stepped[lane] = _stepped(cfg, alpha, trace.steps[-1].estimates, k)
+                except (ConfigError, DivergenceError) as exc:
+                    out[lane] = exc
+        if stepped:
+            results = step(k, list(stepped.values()), [levels[lane] for lane in stepped],
+                           inner_trace)
+            for (lane, x_half), result in zip(stepped.items(), results):
+                _take(cfg, x_star, out, lane, k, x_half, levels[lane], _row(result))
+        elif not any(isinstance(t, RunTrace) and len(t.steps) <= cfg.max_outer for t in out):
             break
-        x_halves, qs = list(stepped.values()), [levels[lane] for lane in stepped]
-        results = consensus(inner_trace) if duty is None else duty(k, consensus)
-        for (lane, x_half), result in zip(stepped.items(), results):
-            if isinstance(result, Exception):
-                result.outer_step = k
-                out[lane] = result
-                continue
-            x = result.per_node_values  # every node holds result.value
-            x_hat = _sum(x) / n
-            try:
-                out[lane].steps.append(StepRecord(
-                    k=k + 1,
-                    estimates=x,
-                    residual=_residual(x, cfg.x0, x_star, k),
-                    inner_rounds=result.rounds_used,
-                    centroid_err=float(abs(x_hat - _sum(x_half) / n)),
-                    max_node_dev=abs(result.value - x_hat),
-                    conservation_ok=all(
-                        a.y_conserved and a.z_conserved for a in result.audits
-                    ),
-                    accuracy_ok=result.within_accuracy_contract(),
-                    stepped_size=float(max(map(abs, x_half))),
-                ))
-            except DivergenceError as exc:
-                out[lane] = exc
     return out

@@ -1,15 +1,18 @@
-"""A run of several levels splits them round-robin into groups, one per
-process (optimizer._run_levels): group 0 runs in the calling process, each
-other group in a forked child.  A traced run of one level instead splits
-its trace duty by outer step: every process runs the whole loop, and
-process k % P traces step k, the children's text copied in by the parent.
-The outputs must not depend on the split: every file a sweep or a traced
-run writes, every level's trace and every failure are those of one
-process; every level or step text whose frame does not arrive whole is
-run or traced in the parent; and no child or pipe outlives the call.  The
-process count is forced by replacing optimizer._group_count; the child's
-side is also run in this process, with os.fork and os._exit replaced, so
-its lines count as reached, and the frames it sent are decoded here.
+"""A run of several levels, or a traced run, splits by outer step over P
+processes (optimizer._run_levels).  The calling process first predicts
+each level with the quantized map (optimizer._predict); then process p
+runs the steps k = p (mod P) on the predicted inputs, every level as a
+lane of one kernel call: process 0 is the calling one, each other a forked
+child that sends one frame per step.  The parent takes a level's step only
+while every earlier step's count was as predicted, and runs each level on
+from its first step not taken.  The outputs must not depend on the split:
+every file a sweep or a traced run writes, every level's trace and every
+failure are those of one process, also where a prediction misses, a child
+fails or dies, or a fork is refused; and no child or pipe outlives the
+call.  The process count is forced by replacing optimizer._group_count;
+the child's side is also run in this process, with os.fork and os._exit
+replaced, so its lines count as reached, and the frames it sent are
+decoded here.
 """
 
 import copy
@@ -37,7 +40,7 @@ from quagd.graph import NotStronglyConnectedError
 from quagd.harness import delta_sweep, reference_instance, write_trace_csv
 from quagd.optimizer import ConfigError, DivergenceError, quadratic_optimum, quagd_run
 from quagd.rng import NodeStreams
-from quagd.trace import RunTrace, StepRecord
+from quagd.trace import RunTrace
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_PATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -78,16 +81,60 @@ def counted_forks(monkeypatch):
     return forks
 
 
-def lockstep_runs(monkeypatch):
-    """The levels of each _lockstep run this process makes from now on."""
+def reruns(monkeypatch):
+    """Per _lockstep call this process makes from now on, the outer step
+    from which it runs each level that has steps left, by level."""
     runs, real = [], optimizer._lockstep
 
-    def counted(*args, **kwargs):
-        runs.append([q.delta for q in args[6]])
-        return real(*args, **kwargs)
+    def counted(cfg, alpha, step, x_star, levels, out, inner_trace=None):
+        runs.append({q.delta: len(t.steps) - 1 for q, t in zip(levels, out)
+                     if isinstance(t, RunTrace) and len(t.steps) <= cfg.max_outer})
+        return real(cfg, alpha, step, x_star, levels, out, inner_trace)
 
     monkeypatch.setattr(optimizer, "_lockstep", counted)
     return runs
+
+
+def replace_steps(monkeypatch, where, act):
+    """From now on, in any process, the consensus of each outer step k for
+    which where(k) holds is act(levels) instead: act may raise, leave the
+    process, or give each level's outcome, as optimizer._step does."""
+    real = optimizer._step
+
+    def step(g, d_bound, max_rounds, lone, streams, k, x_halves, qs, trace=None):
+        if where(k):
+            return act(qs)
+        return real(g, d_bound, max_rounds, lone, streams, k, x_halves, qs, trace)
+
+    monkeypatch.setattr(optimizer, "_step", step)
+
+
+def nonterminating(qs):
+    """Every level's outcome is a nontermination, as a kernel gives it."""
+    return [ConsensusNonterminationError(1, [])] * len(qs)
+
+
+def missing(monkeypatch, delta, step):
+    """From now on the quantized map misses by one count at outer step
+    `step` of level delta: the first node's count there is n too high, so
+    the predicted lo is one too high, and the later steps are predicted
+    from it."""
+    real_predict, real_floor = optimizer._predict, optimizer.quantize_floor
+
+    def predict(cfg, alpha, level):
+        if level.delta != Fraction(delta):
+            return real_predict(cfg, alpha, level)
+        calls, n = [], cfg.graph.n
+
+        def floor(x, q):
+            calls.append(x)
+            return real_floor(x, q) + (n if len(calls) == step * n + 1 else 0)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer, "quantize_floor", floor)
+            return real_predict(cfg, alpha, level)
+
+    monkeypatch.setattr(optimizer, "_predict", predict)
 
 
 def outcome(entry):
@@ -136,50 +183,45 @@ def exact_x0(cfg):
     return replace(cfg, x0=[Fraction(x) for x in cfg.x0])
 
 
-def failing_in_children(parent):
-    """The 6-node reference instance whose gradient fails from outer step 2,
-    in a forked child only: the parent's rerun of a child's group succeeds."""
-    cfg = reference_instance(n=6, seed=1, max_outer=5)
-    calls = []
+def failing_gradient(cfg, step):
+    """cfg with every gradient failing at outer step `step` at each of
+    LEVELS[1:4], known by its input, the estimate one process reaches there
+    (no earlier step's input, which decrease on these instances)."""
+    doomed = {entry.trace.steps[step].estimates[0]
+              for entry in delta_sweep(cfg, LEVELS[1:4]).entries}
 
-    def gradient(x, c):
-        calls.append(x)
-        if os.getpid() != parent and len(calls) > 2 * 6:
+    def gradient(x, g):
+        if x in doomed:
             raise ZeroDivisionError("division by zero")
-        return x - c
+        return g(x)
 
-    return replace(cfg, costs=[replace(c, gradient=lambda x, c=c.center: gradient(x, c))
+    return replace(cfg, costs=[replace(c, gradient=lambda x, g=c.gradient: gradient(x, g))
                                for c in cfg.costs])
 
 
 def test_failed_and_dead_children_are_rerun_here(monkeypatch):
+    """From its second step on, each child's consensus fails where one
+    process's does not, or the child dies: those steps and every later one
+    run here, and the report is one process's, steps[0] included."""
     parent = os.getpid()
+    cfg = reference_instance(n=6, seed=1, max_outer=8)
+    exact = exact_x0(cfg)  # steps[0], which no child sends
     force_groups(monkeypatch, 1)
-    expected = [outcome(e) for e in delta_sweep(failing_in_children(parent), LEVELS).entries]
+    expected = [[outcome(e) for e in delta_sweep(c, LEVELS).entries] for c in (cfg, exact)]
+    assert all(type(got) is list for got in expected[0])  # no level fails
     force_groups(monkeypatch, 3)
-    report = delta_sweep(failing_in_children(parent), LEVELS)
-    assert [outcome(e) for e in report.entries] == expected
-    assert all(e.exception is None for e in report.entries)
-
-    cfg = reference_instance(n=6, seed=1, max_outer=5)
-    dying = replace(cfg, costs=[replace(c, gradient=lambda x, c=c: (
-        os.kill(os.getpid(), signal.SIGKILL) if os.getpid() != parent else c.gradient(x)))
-        for c in cfg.costs])
-    report = delta_sweep(dying, LEVELS)
-    force_groups(monkeypatch, 1)
-    assert [outcome(e) for e in report.entries] == [
-        outcome(e) for e in delta_sweep(cfg, LEVELS).entries]
-
-    exact = exact_x0(cfg)  # steps[0], which a child does not send
-    expected = [outcome(e) for e in delta_sweep(exact, LEVELS).entries]
-    force_groups(monkeypatch, 3)
-    assert [outcome(e) for e in delta_sweep(exact, LEVELS).entries] == expected
+    for act in (nonterminating, lambda qs: os.kill(os.getpid(), signal.SIGKILL)):
+        with monkeypatch.context() as patch:
+            replace_steps(patch, lambda k: os.getpid() != parent and k > 3, act)
+            got = [[outcome(e) for e in delta_sweep(c, LEVELS).entries] for c in (cfg, exact)]
+        assert got == expected
     assert_no_child_left()
 
 
-def test_a_child_that_dies_midway_keeps_the_levels_it_sent(monkeypatch):
-    """A child that dies after sending the first of its two levels: only
-    the second runs again here, and the report is one process's."""
+def test_a_child_that_dies_midway_keeps_the_steps_it_sent(monkeypatch):
+    """A child that dies after sending the first of its four steps: every
+    level's steps up to the next are taken from the split, only the rest
+    run again here, and the report is one process's."""
     parent, sends = os.getpid(), []
     cfg = reference_instance(n=8, seed=4, max_outer=8)
     force_groups(monkeypatch, 1)
@@ -193,19 +235,18 @@ def test_a_child_that_dies_midway_keeps_the_levels_it_sent(monkeypatch):
         return marshal.dumps(value)
 
     monkeypatch.setattr(optimizer, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
-    runs = lockstep_runs(monkeypatch)
+    runs = reruns(monkeypatch)
     force_groups(monkeypatch, 2)
     report = delta_sweep(cfg, LEVELS)
     assert [outcome(e) for e in report.entries] == expected
-    deltas = [e.delta for e in report.entries]
-    assert runs == [deltas[::2], [deltas[3]]]
+    assert runs == [{e.delta: 3 for e in report.entries}]  # steps 0-2 kept
     assert_no_child_left()
 
 
 def test_a_gradients_own_divergence_is_its_failure(monkeypatch):
     """A DivergenceError that a custom gradient raises is its failure like
-    any other, a ConfigError chained from it: only the loop's own failures
-    come back pickled, so a split keeps the cause."""
+    any other, a ConfigError chained from it, in a split too: gradients
+    run in the calling process alone."""
     def gradient(x):
         raise DivergenceError(0, "from the gradient") from ZeroDivisionError("division by zero")
 
@@ -234,20 +275,14 @@ def test_failures_keep_their_cause_and_snapshot(groups, monkeypatch):
 
 
 def test_interrupt_kills_and_reaps_every_child(monkeypatch):
-    """Group 0 stops here at outer step 3 while the children still run."""
+    """This process stops at its outer step 3 while the children still run."""
     parent = os.getpid()
     cfg = reference_instance(n=8, seed=0, max_outer=400)
-    steps = []
 
-    def gradient(x, c):
-        if os.getpid() == parent:
-            steps.append(x)
-            if len(steps) > 3 * 8:
-                raise KeyboardInterrupt
-        return x - c
+    def interrupt(qs):
+        raise KeyboardInterrupt
 
-    cfg = replace(cfg, costs=[replace(c, gradient=lambda x, c=c.center: gradient(x, c))
-                              for c in cfg.costs])
+    replace_steps(monkeypatch, lambda k: os.getpid() == parent and k == 3, interrupt)
     force_groups(monkeypatch, 3)
     with pytest.raises(KeyboardInterrupt):
         delta_sweep(cfg, ["0.1", "0.01", "0.001"])
@@ -291,7 +326,7 @@ def wrapped_gradients(cfg):
 
 def test_float_subclasses_are_recorded_as_plain_floats(tmp_path, monkeypatch):
     """A cost's number type does not reach the records: trace.csv holds
-    plain float reprs, and a split run sends every level as it is."""
+    plain float reprs, and a split run takes every step as it is."""
     cfg = wrapped_gradients(reference_instance(n=5, seed=3, max_outer=3))
     assert type(abs(Wrapped(2) - 1 * Wrapped(3) / 2)) is Wrapped
     trace = quagd_run(cfg, quadratic_optimum(cfg.costs))
@@ -302,11 +337,11 @@ def test_float_subclasses_are_recorded_as_plain_floats(tmp_path, monkeypatch):
 
     force_groups(monkeypatch, 1)
     expected = [outcome(e) for e in delta_sweep(cfg, LEVELS[1:4]).entries]
-    runs = lockstep_runs(monkeypatch)
+    runs = reruns(monkeypatch)
     force_groups(monkeypatch, 3)
     report = delta_sweep(cfg, LEVELS[1:4])
     assert [outcome(e) for e in report.entries] == expected
-    assert runs == [[report.entries[0].delta]]  # group 0 alone ran here
+    assert runs == [{}]  # every step taken from the split, none run again
     assert_no_child_left()
 
 
@@ -318,16 +353,32 @@ def numpy_gradients(cfg):
                                for c in cfg.costs])
 
 
-# per case: the config, and what the child sends for each of its levels
+# per case: the config, and how many steps the child of a sweep of
+# LEVELS[1:4] split in two runs
 CHILD_CASES = {
-    "traces": (lambda: reference_instance(n=5, seed=3, max_outer=3), list),
-    "fraction-x0": (lambda: exact_x0(reference_instance(n=5, seed=3, max_outer=3)), list),
-    "failing-gradient": (lambda: failing_in_children(-1), type(None)),
-    "nontermination": (lambda: rounds_short(reference_instance(n=6, seed=0, max_outer=5)),
-                       bytes),
-    "numpy-floats": (lambda: numpy_gradients(reference_instance(n=5, seed=3, max_outer=3)),
-                     list),
+    "traces": (lambda: reference_instance(n=5, seed=3, max_outer=5), 2),
+    "fraction-x0": (lambda: exact_x0(reference_instance(n=5, seed=3, max_outer=5)), 2),
+    # the map stops before the gradients fail, at step 2
+    "failing-gradient": (lambda: failing_gradient(reference_instance(n=6, seed=1, max_outer=5),
+                                                  2), 1),
+    # every level fails at step 0 or 1; the child runs each on to its own failure
+    "nontermination": (lambda: rounds_short(reference_instance(n=6, seed=0, max_outer=5)), 2),
+    "numpy-floats": (lambda: numpy_gradients(reference_instance(n=5, seed=3, max_outer=5)), 2),
 }
+
+
+def taken_rows(monkeypatch):
+    """(outer step, level) -> what this process builds that step's record
+    from, from now on: its consensus row (count, rounds, conservation
+    flag, contract flag), or None for a failure."""
+    rows, real = {}, optimizer._take
+
+    def take(cfg, x_star, out, lane, k, x_half, q, row):
+        rows[k, q.delta] = row if isinstance(row, tuple) else None
+        return real(cfg, x_star, out, lane, k, x_half, q, row)
+
+    monkeypatch.setattr(optimizer, "_take", take)
+    return rows
 
 
 def child_side(monkeypatch):
@@ -366,29 +417,36 @@ def frames(read):
 
 @pytest.mark.parametrize("case", CHILD_CASES.values(), ids=CHILD_CASES.keys())
 def test_child_side_run_in_process(case, monkeypatch):
-    """os.fork returns 0, so this process takes the child's branch for group
-    1 and stops at os._exit; what it sent is read from a copy of the pipe.
-    A level's steps after the first go as marshalled rows, a failure the
-    loop raises itself as marshalled pickle bytes, and a custom gradient's
-    failure, which has a cause, as an empty frame."""
-    make, kind = case
+    """os.fork returns 0, so this process takes the first child's branch,
+    runs its steps 1, 3, ... and stops at os._exit; what it sent is read
+    from a copy of the pipe.  Each frame holds the step's row per level, as
+    one process takes it (None for a failure), and no trace text; a level
+    whose step fails in the child is not run there again."""
+    make, count = case
     cfg = make()
+    force_groups(monkeypatch, 1)
+    expected = taken_rows(monkeypatch)
+    delta_sweep(cfg, LEVELS[1:4])
+    monkeypatch.undo()
     parent = os.getpid()
     reads = child_side(monkeypatch)
     force_groups(monkeypatch, 2)
     with pytest.raises(ChildExit):
         delta_sweep(cfg, LEVELS[1:4])
-    [frame] = frames(reads[0])
+    sent = [marshal.loads(frame) for frame in frames(reads[0])]
     assert os.getpid() == parent
-    sent = marshal.loads(frame) if frame else None
-    assert type(sent) is kind
-    monkeypatch.undo()
-    force_groups(monkeypatch, 1)
-    [_, entry, _] = delta_sweep(cfg, LEVELS[1:4]).entries
-    if kind is list:
-        assert sent == list(map(astuple, entry.trace.steps[1:]))
-    elif kind is bytes:
-        assert outcome(SimpleNamespace(exception=pickle.loads(sent))) == outcome(entry)
+    assert len(sent) == count
+    failed = set()
+    for k, (rows, text) in zip(range(1, cfg.max_outer, 2), sent):
+        assert text is None
+        for level, row in zip(LEVELS[1:4], rows):
+            delta = Fraction(level)
+            if delta in failed:
+                assert row is None
+            elif (k, delta) in expected:  # else one process ended the level before
+                assert row == expected[k, delta]
+            if row is None:
+                failed.add(delta)
 
 
 def test_a_child_that_raises_sends_nothing(monkeypatch):
@@ -405,32 +463,36 @@ def test_a_child_that_raises_sends_nothing(monkeypatch):
     assert frames(reads[0]) == []
 
 
-def test_child_failures_are_sent_not_rerun(monkeypatch):
-    """A child's nontermination comes back pickled: the parent runs only its
-    own group, and the failures match one process's."""
-    cfg = rounds_short(reference_instance(n=6, seed=0, max_outer=5))
+def test_child_failures_run_again_here(monkeypatch):
+    """A level's nontermination in a child's step comes back as None: this
+    process runs the level again from that step, and the failures match
+    one process's."""
+    cfg = replace(reference_instance(n=6, seed=1, max_outer=8), max_rounds=60)
     force_groups(monkeypatch, 1)
-    expected = [outcome(e) for e in delta_sweep(cfg, LEVELS[1:4]).entries]
-    runs = lockstep_runs(monkeypatch)
-    force_groups(monkeypatch, 3)
-    report = delta_sweep(cfg, LEVELS[1:4])
+    expected = [outcome(e) for e in delta_sweep(cfg, LEVELS[:4]).entries]
+    runs = reruns(monkeypatch)
+    force_groups(monkeypatch, 2)
+    report = delta_sweep(cfg, LEVELS[:4])
     assert [outcome(e) for e in report.entries] == expected
-    assert all(isinstance(e.exception, ConsensusNonterminationError) for e in report.entries)
-    assert runs == [[report.entries[0].delta]]  # group 0 alone ran here
+    failed = {e.delta: e.exception.outer_step for e in report.entries if e.exception}
+    assert failed == {Fraction("0.01"): 5, Fraction("0.001"): 3}  # both a child's steps
+    assert all(isinstance(e.exception, ConsensusNonterminationError)
+               for e in report.entries if e.exception)
+    assert runs == [failed]
     assert_no_child_left()
 
 
 def test_numpy_floats_come_back_as_plain_floats(monkeypatch):
-    """A level whose gradients are numpy floats comes back from a child as
-    it is, not run again here, and its diagnostics are plain floats, as in
-    one process."""
+    """A level whose gradients are numpy floats takes its children's steps
+    as they are, with no step run again here, and its diagnostics are
+    plain floats, as in one process."""
     cfg = numpy_gradients(reference_instance(n=10, seed=2, max_outer=12))
     force_groups(monkeypatch, 1)
     expected = delta_sweep(cfg, LEVELS[:3]).entries
-    runs = lockstep_runs(monkeypatch)
+    runs = reruns(monkeypatch)
     force_groups(monkeypatch, 2)
     report = delta_sweep(cfg, LEVELS[:3])
-    assert runs == [[report.entries[0].delta, report.entries[2].delta]]
+    assert runs == [{}]
     for got, want in zip(report.entries, expected):
         assert got.trace.steps == want.trace.steps
         for steps in (got.trace.steps, want.trace.steps):
@@ -440,8 +502,9 @@ def test_numpy_floats_come_back_as_plain_floats(monkeypatch):
 
 @pytest.mark.parametrize("call", ["pipe", "fork"])
 def test_a_group_that_cannot_fork_runs_here(call, monkeypatch):
-    """EMFILE from os.pipe or EAGAIN from os.fork: the group joins group 0,
-    and the report is one process's."""
+    """EMFILE from os.pipe or EAGAIN from os.fork for the second child of
+    three: its steps run here with this process's own, none again after
+    the split, and the report is one process's."""
     cfg = reference_instance(n=8, seed=4, max_outer=8)
     force_groups(monkeypatch, 1)
     expected = [outcome(e) for e in delta_sweep(cfg, LEVELS).entries]
@@ -450,34 +513,98 @@ def test_a_group_that_cannot_fork_runs_here(call, monkeypatch):
 
     def refused():
         calls.append(call)
-        if len(calls) > 1:  # the first group forks, the second cannot
+        if len(calls) > 1:  # the first child forks, the second cannot
             raise OSError(code, os.strerror(code))
         return real()
 
     monkeypatch.setattr(os, call, refused)
+    runs = reruns(monkeypatch)
     force_groups(monkeypatch, 3)
     assert [outcome(e) for e in delta_sweep(cfg, LEVELS).entries] == expected
     assert len(calls) == 2
+    assert runs == [{}]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("groups", [2, 3])
+def test_an_untraced_run_never_forks(groups, monkeypatch):
+    cfg = reference_instance(n=8, seed=4, max_outer=8)
+    forks = counted_forks(monkeypatch)
+    force_groups(monkeypatch, groups)
+    quagd_run(cfg)
+    assert forks == []
+
+
+# per case: the level of a traced run (None: a sweep of LEVELS[:4]), and the
+# level and outer step at which the map misses.  On MISSED, levels 1 and 0.1
+# run all 8 steps, 0.01 fails at step 5 and 0.001 at step 3.
+MISSED = replace(reference_instance(n=6, seed=1, max_outer=8), max_rounds=60)
+MISSES = {
+    "sweep": (None, "1", 1),
+    "sweep-then-failure": (None, "0.01", 4),
+    "traced": ("0.1", "0.1", 4),
+    "traced-then-failure": ("0.01", "0.01", 1),
+}
+
+
+def records(entry):
+    """A sweep entry's records as tuples, or its failure's outcome."""
+    return outcome(entry) if entry.exception else list(map(astuple, entry.trace.steps))
+
+
+def outputs(cfg, run):
+    """records() per level of a sweep of LEVELS[:4], or for a traced run at
+    level `run`, with its trace text."""
+    if run is None:
+        return list(map(records, delta_sweep(cfg, LEVELS[:4]).entries))
+    stream, entry = io.StringIO(), SimpleNamespace(exception=None)
+    try:
+        entry.trace = quagd_run(replace(cfg, delta=run), quadratic_optimum(cfg.costs),
+                                inner_trace=stream)
+    except Exception as exc:
+        entry.exception = exc
+    return records(entry), stream.getvalue()
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("case", MISSES.values(), ids=MISSES.keys())
+def test_a_missed_prediction_leaves_one_process_outputs(case, parts, monkeypatch):
+    """The map misses by one count at one step of one level, so that step's
+    count is not as predicted and the later steps ran on a wrong input:
+    this process runs that level again from the next step, and every
+    record, failure and trace byte is one process's."""
+    run, level, step = case
+    force_groups(monkeypatch, 1)
+    expected = outputs(MISSED, run)
+    missing(monkeypatch, level, step)
+    runs = reruns(monkeypatch)
+    force_groups(monkeypatch, parts)
+    assert outputs(MISSED, run) == expected
+    assert runs[0][Fraction(level)] == step + 1
     assert_no_child_left()
 
 
 def test_what_a_child_sends(monkeypatch):
-    """One frame per level: the marshalled rows of a trace's steps after the
-    first, a failure the loop raises as marshalled pickle bytes, and any
-    other failure (one with a cause) empty."""
-    caused = ConfigError("the gradient step at outer step 2 failed")
-    caused.__cause__ = ZeroDivisionError("division by zero")
-    steps = [StepRecord(0, [Fraction(1)]), StepRecord(1, [0.5], 0.25)]
-    trace = RunTrace(Fraction(1, 10), steps)
-    outcomes = [trace, DivergenceError(3, "x"), caused]
+    """One marshal frame per step of the child's: per level a row (count,
+    rounds, conservation flag, contract flag) or None, then the step's
+    trace text, None for an untraced run.  A level whose count is not as
+    predicted at one of the child's steps gets that step's row, and None
+    from then on."""
+    cfg = reference_instance(n=8, seed=4, max_outer=8)
+    missing(monkeypatch, "0.01", 1)
     reads = child_side(monkeypatch)
+    force_groups(monkeypatch, 2)
     with pytest.raises(ChildExit):
-        optimizer._run_groups(lambda levels: outcomes, None, [None, None], 2)
-    rows, diverged, rerun = frames(reads[0])
-    assert marshal.loads(rows) == [astuple(trace.steps[1])]
-    back = pickle.loads(marshal.loads(diverged))
-    assert (type(back), str(back), back.outer_step) == (DivergenceError, str(outcomes[1]), 3)
-    assert rerun == b""
+        delta_sweep(cfg, LEVELS[1:4])
+    sent = [marshal.loads(frame) for frame in frames(reads[0])]
+    assert len(sent) == 4  # steps 1, 3, 5 and 7
+    for k, (rows, text) in zip(range(1, 8, 2), sent):
+        assert text is None and len(rows) == 3
+        for lane, row in enumerate(rows):
+            if lane == 1 and k > 1:
+                assert row is None
+            else:
+                assert list(map(type, row)) == [int, int, bool, bool]
 
 
 def test_recv_gives_none_for_what_does_not_arrive_whole():
@@ -564,7 +691,7 @@ def test_runs_load_no_module():
 
 
 # test_inline_split_passes_on_while_a_third_lane_replays spies on the kernel
-# calls of this process, which see group 0's levels only once a run is split.
+# calls of this process, which see only this process's steps once a run is split.
 FORCED = ("import sys\n"
           "from quagd import optimizer\n"
           "optimizer._group_count = lambda cfg, levels: min(levels, {groups})\n"
@@ -583,7 +710,7 @@ def test_lockstep_and_general_cost_tests_pass_split(groups):
     assert " passed" in done.stdout and "1 deselected" in done.stdout
 
 
-# --- a traced run: its trace duty split by outer step
+# --- a traced run, split by outer step
 
 RUN = ["run", "--nodes", "20", "--seed", "2", "--max-iters", "60", "--output-dir", "out",
        "--trace"]
@@ -653,25 +780,17 @@ def test_a_failing_traced_run_leaves_one_process_trace(make, parts, monkeypatch)
 
 
 def test_the_steps_of_a_child_that_dies_are_traced_here(monkeypatch):
-    """A child that leaves after sending its steps 1 and 3 (and 4 of 3):
-    this process traces the rest of its steps, and the trace is the same."""
-    parent, calls = os.getpid(), []
+    """A child that leaves at its first step from step 5 on: this process
+    traces every step from there, and the trace is the same."""
+    parent = os.getpid()
     cfg = reference_instance(n=8, seed=4, max_outer=12)
-
-    def dies_at_step_5(x, gradient):
-        calls.append(x)
-        if os.getpid() != parent and len(calls) > 5 * 8:
-            os._exit(0)
-        return gradient(x)
-
-    dying = replace(cfg, costs=[replace(c, gradient=lambda x, g=c.gradient:
-                                        dies_at_step_5(x, g)) for c in cfg.costs])
     force_groups(monkeypatch, 1)
     expected = traced(cfg)
+    replace_steps(monkeypatch, lambda k: os.getpid() != parent and k >= 5,
+                  lambda qs: os._exit(0))
     for parts in (2, 3):
         force_groups(monkeypatch, parts)
-        assert traced(dying) == expected
-        calls.clear()
+        assert traced(cfg) == expected
     assert_no_child_left()
 
 
@@ -732,10 +851,11 @@ def test_a_flood_check_failure_in_a_childs_step_is_raised_here(monkeypatch):
 @pytest.mark.parametrize("case", ["traces", "nontermination", "flood-check"])
 def test_traced_child_side_run_in_process(case, parts, monkeypatch):
     """The first child traces steps 1, 1 + parts, ... into a buffer of its
-    own and sends each step's text as a frame; the partial text of a step
-    whose consensus does not terminate too, but no frame for a step that
-    raises what the loop does not catch, nor after it.  It writes nothing
-    to the caller's stream."""
+    own and sends each step's text in its frame; the partial text of a step
+    whose consensus does not terminate too, and it runs no step after it,
+    but no frame for a step that raises what the loop does not catch, nor
+    after it.  Past a failure at another process's step it runs on, on the
+    predicted input.  It writes nothing to the caller's stream."""
     cfg = reference_instance(n=8, seed=4, max_outer=7)
     if case == "nontermination":
         cfg = FAILING_RUNS["nontermination"]()
@@ -745,15 +865,17 @@ def test_traced_child_side_run_in_process(case, parts, monkeypatch):
     text, _ = traced(cfg)
     reads = child_side(monkeypatch)
     force_groups(monkeypatch, parts)
-    stream = io.StringIO()
+    stream = FullAt(-1)  # which keeps every write
     with pytest.raises(ChildExit):
         quagd_run(cfg, inner_trace=stream)
-    sent = frames(reads[0])
-    assert stream.getvalue() == ""
-    mine = [t.encode() for t in step_texts(text)[1::parts]]
+    sent = [marshal.loads(frame)[1] for frame in frames(reads[0])]
+    assert stream.writes == []
+    mine = step_texts(text)[1::parts]
     if case == "flood-check":  # its last step is the one that fails
         mine = mine[:-1]
-    assert sent == mine and mine
+    assert sent[:len(mine)] == mine and mine
+    beyond = case == "nontermination" and parts == 3  # step 5 fails in another
+    assert len(sent) == len(mine) + beyond  # and the child runs step 7 too
 
 
 class FullAt(io.StringIO):
@@ -824,20 +946,14 @@ def test_a_full_disk_in_a_traced_cli_run_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_an_interrupt_in_a_traced_run_kills_and_reaps_every_child(monkeypatch):
-    """This process stops at outer step 3 while the children still run."""
+    """This process stops at its outer step 3 while the children still run."""
     parent = os.getpid()
     cfg = reference_instance(n=8, seed=0, max_outer=400)
-    steps = []
 
-    def gradient(x, c):
-        if os.getpid() == parent:
-            steps.append(x)
-            if len(steps) > 3 * 8:
-                raise KeyboardInterrupt
-        return x - c
+    def interrupt(qs):
+        raise KeyboardInterrupt
 
-    cfg = replace(cfg, costs=[replace(c, gradient=lambda x, c=c.center: gradient(x, c))
-                              for c in cfg.costs])
+    replace_steps(monkeypatch, lambda k: os.getpid() == parent and k == 3, interrupt)
     force_groups(monkeypatch, 3)
     with pytest.raises(KeyboardInterrupt):
         quagd_run(cfg, inner_trace=io.StringIO())
@@ -845,35 +961,27 @@ def test_an_interrupt_in_a_traced_run_kills_and_reaps_every_child(monkeypatch):
 
 
 def test_children_stop_once_the_run_here_ends(monkeypatch):
-    """A gradient that fails here alone, at outer step 3, ends the run here
-    while the children would trace 400 steps: once this process closes its
-    read ends, a child's next send fails and it leaves (an alarm bounds the
-    wait, should one block for good)."""
+    """A nontermination here alone, at this process's outer step 3, ends
+    the run while the children would trace 400 steps: once this process
+    closes its read ends, a child's next send fails and it leaves (an
+    alarm bounds the wait, should one block for good)."""
     parent = os.getpid()
     cfg = reference_instance(n=8, seed=0, max_outer=400)
-    steps = []
-
-    def gradient(x, c):
-        if os.getpid() == parent:
-            steps.append(x)
-            if len(steps) > 3 * 8:
-                raise ZeroDivisionError("division by zero")
-        return x - c
 
     def alarm(signum, frame):
         raise TimeoutError("a child kept running")
 
-    cfg = replace(cfg, costs=[replace(c, gradient=lambda x, c=c.center: gradient(x, c))
-                              for c in cfg.costs])
+    replace_steps(monkeypatch, lambda k: os.getpid() == parent and k == 3, nonterminating)
     force_groups(monkeypatch, 3)
     previous = signal.signal(signal.SIGALRM, alarm)
     signal.alarm(60)
     try:
-        with pytest.raises(ConfigError, match="outer step 3"):
+        with pytest.raises(ConsensusNonterminationError) as failed:
             quagd_run(cfg, inner_trace=io.StringIO())
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert failed.value.outer_step == 3
     assert_no_child_left()
 
 

@@ -512,3 +512,22 @@ class TestQuagdRun:
             for prev, nxt in zip(sq, sq[1:]):
                 if prev > bound:
                     assert nxt < prev
+
+
+@pytest.mark.parametrize("delta", ["0.1", "0.01", "0.001"])
+def test_quagd_run_follows_the_quantized_map(delta):
+    """On the reference instance, seeds 0-9, every step of quagd_run is the
+    quantized map's (optimizer._predict): the consensus outputs lo, the
+    floor of the stepped values' count sum over n, and every node holds
+    float(lo * delta); the graph and the draws set only the rounds."""
+    from quagd.harness import reference_instance
+    from quagd.optimizer import _predict
+
+    for seed in range(10):
+        cfg = reference_instance(seed=seed, delta=delta)
+        steps = quagd_run(cfg).steps
+        predicted = _predict(cfg, cfg.effective_alpha(), cfg.delta)
+        assert len(predicted) == len(steps) - 1 == cfg.max_outer
+        for step, (x_half, lo) in zip(steps[1:], predicted):
+            assert step.estimates == [float(lo * cfg.delta.delta)] * cfg.graph.n
+            assert step.stepped_size == max(map(abs, x_half))

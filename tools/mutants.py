@@ -88,7 +88,7 @@ MUTANTS = [
      "max(step.stepped_size, *map(abs, before.estimates + step.estimates))",
      "max(map(abs, before.estimates + step.estimates))", STEPPED_SLACK),
     ("src/quagd/optimizer.py",
-     "                    stepped_size=float(max(map(abs, x_half))),\n", "", STEPPED_SLACK),
+     "            stepped_size=float(max(map(abs, x_half))),\n", "", STEPPED_SLACK),
     # flag text is trimmed as INI text is
     ("src/quagd/cli.py", "candidates = (flag.strip(), entry)", "candidates = (flag, entry)",
      "tests/test_cli.py::TestFlags::test_padded_flags_read_as_their_ini_entries"),
@@ -112,33 +112,35 @@ MUTANTS = [
      "tests/test_cli.py::TestTheory::test_zero_quantization_gives_zero_floor"),
     ("src/quagd/cli.py", 'delta = opt["delta"] if "delta" in given else 0', "delta = 0",
      "tests/test_cli.py::TestTheory::test_flag_and_config_paths_agree"),
-    # a split run merges its groups in level order, runs a group that cannot
-    # fork here, sends back a level's steps after the first and the failures
-    # the loop raises itself, and runs here again the other failures' levels
-    # and those whose frame does not arrive whole, but not the levels a child
-    # sent before it died
-    ("src/quagd/optimizer.py", "for lane in range(g, len(levels), groups):",
-     "for lane in range(groups - g, len(levels), groups):",
+    # the quantized map that a split predicts each step's input with floors
+    # the count sum over n
+    ("src/quagd/optimizer.py", "lo = sum(quantize_floor(v, level) for v in x_half) // n",
+     "lo = -(-sum(quantize_floor(v, level) for v in x_half) // n)",
+     "tests/test_optimizer.py::test_quagd_run_follows_the_quantized_map[0.01]"),
+    # a split: process p runs the steps k = p (mod parts), this one those of
+    # a part that cannot fork too; only a sweep or a traced run splits; a
+    # level's step is taken while its count is as predicted, up to the step
+    # after a miss, and a step whose frame is None or failed runs again here,
+    # from where the split ends
+    ("src/quagd/optimizer.py", "range(part, cfg.max_outer, parts)",
+     "range(parts - part, cfg.max_outer, parts)",
      "tests/test_groups.py::test_cli_sweep_writes_the_same_bytes_in_any_split[3]"),
-    ("src/quagd/optimizer.py", "if lane % groups not in recvs]", "if lane % groups == 0]",
+    ("src/quagd/optimizer.py", "got = run(k, inner_trace)",
+     "got = run(k, inner_trace) if k % parts == 0 else [None] * len(levels)",
      "tests/test_groups.py::test_a_group_that_cannot_fork_runs_here[fork]"),
-    ("src/quagd/optimizer.py", "steps = [start(), *(StepRecord(*row) for row in sent)]",
-     "steps = [StepRecord(*row) for row in sent]",
+    ("src/quagd/optimizer.py", "split = len(levels) > 1 or inner_trace is not None",
+     "split = True", "tests/test_groups.py::test_an_untraced_run_never_forks[2]"),
+    ("src/quagd/optimizer.py", "row[0] != preds[lane][k][1]", "False",
+     "tests/test_groups.py::test_a_missed_prediction_leaves_one_process_outputs[sweep-2]"),
+    ("src/quagd/optimizer.py", "ends[lane] = k + 1", "ends[lane] = k + 2",
+     "tests/test_groups.py::test_a_missed_prediction_leaves_one_process_outputs[traced-2]"),
+    ("src/quagd/optimizer.py",
+     "            elif (frame := recv()) is None:\n                got = [None] * len(levels)\n",
+     "            elif (frame := recv()) is None:\n                continue\n",
+     "tests/test_groups.py::test_failed_and_dead_children_are_rerun_here"),
+    ("src/quagd/optimizer.py", "isinstance(trace, RunTrace) and len(trace.steps) == k + 1",
+     "isinstance(trace, RunTrace) and len(trace.steps) >= k + 1",
      "tests/test_groups.py::test_each_level_equals_its_solo_run[2]"),
-    ("src/quagd/optimizer.py", "outcome.steps[1:]]", "outcome.steps]",
-     "tests/test_groups.py::test_child_side_run_in_process[traces]"),
-    ("src/quagd/optimizer.py", "(DivergenceError, ConsensusNonterminationError)):",
-     "DivergenceError):", "tests/test_groups.py::test_child_failures_are_sent_not_rerun"),
-    ("src/quagd/optimizer.py", "(DivergenceError, ConsensusNonterminationError)):",
-     "(DivergenceError, ConsensusNonterminationError, ConfigError)):",
-     "tests/test_groups.py::test_failed_and_dead_children_are_rerun_here"),
-    ("src/quagd/optimizer.py", "                    again.append(lane)\n",
-     "                    pass\n",
-     "tests/test_groups.py::test_failed_and_dead_children_are_rerun_here"),
-    ("src/quagd/optimizer.py", "                    again.append(lane)\n",
-     "                    again += range(g, len(levels), groups)\n"
-     "                    break\n",
-     "tests/test_groups.py::test_a_child_that_dies_midway_keeps_the_levels_it_sent"),
     # a frame is None where it is empty or does not arrive whole
     ("src/quagd/optimizer.py", "return data if size and len(data) == size else None",
      "return data if len(data) == size else None",
@@ -146,34 +148,22 @@ MUTANTS = [
     ("src/quagd/optimizer.py", "return data if size and len(data) == size else None",
      "return data if size else None",
      "tests/test_groups.py::test_recv_gives_none_for_what_does_not_arrive_whole"),
-    ("src/quagd/optimizer.py", "except Exception as exc:  # a custom cost's own failure,",
-     "except DivergenceError as exc:\n                    out[lane] = exc\n"
-     "                except Exception as exc:  # a custom cost's own failure,",
+    ("src/quagd/optimizer.py", "    except Exception as exc:  # a custom cost's own failure,",
+     "    except DivergenceError:\n        raise\n"
+     "    except Exception as exc:  # a custom cost's own failure,",
      "tests/test_groups.py::test_a_gradients_own_divergence_is_its_failure"),
-    # a split traced run: process k % parts traces step k, the parent copies a
-    # child's step text in right after the step and traces a missing one here,
-    # and a child sends its own buffer's text
-    ("src/quagd/optimizer.py",
-     "            if k % parts != part:\n                return consensus(None)\n", "",
-     SPLIT_TRACE.format("test_traced_run_writes_the_same_trace_in_any_split[2]")),
-    ("src/quagd/optimizer.py",
-     "            del recvs[k % parts]\n            return consensus(inner_trace)\n",
-     "            del recvs[k % parts]\n            return results\n",
-     SPLIT_TRACE.format("test_the_steps_of_a_child_that_dies_are_traced_here")),
-    ("src/quagd/optimizer.py",
-     "        inner_trace.write(text.decode())\n        return results\n",
-     "        late.append(text.decode())\n        return results\n\n"
-     "    late, on_time = [], duty\n\n"
-     "    def duty(k, consensus):\n"
-     "        results = on_time(k, consensus)\n"
-     "        if k % parts == 0:\n"
-     "            while late:\n"
-     "                inner_trace.write(late.pop(0))\n"
-     "        return results\n",
-     SPLIT_TRACE.format("test_traced_run_writes_the_same_trace_in_any_split[2]")),
-    ("src/quagd/optimizer.py", "results = consensus(buf)",
-     "results = consensus(inner_trace)",
+    # a split traced run: the parent copies in the text of each child step it
+    # takes, not of a failed one (it traces that one again), and a child
+    # traces each step into a buffer of its own, emptied after each send
+    ("src/quagd/optimizer.py", "if text is not None and got[0] is not None:",
+     "if text is not None:",
+     SPLIT_TRACE.format("test_a_failing_traced_run_leaves_one_process_trace[nontermination-2]")),
+    ("src/quagd/optimizer.py", "trace = None if inner_trace is None else io.StringIO()",
+     "trace = inner_trace",
      SPLIT_TRACE.format("test_traced_child_side_run_in_process[traces-2]")),
+    ("src/quagd/optimizer.py", "                trace.seek(0)\n                trace.truncate()\n",
+     "                pass\n",
+     SPLIT_TRACE.format("test_traced_run_writes_the_same_trace_in_any_split[2]")),
     # the records hold plain floats, whatever number type a cost returns
     ("src/quagd/optimizer.py", "centroid_err=float(abs(x_hat - _sum(x_half) / n)),",
      "centroid_err=abs(x_hat - _sum(x_half) / n),", PLAIN_FLOATS),
