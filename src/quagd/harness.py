@@ -169,10 +169,11 @@ def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
     left None when the step size is outside the open admissible interval.
 
     The levels run in lockstep on shared draws, split by outer step over
-    up to min(max_outer, usable CPUs) processes (optimizer._run_levels),
-    and each level's trace or failure is the one quagd_run gives it alone,
-    also where a predicted step input misses or a forked child fails.  At
-    least one level is needed, and no two may share a level_name."""
+    up to min(max_outer, usable CPUs) processes (optimizer._run_levels): a
+    level takes a forked child's step where its input is the predicted one
+    and runs the step here otherwise, so its trace or failure is the one
+    quagd_run gives it alone.  At least one level is needed, and no two
+    may share a level_name."""
     levels = [QuantizationLevel(d) for d in deltas]
     names = [level_name(lv.delta) for lv in levels]
     if not names or len(set(names)) != len(names):

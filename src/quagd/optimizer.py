@@ -369,8 +369,8 @@ def quagd_run(
     inner_trace, if given, receives the per-round consensus debug trace,
     with an `OUTER <k>` marker line before each outer step.  A traced run
     may split its outer steps over processes (_run_levels), its gradients
-    all run here: the later steps' run again, on the true input, after a
-    step whose predicted input missed.
+    all run here: once to predict every step, and again for each step that
+    runs here, on its true input.
     """
     (out,) = _run_levels(cfg, [cfg.delta], x_star, inner_trace)
     if isinstance(out, Exception):
@@ -384,11 +384,15 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
     ConsensusNonterminationError or DivergenceError that ended it, with
     .outer_step once a step has begun; a failing gradient is a ConfigError.
     Any other error propagates.  A run of several levels, or quagd_run's
-    traced level, first splits by outer step over _group_count processes,
-    on the steps each level's map predicts here (_predict, _split); then
-    _lockstep runs every level on from its first step not run on its true
-    input, so each outcome is one process's, failures included.
-    """
+    traced level, splits by outer step over _group_count processes: each
+    level is predicted here (_predict), and forked child `part` runs each
+    predicted step k = part (mod parts) on the predicted stepped values,
+    the step's levels in one call, a level up to its failure there.  Per
+    step it sends a marshal frame: each level's _row (None for a failure
+    or a level not run) and the text it traced into its one buffer.
+    _lockstep, the one loop here, takes a child's row for a level whose
+    input is the predicted one and runs the step here otherwise, so each
+    outcome is one process's, failures included."""
     n = cfg.graph.n
     try:
         cfg.validate()
@@ -412,10 +416,29 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
     out = [RunTrace(q.delta, [StepRecord(k=0, estimates=list(cfg.x0), residual=r0)])
            for q in levels]
     split = len(levels) > 1 or inner_trace is not None  # an untraced run never splits
-    if (parts := _group_count(cfg, cfg.max_outer if split else 1)) > 1:
-        preds = [_predict(cfg, alpha, q) for q in levels]
-        _split(cfg, x_star, levels, out, step, preds, parts, inner_trace)
-    return _lockstep(cfg, alpha, step, x_star, levels, out, inner_trace)
+    parts = _group_count(cfg, cfg.max_outer if split else 1)
+    preds = [_predict(cfg, alpha, q) for q in levels] if parts > 1 else None
+
+    def body(part, send):  # a forked child's
+        trace = None if inner_trace is None else io.StringIO()
+        lanes = range(len(levels))  # the levels not failed here
+        for k in range(part, cfg.max_outer, parts):
+            if not (lanes := [lane for lane in lanes if k < len(preds[lane])]):
+                break
+            rows = [None] * len(levels)
+            for lane, result in zip(lanes, step(k, [preds[lane][k][0] for lane in lanes],
+                                                [levels[lane] for lane in lanes], trace)):
+                if not isinstance(result, Exception):
+                    rows[lane] = _row(result)
+            lanes = [lane for lane in lanes if rows[lane] is not None]
+            send(marshal.dumps((rows, trace and trace.getvalue())))
+            if trace is not None:
+                trace.seek(0)
+                trace.truncate()
+
+    with _forked(parts, body) as recvs:
+        return _lockstep(cfg, alpha, step, x_star, levels, out, inner_trace, preds, recvs,
+                         parts)
 
 
 # A split's threshold in node-steps (n * max_outer).  Split in two, with the
@@ -458,67 +481,6 @@ def _predict(cfg: OptRunConfig, alpha: float, level: QuantizationLevel) -> list:
             break
         steps.append((x_half, lo))
     return steps
-
-
-def _split(cfg: OptRunConfig, x_star, levels, out: list, step, preds, parts: int,
-           inner_trace) -> None:
-    """Take into out each level's outer steps up to the first not run on
-    its true input, which holds while every earlier step's lo is as preds
-    (_predict's, per level) has it.  Process p runs the steps k = p (mod
-    parts) on the predicted stepped values, each step's levels in one call:
-    this process is 0, each other a forked child (_forked) that sends a
-    marshal frame per step, each level's _row (None for a failure or a
-    level not run) and the text it traced into its one buffer.  Here the
-    steps are taken in order, a child's text copied in; a level stops at a
-    missed prediction, and before a step of a child that failed or whose
-    frame is None (a failure here is taken)."""
-    ends = [len(steps) for steps in preds]  # per level, the first step not to run here
-
-    def run(k, trace) -> list:  # step k's _row per level, None for one not run
-        lanes = [lane for lane, end in enumerate(ends) if k < end]
-        got = [None] * len(levels)
-        for lane, result in zip(lanes, step(k, [preds[lane][k][0] for lane in lanes],
-                                            [levels[lane] for lane in lanes], trace)):
-            got[lane] = _row(result)
-        return got
-
-    def check(k, got) -> None:  # end the split of each level that step k ends
-        for lane, row in enumerate(got):
-            if k >= ends[lane]:
-                continue
-            if not (isinstance(row, tuple) and isinstance(out[lane], RunTrace)):
-                ends[lane] = k  # not run, or failed: a failure taken here stays
-            elif row[0] != preds[lane][k][1]:
-                ends[lane] = k + 1  # step k ran on its true input, step k + 1 did not
-
-    def body(part, send):  # a forked child's
-        trace = None if inner_trace is None else io.StringIO()
-        for k in range(part, cfg.max_outer, parts):
-            if k >= max(ends):
-                break
-            check(k, got := run(k, trace))
-            rows = [row if isinstance(row, tuple) else None for row in got]
-            send(marshal.dumps((rows, trace and trace.getvalue())))
-            if trace is not None:
-                trace.seek(0)
-                trace.truncate()
-
-    with _forked(parts, body) as recvs:
-        for k in range(cfg.max_outer):
-            if k >= max(ends):
-                break
-            if (recv := recvs.get(k % parts)) is None:  # this process's step
-                got = run(k, inner_trace)
-            elif (frame := recv()) is None:
-                got = [None] * len(levels)
-            else:
-                got, text = marshal.loads(frame)
-                if text is not None and got[0] is not None:  # a traced run's one level
-                    inner_trace.write(text)
-            for lane, row in enumerate(got):
-                if k < ends[lane] and row is not None:
-                    _take(cfg, x_star, out, lane, k, preds[lane][k][0], levels[lane], row)
-            check(k, got)
 
 
 def _recv(pipe) -> Optional[bytes]:
@@ -655,25 +617,41 @@ def _take(cfg: OptRunConfig, x_star, out: list, lane: int, k: int, x_half, q, ro
 
 
 def _lockstep(cfg: OptRunConfig, alpha: float, step, x_star, levels, out: list,
-              inner_trace=None) -> list:
+              inner_trace, preds, recvs: dict, parts: int) -> list:
     """out (per level its RunTrace, or the failure that ended it) run on to
-    cfg.max_outer and returned.  A level whose RunTrace holds k + 1 records
-    takes outer step k from its last estimates, with every level then due:
-    each step runs them on one stream set (step: _step, traced into
+    cfg.max_outer and returned.  Step k reads the frame of process k mod
+    parts where that is a child (recvs, from _forked).  A level takes its
+    row from the frame, the child's text copied in, where the row is not
+    None and the level's estimates entering step k are its map's (preds,
+    from _predict).  Else, a missed prediction, a failed or dead child, a
+    refused fork or no split alike, it steps here from them, with every
+    other level so run, on one stream set (step: _step, traced into
     inner_trace if given), as no node stream or draw depends on the level."""
+    unsent = [None] * len(levels)  # the rows of a step no child sent
     for k in range(cfg.max_outer):
-        stepped = {}  # each due level's stepped values
+        if not any(isinstance(trace, RunTrace) for trace in out):
+            break
+        recv = recvs.get(k % parts)
+        frame = recv and recv()
+        rows, text = (unsent, None) if frame is None else marshal.loads(frame)
+        stepped = {}  # each level stepped here: its stepped values
         for lane, trace in enumerate(out):
-            if isinstance(trace, RunTrace) and len(trace.steps) == k + 1:
-                try:
-                    stepped[lane] = _stepped(cfg, alpha, trace.steps[-1].estimates, k)
-                except (ConfigError, DivergenceError) as exc:
-                    out[lane] = exc
+            if not isinstance(trace, RunTrace):
+                continue
+            x = trace.steps[-1].estimates  # after step 0 every node holds one value
+            if rows[lane] is not None and (
+                    k == 0 or x[0] == float(preds[lane][k - 1][1] * levels[lane].delta)):
+                if text is not None:  # a traced run's one level
+                    inner_trace.write(text)
+                _take(cfg, x_star, out, lane, k, preds[lane][k][0], levels[lane], rows[lane])
+                continue
+            try:
+                stepped[lane] = _stepped(cfg, alpha, x, k)
+            except (ConfigError, DivergenceError) as exc:
+                out[lane] = exc
         if stepped:
             results = step(k, list(stepped.values()), [levels[lane] for lane in stepped],
                            inner_trace)
             for (lane, x_half), result in zip(stepped.items(), results):
                 _take(cfg, x_star, out, lane, k, x_half, levels[lane], _row(result))
-        elif not any(isinstance(t, RunTrace) and len(t.steps) <= cfg.max_outer for t in out):
-            break
     return out

@@ -1,18 +1,17 @@
 """A run of several levels, or a traced run, splits by outer step over P
 processes (optimizer._run_levels).  The calling process first predicts
-each level with the quantized map (optimizer._predict); then process p
-runs the steps k = p (mod P) on the predicted inputs, every level as a
-lane of one kernel call: process 0 is the calling one, each other a forked
-child that sends one frame per step.  The parent takes a level's step only
-while every earlier step's count was as predicted, and runs each level on
-from its first step not taken.  The outputs must not depend on the split:
-every file a sweep or a traced run writes, every level's trace and every
-failure are those of one process, also where a prediction misses, a child
-fails or dies, or a fork is refused; and no child or pipe outlives the
-call.  The process count is forced by replacing optimizer._group_count;
-the child's side is also run in this process, with os.fork and os._exit
-replaced, so its lines count as reached, and the frames it sent are
-decoded here.
+each level with the quantized map (optimizer._predict); then each forked
+child p runs the steps k = p (mod P) on the predicted inputs, every level
+as a lane of one kernel call, and sends one frame per step.  The calling
+process's one loop takes a level's step from a child's frame where the
+level's input is the predicted one, and runs it here otherwise.  The
+outputs must not depend on the split: every file a sweep or a traced run
+writes, every level's trace and every failure are those of one process,
+also where a prediction misses, a child fails or dies, or a fork is
+refused; and no child or pipe outlives the call.  The process count is
+forced by replacing optimizer._group_count; the child's side is also run
+in this process, with os.fork and os._exit replaced, so its lines count
+as reached, and the frames it sent are decoded here.
 """
 
 import copy
@@ -40,7 +39,6 @@ from quagd.graph import NotStronglyConnectedError
 from quagd.harness import delta_sweep, reference_instance, write_trace_csv
 from quagd.optimizer import ConfigError, DivergenceError, quadratic_optimum, quagd_run
 from quagd.rng import NodeStreams
-from quagd.trace import RunTrace
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_PATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -81,18 +79,17 @@ def counted_forks(monkeypatch):
     return forks
 
 
-def reruns(monkeypatch):
-    """Per _lockstep call this process makes from now on, the outer step
-    from which it runs each level that has steps left, by level."""
-    runs, real = [], optimizer._lockstep
+def stepped_here(monkeypatch):
+    """The (outer step, level) pairs whose consensus this process runs from
+    now on, in the order it runs them (a forked child's are its own)."""
+    pairs, real = [], optimizer._step
 
-    def counted(cfg, alpha, step, x_star, levels, out, inner_trace=None):
-        runs.append({q.delta: len(t.steps) - 1 for q, t in zip(levels, out)
-                     if isinstance(t, RunTrace) and len(t.steps) <= cfg.max_outer})
-        return real(cfg, alpha, step, x_star, levels, out, inner_trace)
+    def step(g, d_bound, max_rounds, lone, streams, k, x_halves, qs, trace=None):
+        pairs.extend((k, q.delta) for q in qs)
+        return real(g, d_bound, max_rounds, lone, streams, k, x_halves, qs, trace)
 
-    monkeypatch.setattr(optimizer, "_lockstep", counted)
-    return runs
+    monkeypatch.setattr(optimizer, "_step", step)
+    return pairs
 
 
 def replace_steps(monkeypatch, where, act):
@@ -219,9 +216,9 @@ def test_failed_and_dead_children_are_rerun_here(monkeypatch):
 
 
 def test_a_child_that_dies_midway_keeps_the_steps_it_sent(monkeypatch):
-    """A child that dies after sending the first of its four steps: every
-    level's steps up to the next are taken from the split, only the rest
-    run again here, and the report is one process's."""
+    """A child that dies after sending the first of its four steps: that
+    step is taken from its frame, every other step runs here, and the
+    report is one process's."""
     parent, sends = os.getpid(), []
     cfg = reference_instance(n=8, seed=4, max_outer=8)
     force_groups(monkeypatch, 1)
@@ -235,11 +232,11 @@ def test_a_child_that_dies_midway_keeps_the_steps_it_sent(monkeypatch):
         return marshal.dumps(value)
 
     monkeypatch.setattr(optimizer, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
-    runs = reruns(monkeypatch)
+    here = stepped_here(monkeypatch)
     force_groups(monkeypatch, 2)
     report = delta_sweep(cfg, LEVELS)
     assert [outcome(e) for e in report.entries] == expected
-    assert runs == [{e.delta: 3 for e in report.entries}]  # steps 0-2 kept
+    assert here == [(k, e.delta) for k in range(8) if k != 1 for e in report.entries]
     assert_no_child_left()
 
 
@@ -337,11 +334,11 @@ def test_float_subclasses_are_recorded_as_plain_floats(tmp_path, monkeypatch):
 
     force_groups(monkeypatch, 1)
     expected = [outcome(e) for e in delta_sweep(cfg, LEVELS[1:4]).entries]
-    runs = reruns(monkeypatch)
+    here = stepped_here(monkeypatch)
     force_groups(monkeypatch, 3)
     report = delta_sweep(cfg, LEVELS[1:4])
     assert [outcome(e) for e in report.entries] == expected
-    assert runs == [{}]  # every step taken from the split, none run again
+    assert {k for k, _ in here} == {0}  # the children's steps taken as they are
     assert_no_child_left()
 
 
@@ -465,12 +462,12 @@ def test_a_child_that_raises_sends_nothing(monkeypatch):
 
 def test_child_failures_run_again_here(monkeypatch):
     """A level's nontermination in a child's step comes back as None: this
-    process runs the level again from that step, and the failures match
-    one process's."""
+    process runs that step again, and no other of the child's, and the
+    failures match one process's."""
     cfg = replace(reference_instance(n=6, seed=1, max_outer=8), max_rounds=60)
     force_groups(monkeypatch, 1)
     expected = [outcome(e) for e in delta_sweep(cfg, LEVELS[:4]).entries]
-    runs = reruns(monkeypatch)
+    here = stepped_here(monkeypatch)
     force_groups(monkeypatch, 2)
     report = delta_sweep(cfg, LEVELS[:4])
     assert [outcome(e) for e in report.entries] == expected
@@ -478,7 +475,7 @@ def test_child_failures_run_again_here(monkeypatch):
     assert failed == {Fraction("0.01"): 5, Fraction("0.001"): 3}  # both a child's steps
     assert all(isinstance(e.exception, ConsensusNonterminationError)
                for e in report.entries if e.exception)
-    assert runs == [failed]
+    assert [pair for pair in here if pair[0] % 2] == sorted((k, d) for d, k in failed.items())
     assert_no_child_left()
 
 
@@ -489,10 +486,10 @@ def test_numpy_floats_come_back_as_plain_floats(monkeypatch):
     cfg = numpy_gradients(reference_instance(n=10, seed=2, max_outer=12))
     force_groups(monkeypatch, 1)
     expected = delta_sweep(cfg, LEVELS[:3]).entries
-    runs = reruns(monkeypatch)
+    here = stepped_here(monkeypatch)
     force_groups(monkeypatch, 2)
     report = delta_sweep(cfg, LEVELS[:3])
-    assert runs == [{}]
+    assert all(k % 2 == 0 for k, _ in here)
     for got, want in zip(report.entries, expected):
         assert got.trace.steps == want.trace.steps
         for steps in (got.trace.steps, want.trace.steps):
@@ -503,8 +500,8 @@ def test_numpy_floats_come_back_as_plain_floats(monkeypatch):
 @pytest.mark.parametrize("call", ["pipe", "fork"])
 def test_a_group_that_cannot_fork_runs_here(call, monkeypatch):
     """EMFILE from os.pipe or EAGAIN from os.fork for the second child of
-    three: its steps run here with this process's own, none again after
-    the split, and the report is one process's."""
+    three: its steps run here with this process's own, each once, and the
+    report is one process's."""
     cfg = reference_instance(n=8, seed=4, max_outer=8)
     force_groups(monkeypatch, 1)
     expected = [outcome(e) for e in delta_sweep(cfg, LEVELS).entries]
@@ -518,11 +515,11 @@ def test_a_group_that_cannot_fork_runs_here(call, monkeypatch):
         return real()
 
     monkeypatch.setattr(os, call, refused)
-    runs = reruns(monkeypatch)
+    here = stepped_here(monkeypatch)
     force_groups(monkeypatch, 3)
     assert [outcome(e) for e in delta_sweep(cfg, LEVELS).entries] == expected
     assert len(calls) == 2
-    assert runs == [{}]
+    assert here == [(k, Fraction(level)) for k in range(8) if k % 3 != 1 for level in LEVELS]
     assert_no_child_left()
 
 
@@ -535,15 +532,16 @@ def test_an_untraced_run_never_forks(groups, monkeypatch):
     assert forks == []
 
 
-# per case: the level of a traced run (None: a sweep of LEVELS[:4]), and the
-# level and outer step at which the map misses.  On MISSED, levels 1 and 0.1
-# run all 8 steps, 0.01 fails at step 5 and 0.001 at step 3.
+# per case: the level of a traced run (None: a sweep of LEVELS[:4]), the level
+# and outer step at which the map misses, and a later child's step whose input
+# is predicted right again (None: none before the level ends).  On MISSED,
+# levels 1 and 0.1 run all 8 steps, 0.01 fails at step 5 and 0.001 at step 3.
 MISSED = replace(reference_instance(n=6, seed=1, max_outer=8), max_rounds=60)
 MISSES = {
-    "sweep": (None, "1", 1),
-    "sweep-then-failure": (None, "0.01", 4),
-    "traced": ("0.1", "0.1", 4),
-    "traced-then-failure": ("0.01", "0.01", 1),
+    "sweep": (None, "1", 1, 5),
+    "sweep-then-failure": (None, "0.01", 4, None),
+    "traced": ("0.1", "0.1", 4, 7),
+    "traced-then-failure": ("0.01", "0.01", 1, None),
 }
 
 
@@ -569,39 +567,41 @@ def outputs(cfg, run):
 @pytest.mark.parametrize("parts", [2, 3])
 @pytest.mark.parametrize("case", MISSES.values(), ids=MISSES.keys())
 def test_a_missed_prediction_leaves_one_process_outputs(case, parts, monkeypatch):
-    """The map misses by one count at one step of one level, so that step's
-    count is not as predicted and the later steps ran on a wrong input:
-    this process runs that level again from the next step, and every
-    record, failure and trace byte is one process's."""
-    run, level, step = case
+    """The map misses by one count at one step of one level, so the next
+    step's predicted input is wrong: that step runs here, while the level's
+    children's steps before it are taken, and a later one whose input is
+    right again; every record, failure and trace byte is one process's."""
+    run, level, step, rejoined = case
     force_groups(monkeypatch, 1)
     expected = outputs(MISSED, run)
     missing(monkeypatch, level, step)
-    runs = reruns(monkeypatch)
+    here = stepped_here(monkeypatch)
     force_groups(monkeypatch, parts)
     assert outputs(MISSED, run) == expected
-    assert runs[0][Fraction(level)] == step + 1
+    mine = {k for k, d in here if d == Fraction(level)}
+    assert step + 1 in mine and all(k % parts == 0 for k in mine if k <= step)
+    assert rejoined not in mine
     assert_no_child_left()
 
 
 def test_what_a_child_sends(monkeypatch):
     """One marshal frame per step of the child's: per level a row (count,
     rounds, conservation flag, contract flag) or None, then the step's
-    trace text, None for an untraced run.  A level whose count is not as
-    predicted at one of the child's steps gets that step's row, and None
-    from then on."""
-    cfg = reference_instance(n=8, seed=4, max_outer=8)
-    missing(monkeypatch, "0.01", 1)
+    trace text, None for an untraced run.  A level whose step fails in the
+    child gets None there and from then on; one whose count is not as
+    predicted at a step of the child's gets a row at every step."""
+    missing(monkeypatch, "0.1", 1)
     reads = child_side(monkeypatch)
     force_groups(monkeypatch, 2)
     with pytest.raises(ChildExit):
-        delta_sweep(cfg, LEVELS[1:4])
+        delta_sweep(MISSED, LEVELS[:4])
     sent = [marshal.loads(frame) for frame in frames(reads[0])]
     assert len(sent) == 4  # steps 1, 3, 5 and 7
+    failed = {2: 5, 3: 3}  # per lane, its failing step, as in one process
     for k, (rows, text) in zip(range(1, 8, 2), sent):
-        assert text is None and len(rows) == 3
+        assert text is None and len(rows) == 4
         for lane, row in enumerate(rows):
-            if lane == 1 and k > 1:
+            if k >= failed.get(lane, 8):
                 assert row is None
             else:
                 assert list(map(type, row)) == [int, int, bool, bool]

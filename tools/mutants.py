@@ -117,30 +117,20 @@ MUTANTS = [
     ("src/quagd/optimizer.py", "lo = sum(quantize_floor(v, level) for v in x_half) // n",
      "lo = -(-sum(quantize_floor(v, level) for v in x_half) // n)",
      "tests/test_optimizer.py::test_quagd_run_follows_the_quantized_map[0.01]"),
-    # a split: process p runs the steps k = p (mod parts), this one those of
-    # a part that cannot fork too; only a sweep or a traced run splits; a
-    # level's step is taken while its count is as predicted, up to the step
-    # after a miss, and a step whose frame is None or failed runs again here,
-    # from where the split ends
+    # a split: process p runs the steps k = p (mod parts), and a child stops a
+    # level only at its failure there; only a sweep or a traced run splits; a
+    # level takes a child's row only where its input is the predicted one
     ("src/quagd/optimizer.py", "range(part, cfg.max_outer, parts)",
      "range(parts - part, cfg.max_outer, parts)",
      "tests/test_groups.py::test_cli_sweep_writes_the_same_bytes_in_any_split[3]"),
-    ("src/quagd/optimizer.py", "got = run(k, inner_trace)",
-     "got = run(k, inner_trace) if k % parts == 0 else [None] * len(levels)",
-     "tests/test_groups.py::test_a_group_that_cannot_fork_runs_here[fork]"),
+    ("src/quagd/optimizer.py",
+     "            lanes = [lane for lane in lanes if rows[lane] is not None]\n", "",
+     "tests/test_groups.py::test_traced_child_side_run_in_process[nontermination-2]"),
     ("src/quagd/optimizer.py", "split = len(levels) > 1 or inner_trace is not None",
      "split = True", "tests/test_groups.py::test_an_untraced_run_never_forks[2]"),
-    ("src/quagd/optimizer.py", "row[0] != preds[lane][k][1]", "False",
-     "tests/test_groups.py::test_a_missed_prediction_leaves_one_process_outputs[sweep-2]"),
-    ("src/quagd/optimizer.py", "ends[lane] = k + 1", "ends[lane] = k + 2",
-     "tests/test_groups.py::test_a_missed_prediction_leaves_one_process_outputs[traced-2]"),
     ("src/quagd/optimizer.py",
-     "            elif (frame := recv()) is None:\n                got = [None] * len(levels)\n",
-     "            elif (frame := recv()) is None:\n                continue\n",
-     "tests/test_groups.py::test_failed_and_dead_children_are_rerun_here"),
-    ("src/quagd/optimizer.py", "isinstance(trace, RunTrace) and len(trace.steps) == k + 1",
-     "isinstance(trace, RunTrace) and len(trace.steps) >= k + 1",
-     "tests/test_groups.py::test_each_level_equals_its_solo_run[2]"),
+     "k == 0 or x[0] == float(preds[lane][k - 1][1] * levels[lane].delta)", "True",
+     "tests/test_groups.py::test_a_missed_prediction_leaves_one_process_outputs[traced-2]"),
     # a frame is None where it is empty or does not arrive whole
     ("src/quagd/optimizer.py", "return data if size and len(data) == size else None",
      "return data if len(data) == size else None",
@@ -153,10 +143,11 @@ MUTANTS = [
      "    except Exception as exc:  # a custom cost's own failure,",
      "tests/test_groups.py::test_a_gradients_own_divergence_is_its_failure"),
     # a split traced run: the parent copies in the text of each child step it
-    # takes, not of a failed one (it traces that one again), and a child
+    # takes, not of one it runs here (it traces that one again), and a child
     # traces each step into a buffer of its own, emptied after each send
-    ("src/quagd/optimizer.py", "if text is not None and got[0] is not None:",
-     "if text is not None:",
+    ("src/quagd/optimizer.py", "                stepped[lane] = _stepped(cfg, alpha, x, k)\n",
+     "                stepped[lane] = _stepped(cfg, alpha, x, k)\n"
+     "                if text is not None:\n                    inner_trace.write(text)\n",
      SPLIT_TRACE.format("test_a_failing_traced_run_leaves_one_process_trace[nontermination-2]")),
     ("src/quagd/optimizer.py", "trace = None if inner_trace is None else io.StringIO()",
      "trace = inner_trace",
