@@ -169,9 +169,11 @@ def delta_sweep(cfg: OptRunConfig, deltas: Sequence) -> SweepReport:
     left None when the step size is outside the open admissible interval.
 
     The levels run in lockstep on shared draws, split by outer step over
-    up to min(max_outer, usable CPUs) processes (optimizer._run_levels): a
-    level takes a forked child's step where its input is the predicted one
-    and runs the step here otherwise, so its trace or failure is the one
+    up to min(max_outer, usable CPUs) processes (optimizer._run_levels):
+    this process runs the steps from the front and forked children the
+    predicted steps from the back.  A level takes a child's step where it
+    has come whole and the level's input is the predicted one, and runs the
+    step here otherwise, never waiting, so its trace or failure is the one
     quagd_run gives it alone.  At least one level is needed, and no two
     may share a level_name."""
     levels = [QuantizationLevel(d) for d in deltas]

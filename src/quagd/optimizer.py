@@ -16,9 +16,11 @@ import inspect
 import io
 import marshal
 import math
+import mmap
 import numbers
 import operator
 import os
+import signal
 import threading
 import warnings
 from dataclasses import dataclass
@@ -368,9 +370,12 @@ def quagd_run(
     .outer_step, chained from its error.
     inner_trace, if given, receives the per-round consensus debug trace,
     with an `OUTER <k>` marker line before each outer step.  A traced run
-    may split its outer steps over processes (_run_levels), its gradients
-    all run here: once to predict every step, and again for each step that
-    runs here, on its true input.
+    may split its outer steps over processes (_run_levels).  Its gradients
+    all run here: once per step to predict the run, until the predicted
+    map repeats, and again only for a step run here whose input was not
+    the predicted one.  A split records the predicted stepped values of
+    every step it takes on the predicted input, so it equals one process
+    only for a gradient that is a pure function of its input.
     """
     (out,) = _run_levels(cfg, [cfg.delta], x_star, inner_trace)
     if isinstance(out, Exception):
@@ -384,15 +389,14 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
     ConsensusNonterminationError or DivergenceError that ended it, with
     .outer_step once a step has begun; a failing gradient is a ConfigError.
     Any other error propagates.  A run of several levels, or quagd_run's
-    traced level, splits by outer step over _group_count processes: each
-    level is predicted here (_predict), and forked child `part` runs each
-    predicted step k = part (mod parts) on the predicted stepped values,
-    the step's levels in one call, a level up to its failure there.  Per
-    step it sends a marshal frame: each level's _row (None for a failure
-    or a level not run) and the text it traced into its one buffer.
-    _lockstep, the one loop here, takes a child's row for a level whose
-    input is the predicted one and runs the step here otherwise, so each
-    outcome is one process's, failures included."""
+    traced level, splits by outer step over _group_count processes from
+    both ends, each level predicted here (_predict).  This process runs the
+    steps from the front (_lockstep).  Forked child p of P runs predicted
+    steps from the back, K - p, K - p - (P - 1), ... (K the longest
+    prediction), each step's levels in one call, until it meets a step this
+    process has reached.  Per step it sends a marshal frame: the step, each
+    level's _row (None for a failure or a level not run) and the text it
+    traced into the step's own buffer."""
     n = cfg.graph.n
     try:
         cfg.validate()
@@ -417,35 +421,29 @@ def _run_levels(cfg: OptRunConfig, levels, x_star=None, inner_trace=None) -> lis
            for q in levels]
     split = len(levels) > 1 or inner_trace is not None  # an untraced run never splits
     parts = _group_count(cfg, cfg.max_outer if split else 1)
-    preds = [_predict(cfg, alpha, q) for q in levels] if parts > 1 else None
+    if parts == 1:
+        return _lockstep(cfg, alpha, step, x_star, levels, out, inner_trace, None, None)
+    preds = [_predict(cfg, alpha, q) for q in levels]
 
-    def body(part, send):  # a forked child's
-        trace = None if inner_trace is None else io.StringIO()
-        lanes = range(len(levels))  # the levels not failed here
-        for k in range(part, cfg.max_outer, parts):
-            if not (lanes := [lane for lane in lanes if k < len(preds[lane])]):
+    def body(part, send, front):  # a forked child's
+        for k in range(max(map(len, preds)) - part, 0, 1 - parts):
+            if k <= front():  # this process has reached it
                 break
+            trace = None if inner_trace is None else io.StringIO()
+            lanes = [lane for lane in range(len(levels)) if k < len(preds[lane])]
             rows = [None] * len(levels)
             for lane, result in zip(lanes, step(k, [preds[lane][k][0] for lane in lanes],
                                                 [levels[lane] for lane in lanes], trace)):
                 if not isinstance(result, Exception):
                     rows[lane] = _row(result)
-            lanes = [lane for lane in lanes if rows[lane] is not None]
-            send(marshal.dumps((rows, trace and trace.getvalue())))
-            if trace is not None:
-                trace.seek(0)
-                trace.truncate()
+            send(marshal.dumps((k, rows, trace and trace.getvalue())))
 
-    with _forked(parts, body) as recvs:
-        return _lockstep(cfg, alpha, step, x_star, levels, out, inner_trace, preds, recvs,
-                         parts)
+    with _forked(parts, body) as frame:
+        return _lockstep(cfg, alpha, step, x_star, levels, out, inner_trace, preds, frame)
 
 
-# A split's threshold in node-steps (n * max_outer).  Split in two, with the
-# next op timed in, three-level sweeps of 80, 100, 120, 160 and 1200 took 0.94,
-# 0.93, 0.85, 0.81 and 0.64 of one process by median pair, and traced runs whose
-# processes ran on CPUs of their own 1.01, 0.96, 0.89, 0.88 and 0.63
-# (BENCH_41.json extra_runs.fork_threshold).  160 keeps a margin over both.
+# A split's threshold in node-steps (n * max_outer), measured with the next op
+# timed in (BENCH_41.json and BENCH_43.json extra_runs.fork_threshold).
 _FORK_MIN_NODE_STEPS = 160
 
 
@@ -470,8 +468,9 @@ def _predict(cfg: OptRunConfig, alpha: float, level: QuantizationLevel) -> list:
     their counts floor(x_half / delta), every node then holding
     float(lo * delta).  That is the run while each consensus outputs
     floor(S / n), as it almost always does (its contract allows |lo n - S|
-    <= n).  It stops at the first step whose gradients fail or overflow."""
-    n, x, steps = cfg.graph.n, cfg.x0, []
+    <= n).  Once a lo repeats, the later steps repeat with that period and
+    are copied.  It stops at the first step whose gradients fail or overflow."""
+    n, x, steps, seen = cfg.graph.n, cfg.x0, [], {}
     for k in range(cfg.max_outer):
         try:
             x_half = _stepped(cfg, alpha, x, k)
@@ -480,37 +479,83 @@ def _predict(cfg: OptRunConfig, alpha: float, level: QuantizationLevel) -> list:
         except Exception:  # the loop meets it at step k
             break
         steps.append((x_half, lo))
+        if lo in seen:
+            period = k - seen[lo]
+            while len(steps) < cfg.max_outer:
+                steps.append(steps[-period])
+            break
+        seen[lo] = k
     return steps
 
 
-def _recv(pipe) -> Optional[bytes]:
-    """The next frame's data from pipe (an 8-byte little-endian length, then
-    the data), or None if the frame is empty or does not arrive whole."""
-    size = int.from_bytes(pipe.read(8), "little")  # 0 at the pipe's end
-    data = pipe.read(size)
-    return data if size and len(data) == size else None
+# The bytes of a child's frames held before its pipe is no longer read (it then
+# blocks); the reference traced run's child sends at most about 0.9 MB ahead.
+_HOLD_BYTES = 1 << 22
+
+
+def _frame(shared, pipes: dict, held: dict, k: int):
+    """Step k's (rows, text) if a child has sent it whole, else None; k is
+    first published in shared.  Each pipe (read end -> [its frame begun, the
+    bytes held of it]) is read without blocking while at most _HOLD_BYTES
+    of it is held; a frame of a step not passed is kept in held (step ->
+    (read end, size, rows, text)), any other dropped, as is a pipe's end."""
+    shared[:8] = k.to_bytes(8, "little")
+    for read, got in list(pipes.items()):
+        while got[1] <= _HOLD_BYTES:
+            begun = got[0]
+            whole = 8 + int.from_bytes(begun[:8], "little") if len(begun) >= 8 else 8
+            try:
+                data = os.read(read, whole - len(begun))
+            except BlockingIOError:  # nothing more sent yet
+                break
+            if not data:  # the child has left (or sent an empty frame)
+                del pipes[read]
+                break
+            begun += data
+            got[1] += len(data)
+            if len(begun) == whole > 8:
+                got[0] = bytearray()
+                step, rows, text = marshal.loads(begun[8:])
+                if step >= k:
+                    held[step] = read, whole, rows, text
+                else:
+                    got[1] -= whole
+    if k in held:
+        read, whole, rows, text = held.pop(k)
+        if read in pipes:
+            pipes[read][1] -= whole
+        return rows, text
+    return None
+
+
+def _cpu() -> Optional[int]:
+    """The CPU this process last ran on (/proc/self/stat), or None."""
+    with contextlib.suppress(OSError, IndexError, ValueError):
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rpartition(b")")[2].split()[36])
 
 
 @contextlib.contextmanager
 def _forked(parts: int, body):
-    """{part: recv} for parts 1 .. parts - 1, each run as body(part, send) in
-    a forked child that leaves by os._exit (running none of this process's
-    clean-up, flushing no buffer it inherited).  send(data) writes data as
-    one frame down a pipe, recv() reads the next (_recv): None always means
-    this process does that piece itself.  A part whose os.pipe or os.fork
-    fails (no descriptor or process to spare) has no entry.  A child first
-    closes every read end it inherited, so once this process closes its
-    own, a child still sending fails instead of blocking for good.  On exit
-    every read end is closed and every child reaped, killed first if an
-    exception ends the block (the one use of signal)."""
-    pipes, children, recvs = [], [], {}  # every read end; every child; each child's recv
+    """frame(k) (_frame) over parts 1 .. parts - 1, each run as body(part,
+    send, front) in a forked child that leaves by os._exit (running none of
+    this process's clean-up, flushing no buffer it inherited).  send(data)
+    writes data down a pipe as one frame (an 8-byte little-endian length,
+    then data); front() is the step frame() last published, in shared
+    memory.  A part whose os.pipe or os.fork fails is left out.  A child
+    first closes every read end it inherited and moves off the CPU this
+    process ran on at the fork (where os.sched_setaffinity and _cpu give
+    one).  On exit every child, its work speculative, is killed and reaped."""
+    shared = mmap.mmap(-1, 8)  # this process's step, read by every child
+    cpu = _cpu() if hasattr(os, "sched_setaffinity") else None
+    reads, children, pipes = [], [], {}
     try:
         for part in range(1, parts):
             try:
                 read, write = os.pipe()
             except OSError:
                 continue
-            pipes.append(pipe := open(read, "rb"))
+            reads.append(read)
             with open(write, "wb") as sink:  # this process's end closes after the fork
                 try:
                     pid = os.fork()
@@ -518,30 +563,29 @@ def _forked(parts: int, body):
                     continue
                 if pid == 0:
                     try:
-                        while pipes:
-                            pipes.pop().close()
+                        while reads:
+                            os.close(reads.pop())
+                        if cpu is not None and len(cpus := os.sched_getaffinity(0)) > 1:
+                            os.sched_setaffinity(0, cpus - {cpu})
 
                         def send(data):
                             sink.write(len(data).to_bytes(8, "little") + data)
                             sink.flush()
 
-                        body(part, send)
+                        body(part, send, lambda: int.from_bytes(shared[:8], "little"))
                     finally:
                         os._exit(0)
+            os.set_blocking(read, False)
             children.append(pid)
-            recvs[part] = functools.partial(_recv, pipe)
-        yield recvs
-    except BaseException:
-        import signal
-
+            pipes[read] = [bytearray(), 0]
+        yield functools.partial(_frame, shared, pipes, {})
+    finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in children:
             os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
+        shared.close()
 
 
 def _stepped(cfg: OptRunConfig, alpha: float, x, k: int) -> list:
@@ -617,36 +661,33 @@ def _take(cfg: OptRunConfig, x_star, out: list, lane: int, k: int, x_half, q, ro
 
 
 def _lockstep(cfg: OptRunConfig, alpha: float, step, x_star, levels, out: list,
-              inner_trace, preds, recvs: dict, parts: int) -> list:
+              inner_trace, preds, frame) -> list:
     """out (per level its RunTrace, or the failure that ended it) run on to
-    cfg.max_outer and returned.  Step k reads the frame of process k mod
-    parts where that is a child (recvs, from _forked).  A level takes its
-    row from the frame, the child's text copied in, where the row is not
-    None and the level's estimates entering step k are its map's (preds,
-    from _predict).  Else, a missed prediction, a failed or dead child, a
-    refused fork or no split alike, it steps here from them, with every
-    other level so run, on one stream set (step: _step, traced into
-    inner_trace if given), as no node stream or draw depends on the level."""
-    unsent = [None] * len(levels)  # the rows of a step no child sent
+    cfg.max_outer and returned.  Step k asks frame(k) (_frame; None for no
+    split) for a child's frame, never waiting.  A level whose estimates
+    entering step k are its map's (preds) takes its row from the frame, the
+    child's text copied in, where the row is not None, else steps here from
+    its predicted stepped values; any other level steps here from its
+    estimates.  The levels stepped here run in one step call (_step, traced
+    into inner_trace if given), as no node stream or draw depends on one."""
     for k in range(cfg.max_outer):
         if not any(isinstance(trace, RunTrace) for trace in out):
             break
-        recv = recvs.get(k % parts)
-        frame = recv and recv()
-        rows, text = (unsent, None) if frame is None else marshal.loads(frame)
+        rows, text = frame and frame(k) or ([None] * len(levels), None)
         stepped = {}  # each level stepped here: its stepped values
         for lane, trace in enumerate(out):
             if not isinstance(trace, RunTrace):
                 continue
             x = trace.steps[-1].estimates  # after step 0 every node holds one value
-            if rows[lane] is not None and (
-                    k == 0 or x[0] == float(preds[lane][k - 1][1] * levels[lane].delta)):
+            predicted = preds is not None and k < len(preds[lane]) and (
+                k == 0 or x[0] == float(preds[lane][k - 1][1] * levels[lane].delta))
+            if predicted and rows[lane] is not None:
                 if text is not None:  # a traced run's one level
                     inner_trace.write(text)
                 _take(cfg, x_star, out, lane, k, preds[lane][k][0], levels[lane], rows[lane])
                 continue
             try:
-                stepped[lane] = _stepped(cfg, alpha, x, k)
+                stepped[lane] = preds[lane][k][0] if predicted else _stepped(cfg, alpha, x, k)
             except (ConfigError, DivergenceError) as exc:
                 out[lane] = exc
         if stepped:

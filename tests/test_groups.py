@@ -1,17 +1,16 @@
 """A run of several levels, or a traced run, splits by outer step over P
-processes (optimizer._run_levels).  The calling process first predicts
-each level with the quantized map (optimizer._predict); then each forked
-child p runs the steps k = p (mod P) on the predicted inputs, every level
-as a lane of one kernel call, and sends one frame per step.  The calling
-process's one loop takes a level's step from a child's frame where the
-level's input is the predicted one, and runs it here otherwise.  The
-outputs must not depend on the split: every file a sweep or a traced run
-writes, every level's trace and every failure are those of one process,
-also where a prediction misses, a child fails or dies, or a fork is
-refused; and no child or pipe outlives the call.  The process count is
-forced by replacing optimizer._group_count; the child's side is also run
-in this process, with os.fork and os._exit replaced, so its lines count
-as reached, and the frames it sent are decoded here.
+processes (optimizer._run_levels): the calling process runs the steps
+from the front, while forked child p runs the steps that the quantized map
+predicts (optimizer._predict) from the back, K - p, K - p - (P - 1), ...,
+and stops before a step the calling process has reached.  That process
+takes a level's step from a frame that has come whole where its input is
+the predicted one, runs it here otherwise, and never waits.  Every file,
+trace and failure must be one process's, also where a prediction misses,
+a child is slow, fails or dies, or a fork is refused, and no child or pipe
+outlives the call.  The process count is forced (force_groups); where a
+test asserts which steps run here, children_first has the calling process
+wait at step 0 for what the children send.  The child's side also runs in
+this process, with os.fork and os._exit replaced (child_side).
 """
 
 import copy
@@ -25,7 +24,8 @@ import signal
 import subprocess
 import sys
 import threading
-from dataclasses import astuple, replace
+from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -56,8 +56,12 @@ SWEEP_GOLDEN = {
 LEVELS = ["1", "0.1", "0.01", "0.001", "0.0001"]
 
 
-def force_groups(monkeypatch, groups):
+def force_groups(monkeypatch, groups, first=False):
+    """Split every run over `groups` processes from now on (first: with
+    children_first)."""
     monkeypatch.setattr(optimizer, "_group_count", lambda cfg, levels: min(levels, groups))
+    if first:
+        children_first(monkeypatch)
 
 
 def assert_no_child_left():
@@ -68,23 +72,21 @@ def assert_no_child_left():
 def counted_forks(monkeypatch):
     """The pid of each child this process forks from now on."""
     forks, real = [], os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
+    monkeypatch.setattr(os, "fork", lambda: forks.append(real()) or forks[-1])
+    return forks  # in a child, its own copy, holding a 0
 
 
-def stepped_here(monkeypatch):
+def stepped_here(monkeypatch, where=lambda k, child: False, act=None):
     """The (outer step, level) pairs whose consensus this process runs from
-    now on, in the order it runs them (a forked child's are its own)."""
-    pairs, real = [], optimizer._step
+    now on, in order (a forked child's are its own).  In any process, the
+    consensus of each outer step k for which where(k, child) holds (child:
+    a forked child runs it) is act(levels) instead: act may raise, leave
+    the process, or give each level's outcome, as optimizer._step does."""
+    pairs, real, parent = [], optimizer._step, os.getpid()
 
     def step(g, d_bound, max_rounds, lone, streams, k, x_halves, qs, trace=None):
+        if where(k, os.getpid() != parent):
+            return act(qs)
         pairs.extend((k, q.delta) for q in qs)
         return real(g, d_bound, max_rounds, lone, streams, k, x_halves, qs, trace)
 
@@ -92,46 +94,52 @@ def stepped_here(monkeypatch):
     return pairs
 
 
-def replace_steps(monkeypatch, where, act):
-    """From now on, in any process, the consensus of each outer step k for
-    which where(k) holds is act(levels) instead: act may raise, leave the
-    process, or give each level's outcome, as optimizer._step does."""
-    real = optimizer._step
-
-    def step(g, d_bound, max_rounds, lone, streams, k, x_halves, qs, trace=None):
-        if where(k):
-            return act(qs)
-        return real(g, d_bound, max_rounds, lone, streams, k, x_halves, qs, trace)
-
-    monkeypatch.setattr(optimizer, "_step", step)
-
-
-def nonterminating(qs):
-    """Every level's outcome is a nontermination, as a kernel gives it."""
-    return [ConsensusNonterminationError(1, [])] * len(qs)
-
-
 def missing(monkeypatch, delta, step):
     """From now on the quantized map misses by one count at outer step
-    `step` of level delta: the first node's count there is n too high, so
-    the predicted lo is one too high, and the later steps are predicted
-    from it."""
-    real_predict, real_floor = optimizer._predict, optimizer.quantize_floor
+    `step` of level delta: the predicted lo there is one too high, and the
+    later steps are predicted from it."""
+    real = optimizer._predict
 
     def predict(cfg, alpha, level):
-        if level.delta != Fraction(delta):
-            return real_predict(cfg, alpha, level)
-        calls, n = [], cfg.graph.n
-
-        def floor(x, q):
-            calls.append(x)
-            return real_floor(x, q) + (n if len(calls) == step * n + 1 else 0)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(optimizer, "quantize_floor", floor)
-            return real_predict(cfg, alpha, level)
+        steps = real(cfg, alpha, level)
+        if level.delta != Fraction(delta) or len(steps) <= step:
+            return steps
+        lo = steps[step][1] + 1
+        later = replace(cfg, x0=[float(lo * level.delta)] * cfg.graph.n,
+                        max_outer=cfg.max_outer - step - 1)
+        return steps[:step] + [(steps[step][0], lo)] + real(later, alpha, level)
 
     monkeypatch.setattr(optimizer, "_predict", predict)
+
+
+def children_first(monkeypatch):
+    """From now on this process, at its step 0, reads what the children send
+    until each child's pipe ends or holds more than optimizer._HOLD_BYTES."""
+    real = optimizer._frame
+
+    def frame(shared, pipes, held, k):
+        for read in pipes:  # read blocking at step 0 alone
+            os.set_blocking(read, k == 0)
+        with alarm():
+            return real(shared, pipes, held, k)
+
+    monkeypatch.setattr(optimizer, "_frame", frame)
+
+
+@contextmanager
+def alarm(seconds=60):
+    """Raise TimeoutError in this process should the block last `seconds`."""
+
+    def ring(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    outer = signal.alarm(seconds)  # an enclosing alarm's seconds left, or 0
+    try:
+        yield
+    finally:
+        signal.alarm(outer)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def outcome(entry):
@@ -197,46 +205,36 @@ def failing_gradient(cfg, step):
 
 
 def test_failed_and_dead_children_are_rerun_here(monkeypatch):
-    """From its second step on, each child's consensus fails where one
-    process's does not, or the child dies: those steps and every later one
-    run here, and the report is one process's, steps[0] included."""
-    parent = os.getpid()
+    """Below step 4, each child's consensus fails where one process's does
+    not, or the child dies: those steps run here, and the report is one
+    process's, steps[0] included."""
     cfg = reference_instance(n=6, seed=1, max_outer=8)
     exact = exact_x0(cfg)  # steps[0], which no child sends
     force_groups(monkeypatch, 1)
     expected = [[outcome(e) for e in delta_sweep(c, LEVELS).entries] for c in (cfg, exact)]
     assert all(type(got) is list for got in expected[0])  # no level fails
     force_groups(monkeypatch, 3)
-    for act in (nonterminating, lambda qs: os.kill(os.getpid(), signal.SIGKILL)):
+    for act in (lambda qs: [ConsensusNonterminationError(1, [])] * len(qs),
+                lambda qs: os.kill(os.getpid(), signal.SIGKILL)):
         with monkeypatch.context() as patch:
-            replace_steps(patch, lambda k: os.getpid() != parent and k > 3, act)
+            stepped_here(patch, lambda k, child: child and k < 4, act)
             got = [[outcome(e) for e in delta_sweep(c, LEVELS).entries] for c in (cfg, exact)]
         assert got == expected
     assert_no_child_left()
 
 
 def test_a_child_that_dies_midway_keeps_the_steps_it_sent(monkeypatch):
-    """A child that dies after sending the first of its four steps: that
-    step is taken from its frame, every other step runs here, and the
+    """A child that dies after sending the first of its seven steps, step 7:
+    that step is taken from its frame, every other step runs here, and the
     report is one process's."""
-    parent, sends = os.getpid(), []
     cfg = reference_instance(n=8, seed=4, max_outer=8)
     force_groups(monkeypatch, 1)
     expected = [outcome(e) for e in delta_sweep(cfg, LEVELS).entries]
-
-    def dumps(value):
-        if os.getpid() != parent:
-            sends.append(value)
-            if len(sends) == 2:
-                os._exit(0)
-        return marshal.dumps(value)
-
-    monkeypatch.setattr(optimizer, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
-    here = stepped_here(monkeypatch)
-    force_groups(monkeypatch, 2)
+    here = stepped_here(monkeypatch, lambda k, child: child and k < 7, lambda qs: os._exit(0))
+    force_groups(monkeypatch, 2, first=True)
     report = delta_sweep(cfg, LEVELS)
     assert [outcome(e) for e in report.entries] == expected
-    assert here == [(k, e.delta) for k in range(8) if k != 1 for e in report.entries]
+    assert here == [(k, e.delta) for k in range(7) for e in report.entries]
     assert_no_child_left()
 
 
@@ -271,15 +269,14 @@ def test_failures_keep_their_cause_and_snapshot(groups, monkeypatch):
     assert_no_child_left()
 
 
+def interrupt(qs):
+    raise KeyboardInterrupt
+
+
 def test_interrupt_kills_and_reaps_every_child(monkeypatch):
     """This process stops at its outer step 3 while the children still run."""
-    parent = os.getpid()
     cfg = reference_instance(n=8, seed=0, max_outer=400)
-
-    def interrupt(qs):
-        raise KeyboardInterrupt
-
-    replace_steps(monkeypatch, lambda k: os.getpid() == parent and k == 3, interrupt)
+    stepped_here(monkeypatch, lambda k, child: not child and k == 3, interrupt)
     force_groups(monkeypatch, 3)
     with pytest.raises(KeyboardInterrupt):
         delta_sweep(cfg, ["0.1", "0.01", "0.001"])
@@ -288,12 +285,6 @@ def test_interrupt_kills_and_reaps_every_child(monkeypatch):
 
 class ChildExit(Exception):
     """os._exit, called in this process by a child's side run here."""
-
-
-def rounds_short(cfg):
-    """cfg with a round budget none of LEVELS[1:4] settles within: their
-    failures carry a snapshot, and no cause."""
-    return replace(cfg, max_rounds=40)
 
 
 class Wrapped(float):
@@ -314,17 +305,12 @@ class Wrapped(float):
     del _keep
 
 
-def wrapped_gradients(cfg):
-    """cfg with every gradient a Wrapped float, so that the stepped values,
-    their largest size and the centroid error computed from them are too."""
-    return replace(cfg, costs=[replace(c, gradient=lambda x, g=c.gradient: Wrapped(g(x)))
-                               for c in cfg.costs])
-
-
 def test_float_subclasses_are_recorded_as_plain_floats(tmp_path, monkeypatch):
     """A cost's number type does not reach the records: trace.csv holds
     plain float reprs, and a split run takes every step as it is."""
-    cfg = wrapped_gradients(reference_instance(n=5, seed=3, max_outer=3))
+    cfg = reference_instance(n=5, seed=3, max_outer=3)  # Wrapped stepped values, sizes, errors
+    cfg = replace(cfg, costs=[replace(c, gradient=lambda x, g=c.gradient: Wrapped(g(x)))
+                              for c in cfg.costs])
     assert type(abs(Wrapped(2) - 1 * Wrapped(3) / 2)) is Wrapped
     trace = quagd_run(cfg, quadratic_optimum(cfg.costs))
     write_trace_csv(trace, tmp_path / "trace.csv")
@@ -335,7 +321,7 @@ def test_float_subclasses_are_recorded_as_plain_floats(tmp_path, monkeypatch):
     force_groups(monkeypatch, 1)
     expected = [outcome(e) for e in delta_sweep(cfg, LEVELS[1:4]).entries]
     here = stepped_here(monkeypatch)
-    force_groups(monkeypatch, 3)
+    force_groups(monkeypatch, 3, first=True)
     report = delta_sweep(cfg, LEVELS[1:4])
     assert [outcome(e) for e in report.entries] == expected
     assert {k for k, _ in here} == {0}  # the children's steps taken as they are
@@ -351,43 +337,45 @@ def numpy_gradients(cfg):
 
 
 # per case: the config, and how many steps the child of a sweep of
-# LEVELS[1:4] split in two runs
+# LEVELS[1:4] split in two runs (its steps from the longest prediction down)
 CHILD_CASES = {
-    "traces": (lambda: reference_instance(n=5, seed=3, max_outer=5), 2),
-    "fraction-x0": (lambda: exact_x0(reference_instance(n=5, seed=3, max_outer=5)), 2),
+    "traces": (lambda: reference_instance(n=5, seed=3, max_outer=5), 4),
+    "fraction-x0": (lambda: exact_x0(reference_instance(n=5, seed=3, max_outer=5)), 4),
     # the map stops before the gradients fail, at step 2
     "failing-gradient": (lambda: failing_gradient(reference_instance(n=6, seed=1, max_outer=5),
                                                   2), 1),
-    # every level fails at step 0 or 1; the child runs each on to its own failure
-    "nontermination": (lambda: rounds_short(reference_instance(n=6, seed=0, max_outer=5)), 2),
-    "numpy-floats": (lambda: numpy_gradients(reference_instance(n=5, seed=3, max_outer=5)), 2),
+    # a round budget none settles within: every level fails at step 0 or 1, with
+    # a snapshot and no cause; the child runs every step all the same
+    "nontermination": (lambda: replace(reference_instance(n=6, seed=0, max_outer=5),
+                                       max_rounds=40), 4),
+    "numpy-floats": (lambda: numpy_gradients(reference_instance(n=5, seed=3, max_outer=5)), 4),
 }
 
 
-def taken_rows(monkeypatch):
-    """(outer step, level) -> what this process builds that step's record
-    from, from now on: its consensus row (count, rounds, conservation
-    flag, contract flag), or None for a failure."""
-    rows, real = {}, optimizer._take
-
-    def take(cfg, x_star, out, lane, k, x_half, q, row):
-        rows[k, q.delta] = row if isinstance(row, tuple) else None
-        return real(cfg, x_star, out, lane, k, x_half, q, row)
-
-    monkeypatch.setattr(optimizer, "_take", take)
-    return rows
-
-
-def child_side(monkeypatch):
+def child_side(monkeypatch, front=0):
     """Run the first child's side in this process from now on: os.fork
-    returns 0 and os._exit raises ChildExit; returns a list that gets a
-    copy of each pipe's read end (read it with frames)."""
-    reads, real_pipe = [], os.pipe
+    returns 0, os._exit raises ChildExit, os.sched_setaffinity does nothing
+    and the published step reads `front`.  Returns sent(): the frames sent
+    down the pipe, decoded (a thread reads a copy of its read end)."""
+    got, real_pipe, shared = [], os.pipe, optimizer.mmap.mmap(-1, 8)
+    shared[:8] = front.to_bytes(8, "little")
 
     def pipe():
         read, write = real_pipe()
-        reads.append(os.dup(read))
+        copy = open(os.dup(read), "rb")
+        got.append(threading.Thread(target=lambda: got.append(copy.read()) or copy.close()))
+        got[0].start()
         return read, write
+
+    def sent():
+        got[0].join()
+        data, frames = got[1], []
+        while data:
+            size = int.from_bytes(data[:8], "little")
+            assert len(data) >= 8 + size, "a frame cut short"
+            frames.append(marshal.loads(data[8:8 + size]))
+            data = data[8 + size:]
+        return frames
 
     def exit_(status):
         raise ChildExit(status)
@@ -395,55 +383,43 @@ def child_side(monkeypatch):
     monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", lambda: 0)
     monkeypatch.setattr(os, "_exit", exit_)
-    return reads
-
-
-def frames(read):
-    """The frames sent down a pipe, decoded from a copy of its read end: each
-    an 8-byte little-endian length, then that many bytes, to the pipe's end."""
-    with open(read, "rb") as fh:
-        data = fh.read()
-    sent = []
-    while data:
-        size = int.from_bytes(data[:8], "little")
-        assert len(data) >= 8 + size, "a frame cut short"
-        sent.append(data[8:8 + size])
-        data = data[8 + size:]
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    monkeypatch.setattr(optimizer, "mmap", SimpleNamespace(mmap=lambda *args: shared))
     return sent
 
 
 @pytest.mark.parametrize("case", CHILD_CASES.values(), ids=CHILD_CASES.keys())
 def test_child_side_run_in_process(case, monkeypatch):
     """os.fork returns 0, so this process takes the first child's branch,
-    runs its steps 1, 3, ... and stops at os._exit; what it sent is read
-    from a copy of the pipe.  Each frame holds the step's row per level, as
-    one process takes it (None for a failure), and no trace text; a level
-    whose step fails in the child is not run there again."""
+    runs its steps from the back down to 1 and stops at os._exit; what it
+    sent is read from a copy of the pipe.  Each frame holds its step and the
+    step's row per level, as one process takes it (None for a failure),
+    and no trace text."""
     make, count = case
     cfg = make()
     force_groups(monkeypatch, 1)
-    expected = taken_rows(monkeypatch)
+    expected, take = {}, optimizer._take  # (step, level) -> the row one process takes
+
+    def taken(cfg, x_star, out, lane, k, x_half, q, row):
+        expected[k, q.delta] = row if isinstance(row, tuple) else None  # None: a failure
+        return take(cfg, x_star, out, lane, k, x_half, q, row)
+
+    monkeypatch.setattr(optimizer, "_take", taken)
     delta_sweep(cfg, LEVELS[1:4])
     monkeypatch.undo()
     parent = os.getpid()
-    reads = child_side(monkeypatch)
+    sent = child_side(monkeypatch)
     force_groups(monkeypatch, 2)
     with pytest.raises(ChildExit):
         delta_sweep(cfg, LEVELS[1:4])
-    sent = [marshal.loads(frame) for frame in frames(reads[0])]
+    sent = sent()
     assert os.getpid() == parent
-    assert len(sent) == count
-    failed = set()
-    for k, (rows, text) in zip(range(1, cfg.max_outer, 2), sent):
+    assert [k for k, _, _ in sent] == list(range(count, 0, -1))
+    for k, rows, text in sent:
         assert text is None
         for level, row in zip(LEVELS[1:4], rows):
-            delta = Fraction(level)
-            if delta in failed:
-                assert row is None
-            elif (k, delta) in expected:  # else one process ended the level before
-                assert row == expected[k, delta]
-            if row is None:
-                failed.add(delta)
+            if (k, Fraction(level)) in expected:  # else one process ended the level before
+                assert row == expected[k, Fraction(level)]
 
 
 def test_a_child_that_raises_sends_nothing(monkeypatch):
@@ -452,30 +428,30 @@ def test_a_child_that_raises_sends_nothing(monkeypatch):
     def broken(*args):
         raise TypeError("bug in a level")
 
-    reads = child_side(monkeypatch)
+    sent = child_side(monkeypatch)
     monkeypatch.setattr("quagd.optimizer._run_lanes", broken)
     force_groups(monkeypatch, 2)
     with pytest.raises(ChildExit):
         delta_sweep(cfg, LEVELS[1:4])
-    assert frames(reads[0]) == []
+    assert sent() == []
 
 
 def test_child_failures_run_again_here(monkeypatch):
     """A level's nontermination in a child's step comes back as None: this
-    process runs that step again, and no other of the child's, and the
-    failures match one process's."""
+    process runs that step again, and no other of the child's (steps 1 to
+    7), and the failures match one process's."""
     cfg = replace(reference_instance(n=6, seed=1, max_outer=8), max_rounds=60)
     force_groups(monkeypatch, 1)
     expected = [outcome(e) for e in delta_sweep(cfg, LEVELS[:4]).entries]
     here = stepped_here(monkeypatch)
-    force_groups(monkeypatch, 2)
+    force_groups(monkeypatch, 2, first=True)
     report = delta_sweep(cfg, LEVELS[:4])
     assert [outcome(e) for e in report.entries] == expected
     failed = {e.delta: e.exception.outer_step for e in report.entries if e.exception}
     assert failed == {Fraction("0.01"): 5, Fraction("0.001"): 3}  # both a child's steps
     assert all(isinstance(e.exception, ConsensusNonterminationError)
                for e in report.entries if e.exception)
-    assert [pair for pair in here if pair[0] % 2] == sorted((k, d) for d, k in failed.items())
+    assert [pair for pair in here if pair[0]] == sorted((k, d) for d, k in failed.items())
     assert_no_child_left()
 
 
@@ -487,9 +463,9 @@ def test_numpy_floats_come_back_as_plain_floats(monkeypatch):
     force_groups(monkeypatch, 1)
     expected = delta_sweep(cfg, LEVELS[:3]).entries
     here = stepped_here(monkeypatch)
-    force_groups(monkeypatch, 2)
+    force_groups(monkeypatch, 2, first=True)
     report = delta_sweep(cfg, LEVELS[:3])
-    assert all(k % 2 == 0 for k, _ in here)
+    assert all(k == 0 for k, _ in here)
     for got, want in zip(report.entries, expected):
         assert got.trace.steps == want.trace.steps
         for steps in (got.trace.steps, want.trace.steps):
@@ -500,27 +476,34 @@ def test_numpy_floats_come_back_as_plain_floats(monkeypatch):
 @pytest.mark.parametrize("call", ["pipe", "fork"])
 def test_a_group_that_cannot_fork_runs_here(call, monkeypatch):
     """EMFILE from os.pipe or EAGAIN from os.fork for the second child of
-    three: its steps run here with this process's own, each once, and the
-    report is one process's."""
+    three: its steps (6, 4, 2) run here with this process's own, each once,
+    and the report is one process's."""
     cfg = reference_instance(n=8, seed=4, max_outer=8)
     force_groups(monkeypatch, 1)
     expected = [outcome(e) for e in delta_sweep(cfg, LEVELS).entries]
+    calls = refused(monkeypatch, call, lambda count: count > 1)
+    here = stepped_here(monkeypatch)
+    force_groups(monkeypatch, 3, first=True)
+    assert [outcome(e) for e in delta_sweep(cfg, LEVELS).entries] == expected
+    assert len(calls) == 2
+    assert here == [(k, Fraction(level)) for k in range(0, 8, 2) for level in LEVELS]
+    assert_no_child_left()
+
+
+def refused(monkeypatch, call, when):
+    """The calls of os.pipe or os.fork (call) from now on, the count-th
+    failing with EMFILE or EAGAIN where when(count) holds."""
     code = errno.EMFILE if call == "pipe" else errno.EAGAIN
     real, calls = getattr(os, call), []
 
-    def refused():
+    def refusing():
         calls.append(call)
-        if len(calls) > 1:  # the first child forks, the second cannot
+        if when(len(calls)):
             raise OSError(code, os.strerror(code))
         return real()
 
-    monkeypatch.setattr(os, call, refused)
-    here = stepped_here(monkeypatch)
-    force_groups(monkeypatch, 3)
-    assert [outcome(e) for e in delta_sweep(cfg, LEVELS).entries] == expected
-    assert len(calls) == 2
-    assert here == [(k, Fraction(level)) for k in range(8) if k % 3 != 1 for level in LEVELS]
-    assert_no_child_left()
+    monkeypatch.setattr(os, call, refusing)
+    return calls
 
 
 @pytest.mark.parametrize("groups", [2, 3])
@@ -545,23 +528,18 @@ MISSES = {
 }
 
 
-def records(entry):
-    """A sweep entry's records as tuples, or its failure's outcome."""
-    return outcome(entry) if entry.exception else list(map(astuple, entry.trace.steps))
-
-
 def outputs(cfg, run):
-    """records() per level of a sweep of LEVELS[:4], or for a traced run at
+    """outcome() per level of a sweep of LEVELS[:4], or for a traced run at
     level `run`, with its trace text."""
     if run is None:
-        return list(map(records, delta_sweep(cfg, LEVELS[:4]).entries))
+        return list(map(outcome, delta_sweep(cfg, LEVELS[:4]).entries))
     stream, entry = io.StringIO(), SimpleNamespace(exception=None)
     try:
         entry.trace = quagd_run(replace(cfg, delta=run), quadratic_optimum(cfg.costs),
                                 inner_trace=stream)
     except Exception as exc:
         entry.exception = exc
-    return records(entry), stream.getvalue()
+    return outcome(entry), stream.getvalue()
 
 
 @pytest.mark.parametrize("parts", [2, 3])
@@ -576,48 +554,55 @@ def test_a_missed_prediction_leaves_one_process_outputs(case, parts, monkeypatch
     expected = outputs(MISSED, run)
     missing(monkeypatch, level, step)
     here = stepped_here(monkeypatch)
-    force_groups(monkeypatch, parts)
+    force_groups(monkeypatch, parts, first=True)
     assert outputs(MISSED, run) == expected
     mine = {k for k, d in here if d == Fraction(level)}
-    assert step + 1 in mine and all(k % parts == 0 for k in mine if k <= step)
+    assert step + 1 in mine and all(k == 0 for k in mine if k <= step)
     assert rejoined not in mine
     assert_no_child_left()
 
 
 def test_what_a_child_sends(monkeypatch):
-    """One marshal frame per step of the child's: per level a row (count,
-    rounds, conservation flag, contract flag) or None, then the step's
-    trace text, None for an untraced run.  A level whose step fails in the
-    child gets None there and from then on; one whose count is not as
-    predicted at a step of the child's gets a row at every step."""
+    """One marshal frame per step, from the back down to the step after the
+    published one (2): the step, per level a row (count, rounds, two flags)
+    or None, then the trace text (None untraced).  A level gets None at its
+    failing step and a row before it, and a row at every step past a miss."""
     missing(monkeypatch, "0.1", 1)
-    reads = child_side(monkeypatch)
+    sent = child_side(monkeypatch, front=2)
     force_groups(monkeypatch, 2)
     with pytest.raises(ChildExit):
         delta_sweep(MISSED, LEVELS[:4])
-    sent = [marshal.loads(frame) for frame in frames(reads[0])]
-    assert len(sent) == 4  # steps 1, 3, 5 and 7
+    sent = sent()
+    assert [k for k, _, _ in sent] == [7, 6, 5, 4, 3]
     failed = {2: 5, 3: 3}  # per lane, its failing step, as in one process
-    for k, (rows, text) in zip(range(1, 8, 2), sent):
+    for k, rows, text in sent:
         assert text is None and len(rows) == 4
         for lane, row in enumerate(rows):
-            if k >= failed.get(lane, 8):
+            if k == failed.get(lane):
                 assert row is None
-            else:
+            elif k < failed.get(lane, 8):
                 assert list(map(type, row)) == [int, int, bool, bool]
 
 
-def test_recv_gives_none_for_what_does_not_arrive_whole():
-    """recv reads a frame at a time from a real pipe; an empty frame, a
-    frame cut short, the pipe's end and every read after it give None, and
-    none of them blocks."""
+def test_a_frame_is_taken_whole_and_never_waited_for():
+    """_frame publishes the step and reads a real pipe without blocking: a
+    frame cut short is taken once whole, a passed step's is dropped, a later
+    one kept, and an empty frame ends the pipe."""
     read, write = os.pipe()
-    with open(write, "wb") as sink:
-        sink.write(b"".join(len(d).to_bytes(8, "little") + d for d in [b"ab", b"", b"c"]))
-        sink.write((5).to_bytes(8, "little") + b"xyz")
-    with open(read, "rb") as pipe:
-        got = [optimizer._recv(pipe) for _ in range(7)]
-    assert got == [b"ab", None, b"c", None, None, None, None]
+    os.set_blocking(read, False)
+    shared, pipes, held = bytearray(8), {read: [bytearray(), 0]}, {}
+    sent = b"".join(len(data).to_bytes(8, "little") + data
+                    for data in (marshal.dumps((k, [k], None)) for k in (3, 1, 2)))
+    os.write(write, sent[:-1])
+    with alarm():
+        assert optimizer._frame(shared, pipes, held, 2) is None
+        assert (shared, list(held), pipes[read][1]) == ((2).to_bytes(8, "little"), [3],
+                                                       len(sent) // 3 * 2 - 1)
+        os.write(write, sent[-1:] + bytes(8))
+        assert optimizer._frame(shared, pipes, held, 2) == ([2], None)
+        assert pipes == {} and optimizer._frame(shared, pipes, held, 3) == ([3], None)
+    os.close(write)
+    os.close(read)
 
 
 def test_group_count():
@@ -727,11 +712,6 @@ def traced(cfg, stream=None):
     return stream.getvalue(), got
 
 
-def step_texts(text):
-    """A trace's text per outer step, each from its OUTER line on."""
-    return ["OUTER" + part for part in text.split("OUTER")[1:]]
-
-
 @pytest.mark.parametrize("parts", [1, 2, 3])
 def test_traced_run_writes_the_same_trace_in_any_split(parts, monkeypatch):
     cfg = reference_instance(n=20, seed=5, max_outer=60)
@@ -774,19 +754,18 @@ def test_a_failing_traced_run_leaves_one_process_trace(make, parts, monkeypatch)
     force_groups(monkeypatch, 1)
     expected = traced(make())
     assert expected[1][2] == 5
-    force_groups(monkeypatch, parts)
+    force_groups(monkeypatch, parts, first=True)
     assert traced(make()) == expected
     assert_no_child_left()
 
 
 def test_the_steps_of_a_child_that_dies_are_traced_here(monkeypatch):
-    """A child that leaves at its first step from step 5 on: this process
-    traces every step from there, and the trace is the same."""
-    parent = os.getpid()
+    """A child that leaves at its first step at or below step 5: this
+    process traces every step from there down, and the trace is the same."""
     cfg = reference_instance(n=8, seed=4, max_outer=12)
     force_groups(monkeypatch, 1)
     expected = traced(cfg)
-    replace_steps(monkeypatch, lambda k: os.getpid() != parent and k >= 5,
+    stepped_here(monkeypatch, lambda k, child: child and k <= 5,
                   lambda qs: os._exit(0))
     for parts in (2, 3):
         force_groups(monkeypatch, parts)
@@ -801,16 +780,7 @@ def test_the_steps_of_a_child_that_cannot_fork_are_traced_here(call, monkeypatch
     cfg = reference_instance(n=8, seed=4, max_outer=12)
     force_groups(monkeypatch, 1)
     expected = traced(cfg)
-    code = errno.EMFILE if call == "pipe" else errno.EAGAIN
-    real, calls = getattr(os, call), []
-
-    def refused():
-        calls.append(call)
-        if len(calls) > 1:
-            raise OSError(code, os.strerror(code))
-        return real()
-
-    monkeypatch.setattr(os, call, refused)
+    calls = refused(monkeypatch, call, lambda count: count > 1)
     force_groups(monkeypatch, 3)
     assert traced(cfg) == expected
     assert len(calls) == 2
@@ -850,32 +820,29 @@ def test_a_flood_check_failure_in_a_childs_step_is_raised_here(monkeypatch):
 @pytest.mark.parametrize("parts", [2, 3])
 @pytest.mark.parametrize("case", ["traces", "nontermination", "flood-check"])
 def test_traced_child_side_run_in_process(case, parts, monkeypatch):
-    """The first child traces steps 1, 1 + parts, ... into a buffer of its
-    own and sends each step's text in its frame; the partial text of a step
-    whose consensus does not terminate too, and it runs no step after it,
-    but no frame for a step that raises what the loop does not catch, nor
-    after it.  Past a failure at another process's step it runs on, on the
-    predicted input.  It writes nothing to the caller's stream."""
+    """The first child traces steps K - 1, K - parts, ... down to 1, each into
+    a new buffer, and sends its text, also a nontermination's partial text
+    (step 5, after which it runs on), but nothing from a step that raises
+    what the loop does not catch (flood-check), and nothing to the caller's
+    stream."""
     cfg = reference_instance(n=8, seed=4, max_outer=7)
     if case == "nontermination":
         cfg = FAILING_RUNS["nontermination"]()
-    elif case == "flood-check":
-        flood_check_fails_at(cfg, 1 + parts, monkeypatch)
     force_groups(monkeypatch, 1)
-    text, _ = traced(cfg)
-    reads = child_side(monkeypatch)
+    texts = ["OUTER" + part for part in traced(cfg)[0].split("OUTER")[1:]]  # per step
+    mine = list(range(cfg.max_outer - 1, 0, 1 - parts))
+    if case == "flood-check":
+        flood_check_fails_at(cfg, mine[1], monkeypatch)
+        mine = mine[:1]
+    sent = child_side(monkeypatch)
     force_groups(monkeypatch, parts)
     stream = FullAt(-1)  # which keeps every write
     with pytest.raises(ChildExit):
         quagd_run(cfg, inner_trace=stream)
-    sent = [marshal.loads(frame)[1] for frame in frames(reads[0])]
+    sent = sent()
     assert stream.writes == []
-    mine = step_texts(text)[1::parts]
-    if case == "flood-check":  # its last step is the one that fails
-        mine = mine[:-1]
-    assert sent[:len(mine)] == mine and mine
-    beyond = case == "nontermination" and parts == 3  # step 5 fails in another
-    assert len(sent) == len(mine) + beyond  # and the child runs step 7 too
+    assert [k for k, _, _ in sent] == mine
+    assert all(text == texts[k] for k, _, text in sent if k < len(texts))
 
 
 class FullAt(io.StringIO):
@@ -893,20 +860,18 @@ class FullAt(io.StringIO):
 
 
 def full_writes(writes):
-    """Where in a two-process run's writes a full disk is tried: a row of
-    this process's step 0, the copy of the child's step 1, and this
-    process's RESULT line of step 2."""
+    """Where in a two-process run's writes, its child's steps taken
+    (children_first), a full disk is tried: a row of this process's step
+    0, its RESULT line, and the copy of the child's step 1."""
     copy_ = next(i for i, w in enumerate(writes) if w.startswith("OUTER\t1\n"))
-    own_result = next(i for i, w in enumerate(writes) if w.startswith("RESULT")
-                      and i > copy_)
-    assert writes[1].startswith("1\t0\t") and writes[copy_].endswith("\n")
-    assert writes[copy_].count("RESULT") == 1
-    return [1, copy_, own_result]
+    assert writes[1].startswith("1\t0\t") and writes[copy_ - 1].startswith("RESULT")
+    assert writes[copy_].count("RESULT") == 1 and writes[copy_].endswith("\n")
+    return [1, copy_ - 1, copy_]
 
 
 def test_a_full_disk_is_raised_as_by_one_process(monkeypatch):
     cfg = reference_instance(n=8, seed=4, max_outer=6)
-    force_groups(monkeypatch, 2)
+    force_groups(monkeypatch, 2, first=True)
     recorded = FullAt(-1)
     traced(cfg, recorded)
     for full in full_writes(recorded.writes):
@@ -925,14 +890,9 @@ def test_a_full_disk_in_a_traced_cli_run_exits_2(tmp_path, monkeypatch, capsys):
 
     monkeypatch.chdir(tmp_path)
     streams = []
-
-    def open_(path, *args, **kwargs):
-        if str(path).endswith("faqua_trace.txt"):
-            return streams.pop(0)
-        return open(path, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "open", open_, raising=False)
-    force_groups(monkeypatch, 2)
+    monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs: streams.pop(0) if str(
+        path).endswith("faqua_trace.txt") else open(path, *args, **kwargs), raising=False)
+    force_groups(monkeypatch, 2, first=True)
     streams.append(FullAt(-1))
     recorded = streams[0]
     assert main(RUN) == 0
@@ -947,13 +907,8 @@ def test_a_full_disk_in_a_traced_cli_run_exits_2(tmp_path, monkeypatch, capsys):
 
 def test_an_interrupt_in_a_traced_run_kills_and_reaps_every_child(monkeypatch):
     """This process stops at its outer step 3 while the children still run."""
-    parent = os.getpid()
     cfg = reference_instance(n=8, seed=0, max_outer=400)
-
-    def interrupt(qs):
-        raise KeyboardInterrupt
-
-    replace_steps(monkeypatch, lambda k: os.getpid() == parent and k == 3, interrupt)
+    stepped_here(monkeypatch, lambda k, child: not child and k == 3, interrupt)
     force_groups(monkeypatch, 3)
     with pytest.raises(KeyboardInterrupt):
         quagd_run(cfg, inner_trace=io.StringIO())
@@ -962,26 +917,80 @@ def test_an_interrupt_in_a_traced_run_kills_and_reaps_every_child(monkeypatch):
 
 def test_children_stop_once_the_run_here_ends(monkeypatch):
     """A nontermination here alone, at this process's outer step 3, ends
-    the run while the children would trace 400 steps: once this process
-    closes its read ends, a child's next send fails and it leaves (an
-    alarm bounds the wait, should one block for good)."""
-    parent = os.getpid()
+    the run while the children would trace 400 steps: they are killed and
+    reaped (an alarm bounds the wait, should one block for good)."""
     cfg = reference_instance(n=8, seed=0, max_outer=400)
-
-    def alarm(signum, frame):
-        raise TimeoutError("a child kept running")
-
-    replace_steps(monkeypatch, lambda k: os.getpid() == parent and k == 3, nonterminating)
+    stepped_here(monkeypatch, lambda k, child: not child and k == 3,
+                 lambda qs: [ConsensusNonterminationError(1, [])] * len(qs))
     force_groups(monkeypatch, 3)
-    previous = signal.signal(signal.SIGALRM, alarm)
-    signal.alarm(60)
-    try:
-        with pytest.raises(ConsensusNonterminationError) as failed:
-            quagd_run(cfg, inner_trace=io.StringIO())
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with alarm(), pytest.raises(ConsensusNonterminationError) as failed:
+        quagd_run(cfg, inner_trace=io.StringIO())
     assert failed.value.outer_step == 3
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("run", [None, "0.1"], ids=["sweep", "traced"])
+def test_a_slow_childs_steps_run_here(run, monkeypatch):
+    """The second child of three stops for good at its first step (6): this
+    process never waits for its frames and runs its steps 6, 4 and 2 itself;
+    every record, failure and trace byte is one process's."""
+    force_groups(monkeypatch, 1)
+    expected = outputs(MISSED, run)
+    here = stepped_here(monkeypatch, lambda k, child: child and k % 2 == 0,
+                        lambda qs: signal.pause())
+    force_groups(monkeypatch, 3)
+    with alarm():
+        assert outputs(MISSED, run) == expected
+    assert {2, 4, 6} <= {k for k, _ in here}
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or optimizer._cpu() is None
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs Linux and 2 CPUs")
+def test_a_child_moves_off_the_cpu_this_process_ran_on(tmp_path, monkeypatch):
+    """A child's affinity at its first step is this process's less the CPU
+    this process ran on at the fork (/proc/self/stat), and the outputs are
+    the same."""
+    cpus, real = [], optimizer._cpu
+    monkeypatch.setattr(optimizer, "_cpu", lambda: cpus.append(real()) or cpus[-1])
+    force_groups(monkeypatch, 1)
+    expected = outputs(MISSED, None)
+
+    def report(qs):
+        (tmp_path / "affinity").write_text(" ".join(map(str, os.sched_getaffinity(0))))
+        os._exit(0)
+
+    stepped_here(monkeypatch, lambda k, child: child, report)
+    force_groups(monkeypatch, 2)
+    assert outputs(MISSED, None) == expected
+    affinity = set(map(int, (tmp_path / "affinity").read_text().split()))
+    assert cpus[0] is not None and affinity == os.sched_getaffinity(0) - {cpus[0]}
+    assert_no_child_left()
+
+
+def test_what_this_process_holds_of_a_child_is_bounded(monkeypatch):
+    """With _HOLD_BYTES set below one step's text, this process holds at
+    most that much of the child's frames plus one frame, after reading as
+    far as it may at step 0; the trace is one process's."""
+    cfg = reference_instance(n=8, seed=4, max_outer=12)
+    force_groups(monkeypatch, 1)
+    expected = traced(cfg)
+    monkeypatch.setattr(optimizer, "_HOLD_BYTES", 3000)
+    held_bytes, real = [], optimizer._frame
+
+    def frame(shared, pipes, held, k):
+        got = real(shared, pipes, held, k)
+        sizes = [8 + len(marshal.dumps((k, *got)))] if got else []
+        sizes += [size for _, size, _, _ in held.values()] + [len(b) for b, _ in pipes.values()]
+        held_bytes.append((sum(sizes), max(sizes, default=0)))
+        return got
+
+    monkeypatch.setattr(optimizer, "_frame", frame)
+    force_groups(monkeypatch, 2, first=True)
+    with alarm():
+        assert traced(cfg) == expected
+    assert all(size <= 3000 + largest for size, largest in held_bytes)
+    assert max(size for size, _ in held_bytes) > 3000  # the child got as far ahead as it may
     assert_no_child_left()
 
 
@@ -994,26 +1003,17 @@ def open_descriptors():
     pytest.skip("no descriptor listing")
 
 
-@pytest.mark.parametrize("refused", [None, "pipe", "fork"])
-def test_no_descriptor_left_open(refused, monkeypatch):
+@pytest.mark.parametrize("call", [None, "pipe", "fork"])
+def test_no_descriptor_left_open(call, monkeypatch):
     """A split sweep and a split traced run close every pipe end they open,
     also where the second of two os.pipe or os.fork calls is refused."""
     cfg = reference_instance(n=8, seed=4, max_outer=8)
     before = open_descriptors()
-    if refused is not None:
-        code = errno.EMFILE if refused == "pipe" else errno.EAGAIN
-        real, calls = getattr(os, refused), []
-
-        def every_second_refused():
-            calls.append(refused)
-            if len(calls) % 2 == 0:
-                raise OSError(code, os.strerror(code))
-            return real()
-
-        monkeypatch.setattr(os, refused, every_second_refused)
+    if call is not None:
+        calls = refused(monkeypatch, call, lambda count: count % 2 == 0)
     force_groups(monkeypatch, 3)
     delta_sweep(cfg, LEVELS)
     traced(cfg)
     assert open_descriptors() == before
-    assert refused is None or len(calls) == 4
+    assert call is None or len(calls) == 4
     assert_no_child_left()

@@ -117,44 +117,56 @@ MUTANTS = [
     ("src/quagd/optimizer.py", "lo = sum(quantize_floor(v, level) for v in x_half) // n",
      "lo = -(-sum(quantize_floor(v, level) for v in x_half) // n)",
      "tests/test_optimizer.py::test_quagd_run_follows_the_quantized_map[0.01]"),
-    # a split: process p runs the steps k = p (mod parts), and a child stops a
-    # level only at its failure there; only a sweep or a traced run splits; a
-    # level takes a child's row only where its input is the predicted one
-    ("src/quagd/optimizer.py", "range(part, cfg.max_outer, parts)",
-     "range(parts - part, cfg.max_outer, parts)",
-     "tests/test_groups.py::test_cli_sweep_writes_the_same_bytes_in_any_split[3]"),
+    # ... and once a lo repeats, copies the later steps by the period
+    ("src/quagd/optimizer.py", "period = k - seen[lo]", "period = k - seen[lo] + 1",
+     "tests/test_optimizer.py::test_quagd_run_follows_the_quantized_map[0.01]"),
+    # a split from both ends: child p runs K - p, K - p - (P - 1), ... down to the
+    # step after the one this process published, off this process's CPU; only
+    # a sweep or a traced run splits; a level takes a child's row, or reuses
+    # its predicted stepped values, only where its input is the predicted one
+    ("src/quagd/optimizer.py", "range(max(map(len, preds)) - part, 0, 1 - parts)",
+     "range(max(map(len, preds)) - part, 0, -parts)",
+     "tests/test_groups.py::test_child_side_run_in_process[traces]"),
     ("src/quagd/optimizer.py",
-     "            lanes = [lane for lane in lanes if rows[lane] is not None]\n", "",
-     "tests/test_groups.py::test_traced_child_side_run_in_process[nontermination-2]"),
+     "            if k <= front():  # this process has reached it\n                break\n", "",
+     "tests/test_groups.py::test_what_a_child_sends"),
+    ("src/quagd/optimizer.py",
+     "                            os.sched_setaffinity(0, cpus - {cpu})\n",
+     "                            pass\n",
+     "tests/test_groups.py::test_a_child_moves_off_the_cpu_this_process_ran_on"),
     ("src/quagd/optimizer.py", "split = len(levels) > 1 or inner_trace is not None",
      "split = True", "tests/test_groups.py::test_an_untraced_run_never_forks[2]"),
     ("src/quagd/optimizer.py",
      "k == 0 or x[0] == float(preds[lane][k - 1][1] * levels[lane].delta)", "True",
      "tests/test_groups.py::test_a_missed_prediction_leaves_one_process_outputs[traced-2]"),
-    # a frame is None where it is empty or does not arrive whole
-    ("src/quagd/optimizer.py", "return data if size and len(data) == size else None",
-     "return data if len(data) == size else None",
-     "tests/test_groups.py::test_failed_and_dead_children_are_rerun_here"),
-    ("src/quagd/optimizer.py", "return data if size and len(data) == size else None",
-     "return data if size else None",
-     "tests/test_groups.py::test_recv_gives_none_for_what_does_not_arrive_whole"),
+    ("src/quagd/optimizer.py", "preds[lane][k][0] if predicted else",
+     "preds[lane][k][0] if k < len(preds[lane]) else",
+     "tests/test_groups.py::test_a_missed_prediction_leaves_one_process_outputs[traced-2]"),
+    # this process never waits for a frame, keeps none of a passed step, and
+    # holds at most _HOLD_BYTES of a child's frames, plus one frame
+    ("src/quagd/optimizer.py", "            os.set_blocking(read, False)\n", "",
+     "tests/test_groups.py::test_a_slow_childs_steps_run_here[sweep]"),
+    ("src/quagd/optimizer.py", "if step >= k:", "if True:",
+     "tests/test_groups.py::test_a_frame_is_taken_whole_and_never_waited_for"),
+    ("src/quagd/optimizer.py", "while got[1] <= _HOLD_BYTES:", "while True:",
+     "tests/test_groups.py::test_what_this_process_holds_of_a_child_is_bounded"),
     ("src/quagd/optimizer.py", "    except Exception as exc:  # a custom cost's own failure,",
      "    except DivergenceError:\n        raise\n"
      "    except Exception as exc:  # a custom cost's own failure,",
      "tests/test_groups.py::test_a_gradients_own_divergence_is_its_failure"),
     # a split traced run: the parent copies in the text of each child step it
     # takes, not of one it runs here (it traces that one again), and a child
-    # traces each step into a buffer of its own, emptied after each send
-    ("src/quagd/optimizer.py", "                stepped[lane] = _stepped(cfg, alpha, x, k)\n",
-     "                stepped[lane] = _stepped(cfg, alpha, x, k)\n"
+    # traces each step into a new buffer of its own
+    ("src/quagd/optimizer.py", "if predicted else _stepped(cfg, alpha, x, k)\n",
+     "if predicted else _stepped(cfg, alpha, x, k)\n"
      "                if text is not None:\n                    inner_trace.write(text)\n",
      SPLIT_TRACE.format("test_a_failing_traced_run_leaves_one_process_trace[nontermination-2]")),
     ("src/quagd/optimizer.py", "trace = None if inner_trace is None else io.StringIO()",
      "trace = inner_trace",
      SPLIT_TRACE.format("test_traced_child_side_run_in_process[traces-2]")),
-    ("src/quagd/optimizer.py", "                trace.seek(0)\n                trace.truncate()\n",
-     "                pass\n",
-     SPLIT_TRACE.format("test_traced_run_writes_the_same_trace_in_any_split[2]")),
+    ("src/quagd/optimizer.py", "trace = None if inner_trace is None else io.StringIO()",
+     'trace = None if inner_trace is None else body.__dict__.setdefault("t", io.StringIO())',
+     SPLIT_TRACE.format("test_traced_child_side_run_in_process[traces-2]")),
     # the records hold plain floats, whatever number type a cost returns
     ("src/quagd/optimizer.py", "centroid_err=float(abs(x_hat - _sum(x_half) / n)),",
      "centroid_err=abs(x_hat - _sum(x_half) / n),", PLAIN_FLOATS),
